@@ -1,17 +1,23 @@
 """Lockstep counterfactual training.
 
 An anchor network trains on its own dataset role while intervened partners
-train alongside it: each partner consumes the opposite role's batches, has
-its gradients computed through the whole network, applies updates only to
-its intervention set A, and then has the remaining blocks overwritten with
-the anchor's values. Everything draws batches from one shared index stream,
-so every model gets equal exposure and the whole procedure is a pure
-function of (spec, data, plan, A).
+train alongside it. A partner with intervention set A consumes the opposite
+role's batches and updates only the blocks in A; its remaining blocks are
+the anchor's own arrays, shared by reference for the whole run, so every
+in-place anchor update is the partner's update too. Everything draws
+batches from one shared index stream, so every model gets equal exposure
+and the whole procedure is a pure function of (spec, data, plan, A).
 
-Applying updates to A only and then overwriting the complement is
-arithmetically identical to updating all blocks and overwriting, because the
-optimizers are elementwise; the debug mode verifies the overwritten blocks
-were indeed never touched.
+Each step computes every gradient before any update is applied. Below
+s = min(A) a partner holds exactly its anchor's weights and reads the same
+view as every other partner of that direction, so the anchor's forward pass
+over blocks 0..s-1 on that view is computed once per step, block by block
+as partners ask for it, and each partner starts its own forward at block s.
+Its backward pass stops at block s too, since nothing below is updated.
+With `debug_sync`, one partner per step (in rotation) has its gradients
+recomputed through its whole network from the raw view, and they must
+match the shared-prefix ones byte for byte. When training ends, each
+partner gets its own copy of the shared blocks.
 
 Two degenerate equivalences hold bit-exactly and are used as oracles: A = {}
 reproduces the anchor, and A = [m] reproduces a direct training run on the
@@ -20,7 +26,7 @@ opposite role with the same seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,19 +112,29 @@ class InterventionSet:
 
     @staticmethod
     def parse(text: str, m: int) -> "InterventionSet":
-        text = text.strip()
-        if text == "{}":
+        """Read one of the canonical forms "{}", "i:m", "-{i}", "{a,b,...}"."""
+        s = text.strip()
+        if s == "{}":
             return InterventionSet.empty(m)
-        if text.startswith("-{") and text.endswith("}"):
-            return InterventionSet.single_complement(m, int(text[2:-1]))
-        if ":" in text:
-            lo, hi = text.split(":")
-            if int(hi) != m:
+        if s.startswith("-{") and s.endswith("}"):
+            return InterventionSet.single_complement(m, _block_index(s[2:-1], text))
+        if s.count(":") == 1:
+            lo, hi = s.split(":")
+            if _block_index(hi, text) != m:
                 raise UsageError(f"suffix set {text} must end at m={m}")
-            return InterventionSet.suffix(m, int(lo))
-        if text.startswith("{") and text.endswith("}"):
-            return InterventionSet(m, frozenset(int(x) for x in text[1:-1].split(",")))
+            return InterventionSet.suffix(m, _block_index(lo, text))
+        if s.startswith("{") and s.endswith("}"):
+            return InterventionSet(
+                m, frozenset(_block_index(x, text) for x in s[1:-1].split(","))
+            )
         raise UsageError(f"cannot parse intervention set {text!r}")
+
+
+def _block_index(part, text):
+    part = part.strip()
+    if not (part.isascii() and part.isdigit()):
+        raise UsageError(f"cannot parse intervention set {text!r}")
+    return int(part)
 
 
 # --------------------------------------------------------------------------
@@ -158,11 +174,28 @@ class _Trainee:
     net: BlockNet
     data_role: str
     update_blocks: list
-    sync_from: str | None = None  # anchor name
-    sync_blocks: list = field(default_factory=list)
+    anchor: _Trainee | None = None  # a partner's blocks outside A alias this net
     optimizer: Optimizer | None = None
     updates: int = 0
-    skip_compute: bool = False
+
+
+def _anchor(name, net, role):
+    return _Trainee(name=name, net=net, data_role=role, update_blocks=list(range(net.m)))
+
+
+def _partner(name, anchor, A):
+    """A partner of `anchor` that owns the blocks in A and aliases the rest."""
+    params = dict(anchor.net.params)
+    for b in A.members:
+        for k in anchor.net.block_keys(b):
+            params[k] = params[k].copy()
+    return _Trainee(
+        name=name,
+        net=BlockNet(anchor.net.spec, params, anchor.net.dtype),
+        data_role=_other_role(anchor.data_role),
+        update_blocks=A.sorted(),
+        anchor=anchor,
+    )
 
 
 def _initial_net(spec, plan, dtype, init_from):
@@ -175,6 +208,20 @@ def _initial_net(spec, plan, dtype, init_from):
     return build_net(spec, seed=plan.master_seed, dtype=dtype)
 
 
+class _Prefix:
+    """One net's forward activations on one batch view, block by block."""
+
+    def __init__(self, net, x):
+        self.net = net
+        self.acts = [net._ingest(x)]  # acts[b] is the activation entering block b
+
+    def entering(self, s):
+        while len(self.acts) <= s:
+            b = len(self.acts) - 1
+            self.acts.append(self.net.forward(self.acts[b], b, b + 1))
+        return self.acts[s]
+
+
 def _lockstep(pd, plan, trainees, debug_sync=False, lr_scales=None, wd_scales=None,
               phase_blocks=None, on_step_end=None):
     """Run the shared training loop; trainees share one batch index stream.
@@ -182,15 +229,15 @@ def _lockstep(pd, plan, trainees, debug_sync=False, lr_scales=None, wd_scales=No
     phase_blocks: optional callable t -> {name: block list} overriding each
     trainee's update set per step (used by the freezing protocol).
     on_step_end: optional callable (t, {name: trainee}) invoked after the
-    step's updates and synchronization.
+    step's updates.
     """
     by_name = {tr.name: tr for tr in trainees}
     for tr in trainees:
         tr.optimizer = Optimizer(
             plan.optimizer,
             plan.schedule,
-            lr_block_scale=dict(lr_scales or {}) if tr.sync_from is None else {},
-            wd_block_scale=dict(wd_scales or {}) if tr.sync_from is None else {},
+            lr_block_scale=dict(lr_scales or {}) if tr.anchor is None else {},
+            wd_block_scale=dict(wd_scales or {}) if tr.anchor is None else {},
         )
     t = 0
     epoch = 0
@@ -200,66 +247,71 @@ def _lockstep(pd, plan, trainees, debug_sync=False, lr_scales=None, wd_scales=No
             if t >= plan.steps:
                 break
             views = {"clean": batch.clean_x, "skewed": batch.skew_x}
+            step_blocks = {tr.name: tr.update_blocks for tr in trainees}
+            if phase_blocks is not None:
+                step_blocks.update(phase_blocks(t))
+            prefixes = {}
             grads = {}
             for tr in trainees:
-                if tr.skip_compute:
+                if not step_blocks[tr.name]:
                     continue
+                s = min(step_blocks[tr.name])
+                source = tr.anchor or tr
+                key = (source.name, tr.data_role)
                 try:
-                    _, g = loss_and_grad(tr.net, views[tr.data_role], batch.labels)
+                    if key not in prefixes:
+                        prefixes[key] = _Prefix(source.net, views[tr.data_role])
+                    x = prefixes[key].entering(s)
+                    _, grads[tr.name] = loss_and_grad(tr.net, x, batch.labels, start=s)
                 except NumericError as exc:
                     raise TrainingDiverged(
                         f"{tr.name}: {exc} at step {t}", step=t
                     ) from exc
-                grads[tr.name] = g
-            snapshots = {}
             if debug_sync:
-                for tr in trainees:
-                    if tr.sync_from:
-                        anchor = by_name[tr.sync_from]
-                        snapshots[tr.name] = {
-                            b: anchor.net.block_bytes(b) for b in tr.sync_blocks
-                        }
+                partners = [tr for tr in trainees
+                            if tr.anchor is not None and tr.name in grads]
+                if partners:
+                    tr = partners[t % len(partners)]
+                    _check_shared_path(tr, views[tr.data_role], batch.labels,
+                                       step_blocks[tr.name], grads[tr.name], t)
             for tr in trainees:
-                if tr.skip_compute:
+                if tr.name not in grads:
                     continue
-                blocks = tr.update_blocks
-                if phase_blocks is not None:
-                    blocks = phase_blocks(t).get(tr.name, blocks)
-                keys = []
-                for b in blocks:
-                    keys.extend(tr.net.block_keys(b))
-                if keys:
-                    tr.optimizer.step(
-                        {k: tr.net.params[k] for k in keys},
-                        {k: grads[tr.name][k] for k in keys},
-                        t,
-                    )
+                keys = [k for b in step_blocks[tr.name] for k in tr.net.block_keys(b)]
+                tr.optimizer.step(
+                    {k: tr.net.params[k] for k in keys},
+                    {k: grads[tr.name][k] for k in keys},
+                    t,
+                )
                 tr.updates += 1
-            for tr in trainees:
-                if tr.sync_from is None:
-                    continue
-                anchor = by_name[tr.sync_from]
-                if debug_sync:
-                    for b in tr.sync_blocks:
-                        if tr.net.block_bytes(b) != snapshots[tr.name][b]:
-                            raise AssertionError(
-                                f"sync invariant broken: {tr.name} block {b} "
-                                f"drifted from {tr.sync_from} at step {t}"
-                            )
-                sync_blocks(tr.net, anchor.net, tr.sync_blocks)
             if on_step_end is not None:
                 on_step_end(t, by_name)
             t += 1
         epoch += 1
-    # the synchronization invariant is always verified at the final step
     for tr in trainees:
-        if tr.sync_from is not None:
-            anchor = by_name[tr.sync_from]
-            for b in tr.sync_blocks:
-                assert tr.net.block_bytes(b) == anchor.net.block_bytes(b), (
-                    f"final sync check failed for {tr.name} block {b}"
+        if tr.anchor is not None:
+            shared = sorted(set(range(tr.net.m)) - set(tr.update_blocks))
+            for b in shared:
+                for k in tr.net.block_keys(b):
+                    tr.net.params[k] = np.empty_like(tr.net.params[k])
+            sync_blocks(tr.net, tr.anchor.net, shared)
+    return by_name
+
+
+def _check_shared_path(tr, view, labels, blocks, shared_grads, t):
+    """Recompute a partner's gradients over its whole net from the raw view;
+    they must equal the shared-prefix gradients byte for byte."""
+    try:
+        _, full = loss_and_grad(tr.net, view, labels)
+    except NumericError as exc:
+        raise TrainingDiverged(f"{tr.name}: {exc} at step {t}", step=t) from exc
+    for b in blocks:
+        for k in tr.net.block_keys(b):
+            if full[k].tobytes() != shared_grads[k].tobytes():
+                raise AssertionError(
+                    f"shared-prefix gradient of {tr.name} at {k} differs from "
+                    f"its full pass at step {t}"
                 )
-    return {tr.name: tr for tr in trainees}
 
 
 # --------------------------------------------------------------------------
@@ -271,12 +323,7 @@ def train_single(spec: NetSpec, pd: PairedDataset, plan: TrainPlan,
     """Direct training of one network on its plan's dataset role."""
     plan.validate()
     net = _initial_net(spec, plan, dtype, init_from)
-    anchor = _Trainee(
-        name="anchor",
-        net=net,
-        data_role=plan.anchor_role,
-        update_blocks=list(range(spec.m)),
-    )
+    anchor = _anchor("anchor", net, plan.anchor_role)
     _lockstep(pd, plan, [anchor], lr_scales=lr_scales, wd_scales=wd_scales,
               phase_blocks=phase_blocks, on_step_end=on_step_end)
     return net
@@ -299,27 +346,13 @@ def train_pair(spec: NetSpec, pd: PairedDataset, plan: TrainPlan,
     plan.validate()
     if A.m != spec.m:
         raise UsageError(f"intervention set has m={A.m}, spec has m={spec.m}")
-    anchor_net = _initial_net(spec, plan, dtype, init_from)
-    intervened_net = anchor_net.copy()  # shared initial weights
-    anchor = _Trainee(
-        name="anchor",
-        net=anchor_net,
-        data_role=plan.anchor_role,
-        update_blocks=list(range(spec.m)),
-    )
-    partner = _Trainee(
-        name="intervened",
-        net=intervened_net,
-        data_role=_other_role(plan.anchor_role),
-        update_blocks=A.sorted(),
-        sync_from="anchor",
-        sync_blocks=A.complement.sorted(),
-        skip_compute=A.is_empty,
-    )
+    anchor = _anchor("anchor", _initial_net(spec, plan, dtype, init_from),
+                     plan.anchor_role)
+    partner = _partner("intervened", anchor, A)  # shared initial weights
     done = _lockstep(pd, plan, [anchor, partner], debug_sync=debug_sync)
     return PairOutcome(
-        anchor=anchor_net,
-        intervened=intervened_net,
+        anchor=anchor.net,
+        intervened=partner.net,
         A=A,
         steps=plan.steps,
         master_seed=plan.master_seed,
@@ -353,43 +386,26 @@ def train_family(spec: NetSpec, pd: PairedDataset, plan_clean: TrainPlan,
         if A.m != spec.m:
             raise UsageError(f"intervention set has m={A.m}, spec has m={spec.m}")
     init = _initial_net(spec, plan_clean, dtype, init_from)
-    trainees = []
-    for role in ROLES:
-        trainees.append(
-            _Trainee(
-                name=f"anchor:{role}",
-                net=init.copy(),
-                data_role=role,
-                update_blocks=list(range(spec.m)),
-            )
-        )
+    anchors = [_anchor(f"anchor:{role}", init.copy(), role) for role in ROLES]
+    trainees = list(anchors)
     seen = set()
     for A in sets:
         key = A.canonical()
         if key in seen:
             continue
         seen.add(key)
-        for role in ROLES:
+        for anchor in anchors:
             trainees.append(
-                _Trainee(
-                    name=f"intervened:{role}:{key}",
-                    net=init.copy(),
-                    data_role=_other_role(role),
-                    update_blocks=A.sorted(),
-                    sync_from=f"anchor:{role}",
-                    sync_blocks=A.complement.sorted(),
-                    skip_compute=A.is_empty,
-                )
+                _partner(f"intervened:{anchor.data_role}:{key}", anchor, A)
             )
     done = _lockstep(pd, plan_clean, trainees, debug_sync=debug_sync)
-    anchors = {role: done[f"anchor:{role}"].net for role in ROLES}
     intervened = {}
     for A in sets:
         key = A.canonical()
         for role in ROLES:
             intervened[(role, key)] = done[f"intervened:{role}:{key}"].net
     return FamilyOutcome(
-        anchors=anchors,
+        anchors={role: done[f"anchor:{role}"].net for role in ROLES},
         intervened=intervened,
         sets=sets,
         steps=plan_clean.steps,

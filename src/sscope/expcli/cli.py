@@ -33,7 +33,8 @@ def _common_flags(sub):
     sub.add_argument("--precision", type=int, choices=(32, 64))
     sub.add_argument("--family", choices=("single", "suffix"))
     sub.add_argument("--debug-sync", action="store_true", default=None,
-                     help="assert shared-block equality at every step")
+                     help="check one partner's shared-prefix gradients "
+                          "against a full pass at every step")
 
 
 def _load_config(args) -> ExperimentConfig:

@@ -13,7 +13,8 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 
-from ..errors import ConfigError
+from ..counterfact import InterventionSet
+from ..errors import ConfigError, UsageError
 from ..rng import subseed
 from ..skewlab import SkewFrequency, WatermarkSkewSpec
 from . import presets
@@ -103,9 +104,18 @@ class ExperimentConfig:
             raise ConfigError("steps and batch_size must be positive")
         if self.precision not in (32, 64):
             raise ConfigError("precision must be 32 or 64")
-        # resolve presets now so unknown names fail at config time
+        # resolve presets and set strings now so bad ones fail at config time
         self.task_spec()
         presets.optimizer_config(self.optimizer, self.optimizer_overrides)
+        if self.explicit_sets:
+            m = self.net_spec().m
+            for text in self.explicit_sets:
+                if not isinstance(text, str):
+                    raise ConfigError(f"explicit_sets entry {text!r} is not a string")
+                try:
+                    InterventionSet.parse(text, m)
+                except UsageError as exc:
+                    raise ConfigError(f"explicit_sets: {exc}") from None
         return self
 
     # ---- resolution -------------------------------------------------------

@@ -65,10 +65,10 @@ class Dense:
     def forward(self, x, params):
         return x @ params["w"] + params["b"], x
 
-    def backward(self, dy, cache, params):
+    def backward(self, dy, cache, params, need_dx=True):
         x = cache
         grads = {"w": x.T @ dy, "b": dy.sum(axis=0)}
-        return dy @ params["w"].T, grads
+        return (dy @ params["w"].T if need_dx else None), grads
 
     def encode(self):
         return ["dense", self.in_dim, self.out_dim]
@@ -133,7 +133,7 @@ class Conv2d:
         y = y + params["b"][None, :, None, None]
         return y, (col, xp.shape, x.shape, oh, ow)
 
-    def backward(self, dy, cache, params):
+    def backward(self, dy, cache, params, need_dx=True):
         col, xp_shape, x_shape, oh, ow = cache
         n, c = xp_shape[:2]
         k = self.kernel
@@ -145,6 +145,8 @@ class Conv2d:
             "w": (dy_mat.T @ col).reshape(params["w"].shape),
             "b": dy.sum(axis=(0, 2, 3)),
         }
+        if not need_dx:
+            return None, grads
         dcol = (dy_mat @ wmat).reshape(n, oh, ow, c, k, k).transpose(0, 3, 1, 2, 4, 5)
         dxp = np.zeros(xp_shape, dtype=dy.dtype)
         s = self.stride
@@ -173,7 +175,7 @@ class ReLU:
     def forward(self, x, params):
         return np.maximum(x, 0), x > 0
 
-    def backward(self, dy, cache, params):
+    def backward(self, dy, cache, params, need_dx=True):
         return dy * cache, {}
 
     def encode(self):
@@ -211,7 +213,7 @@ class MaxPool:
         y = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
         return y, (idx, x.shape)
 
-    def backward(self, dy, cache, params):
+    def backward(self, dy, cache, params, need_dx=True):
         idx, x_shape = cache
         k = self.kernel
         n, c, h, w = x_shape
@@ -242,7 +244,7 @@ class GlobalAvgPool:
     def forward(self, x, params):
         return x.mean(axis=(2, 3)), x.shape
 
-    def backward(self, dy, cache, params):
+    def backward(self, dy, cache, params, need_dx=True):
         n, c, h, w = cache
         dx = np.broadcast_to(dy[:, :, None, None], (n, c, h, w)) / (h * w)
         return dx.astype(dy.dtype), {}
@@ -262,7 +264,7 @@ class Flatten:
     def forward(self, x, params):
         return x.reshape(x.shape[0], -1), x.shape
 
-    def backward(self, dy, cache, params):
+    def backward(self, dy, cache, params, need_dx=True):
         return dy.reshape(cache), {}
 
     def encode(self):
@@ -392,11 +394,14 @@ class BlockNet:
             x = x.reshape(x.shape[0], *want)
         return x
 
-    def forward(self, x):
-        """Logits for a batch; raises NumericError naming the block on overflow."""
-        x = self._ingest(x)
-        for bi, block in enumerate(self.spec.blocks):
-            for li, layer in enumerate(block):
+    def forward(self, x, lo=0, hi=None):
+        """Run blocks lo..hi-1 (default: all) on the activation entering block
+        lo, which is the raw batch when lo is 0; with the defaults this gives
+        the logits. Raises NumericError naming the block on overflow."""
+        if lo == 0:
+            x = self._ingest(x)
+        for bi in range(lo, self.m if hi is None else hi):
+            for li, layer in enumerate(self.spec.blocks[bi]):
                 x, _ = layer.forward(x, self._layer_params(bi, li))
             if not np.isfinite(x).all():
                 raise NumericError(f"non-finite activation in block {bi}", bi)
@@ -440,20 +445,27 @@ def softmax_xent(logits, labels):
     return float(loss), dlogits.astype(logits.dtype)
 
 
-def loss_and_grad(net: BlockNet, x, labels):
-    """Mean cross-entropy loss and per-parameter gradients for one batch.
+def loss_and_grad(net: BlockNet, x, labels, start=0):
+    """Mean cross-entropy loss and the gradients of blocks start..m-1.
 
-    Pure in (params, batch): caches live only for the duration of the call.
+    x is the activation entering block `start`, which is the raw batch when
+    start is 0 (see `BlockNet.forward`). The backward pass stops at the
+    lowest parameterised layer of blocks >= start and never computes that
+    layer's input gradient. Pure in (params, batch): caches live only for
+    the duration of the call.
     """
-    x = net._ingest(x)
+    if not 0 <= start < net.m:
+        raise UsageError(f"start block {start} outside [0, {net.m})")
+    if start == 0:
+        x = net._ingest(x)
     labels = np.asarray(labels)
     if x.shape[0] == 0:
         raise UsageError("empty batch")
     if labels.min() < 0 or labels.max() >= net.spec.class_count:
         raise UsageError("label out of range")
     caches = []
-    for bi, block in enumerate(net.spec.blocks):
-        for li, layer in enumerate(block):
+    for bi in range(start, net.m):
+        for li, layer in enumerate(net.spec.blocks[bi]):
             x, cache = layer.forward(x, net._layer_params(bi, li))
             caches.append((bi, li, layer, cache))
         if not np.isfinite(x).all():
@@ -461,9 +473,16 @@ def loss_and_grad(net: BlockNet, x, labels):
     loss, dy = softmax_xent(x, labels)
     if not np.isfinite(loss):
         raise NumericError("non-finite loss", net.m - 1)
+    lowest = next(
+        i for i, (_, _, layer, _) in enumerate(caches)
+        if isinstance(layer, _PARAMETERIZED)
+    )
     grads = {}
-    for bi, li, layer, cache in reversed(caches):
-        dy, layer_grads = layer.backward(dy, cache, net._layer_params(bi, li))
+    for i in range(len(caches) - 1, lowest - 1, -1):
+        bi, li, layer, cache = caches[i]
+        dy, layer_grads = layer.backward(
+            dy, cache, net._layer_params(bi, li), need_dx=i > lowest
+        )
         for name, g in layer_grads.items():
             if not np.isfinite(g).all():
                 raise NumericError(f"non-finite gradient in block {bi}", bi)

@@ -1,7 +1,7 @@
 """Acceptance criteria, one test per criterion.
 
 Criteria 1, 5, 6 and 7 share a single 5-seed suffix-family grid on the
-MiniCNN-6 watermark setting (the expensive fixture, ~10 min CPU); the rest
+MiniCNN-6 watermark setting (the expensive fixture, marked `slow`); the rest
 run on small dedicated fixtures. Each test prints a PASS line on success so
 `pytest -s tests/test_acceptance.py` reads as a checklist.
 """
@@ -85,6 +85,7 @@ def _by_role_set(records):
     return {(r.trial_id, r.role, r.set): r for r in records}
 
 
+@pytest.mark.slow
 def test_criterion_01_decomposition_identities(family_store):
     _, records = family_store
     rows = contribution_rows(records)
@@ -130,6 +131,7 @@ def test_criterion_04_gradient_oracle():
     ok(4, f"100 random nets vs central differences, worst rel err {worst:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_05_shortcut_emergence(family_store):
     _, records = family_store
     idx = _by_role_set(records)
@@ -149,6 +151,7 @@ def test_criterion_05_shortcut_emergence(family_store):
           f"t={res.t_stat:.1f}, p={res.p_value:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_06_fully_skewed_monotonic_trend(family_store):
     _, records = family_store
     idx = _by_role_set(records)
@@ -178,6 +181,7 @@ def test_criterion_06_fully_skewed_monotonic_trend(family_store):
     ok(6, f"fully-skewed error over i=0..{m}: {trend} ({soft} soft inversions)")
 
 
+@pytest.mark.slow
 def test_criterion_07_telescoping(family_store):
     _, records = family_store
     profiles = localization_profiles(records)

@@ -1,7 +1,11 @@
+from fractions import Fraction
+
 import pytest
 
-from conftest import mlp4_spec, net_bytes, quick_plan
+from conftest import mlp4_spec, net_bytes, quick_plan, watermark_task
+from sscope import counterfact as cf
 from sscope import netcore as nc
+from sscope import skewlab as sl
 from sscope.counterfact import (
     InterventionSet,
     train_family,
@@ -9,6 +13,9 @@ from sscope.counterfact import (
     train_single,
 )
 from sscope.errors import UsageError
+from sscope.interventions import freeze_protocol
+from sscope.optim import Optimizer
+from sscope.rng import subseed
 
 
 def test_intervention_set_constructors():
@@ -32,6 +39,13 @@ def test_intervention_set_canonical_roundtrip():
     assert [a.canonical() for a in cases] == ["{}", "0:6", "2:6", "-{3}", "{0,2}"]
     for a in cases:
         assert InterventionSet.parse(a.canonical(), m) == a
+
+
+@pytest.mark.parametrize("text", ["{ }", "{0,,1}", "-{x}", "a:6", "1:2:6",
+                                  ":6", "{1_0}", "-{1,2}", "2:5"])
+def test_intervention_set_parse_rejects_malformed(text):
+    with pytest.raises(UsageError):
+        InterventionSet.parse(text, 6)
 
 
 def test_empty_set_reproduces_anchor(small_paired):
@@ -178,3 +192,121 @@ def test_warmstart_shares_initial_weights(small_paired):
     # one step from the donor weights, not from the seed-derived init
     fresh = nc.build_net(spec, seed=plan.master_seed)
     assert net_bytes(out.anchor) != net_bytes(fresh)
+
+
+# --------------------------------------------------------------------------
+# the engine against a slow reference loop
+
+def reference_lockstep(pd, plan, init, members, phases=None):
+    """Lockstep training spelled out the slow way: every computing trainee
+    runs a full forward and backward pass on its own net and steps the
+    blocks it updates, then each partner copies all other blocks from its
+    anchor. members maps a name to (data role, update blocks, anchor name
+    or None); phases(t), if given, replaces every update set at step t.
+    """
+    nets = {name: init.copy() for name in members}
+    opts = {name: Optimizer(plan.optimizer, plan.schedule) for name in members}
+    t = epoch = 0
+    while t < plan.steps:
+        eseed = subseed(plan.master_seed, "shuffle", epoch)
+        for batch in sl.paired_batches(pd, plan.batch_size, eseed):
+            if t >= plan.steps:
+                break
+            views = {"clean": batch.clean_x, "skewed": batch.skew_x}
+            blocks = {name: phases(t) if phases else upd
+                      for name, (_, upd, _) in members.items()}
+            grads = {name: nc.loss_and_grad(nets[name], views[role], batch.labels)[1]
+                     for name, (role, _, _) in members.items() if blocks[name]}
+            for name, g in grads.items():
+                keys = [k for b in blocks[name] for k in nets[name].block_keys(b)]
+                opts[name].step({k: nets[name].params[k] for k in keys},
+                                {k: g[k] for k in keys}, t)
+            for name, (_, upd, anchor) in members.items():
+                if anchor is not None:
+                    rest = [b for b in range(init.m) if b not in upd]
+                    nc.sync_blocks(nets[name], nets[anchor], rest)
+            t += 1
+        epoch += 1
+    return nets
+
+
+def small_cnn_spec():
+    return nc.NetSpec(
+        [
+            [nc.Conv2d(1, 4, 3, pad=1), nc.ReLU(), nc.MaxPool(2)],
+            [nc.Conv2d(4, 4, 3, pad=1), nc.ReLU(), nc.MaxPool(2)],
+            [nc.Conv2d(4, 8, 3, pad=1), nc.ReLU()],
+            [nc.GlobalAvgPool(), nc.Dense(8, 8)],
+        ],
+        8,
+        (1, 16, 16),
+    ).validate()
+
+
+@pytest.mark.parametrize("spec_fn, sets", [
+    (small_cnn_spec, lambda m: [InterventionSet.suffix(m, i) for i in range(m + 1)]),
+    (mlp4_spec, lambda m: [InterventionSet.single_complement(m, i) for i in range(m)]),
+    (mlp4_spec, lambda m: [InterventionSet(m, {0, 2}), InterventionSet(m, {1, 3}),
+                           InterventionSet.full(m)]),
+], ids=["cnn-suffix", "mlp-single", "mlp-explicit"])
+def test_family_matches_reference_loop(small_paired, spec_fn, sets):
+    spec = spec_fn()
+    sets = sets(spec.m)
+    plan = quick_plan("clean", steps=12, master_seed=13)
+    fam = train_family(spec, small_paired, plan,
+                       quick_plan("skewed", steps=12, master_seed=13), sets)
+    members = {f"anchor:{r}": (r, list(range(spec.m)), None) for r in cf.ROLES}
+    for A in sets:
+        for r in cf.ROLES:
+            members[f"intervened:{r}:{A.canonical()}"] = (
+                cf._other_role(r), A.sorted(), f"anchor:{r}")
+    ref = reference_lockstep(small_paired, plan, nc.build_net(spec, seed=13), members)
+    for r in cf.ROLES:
+        assert net_bytes(fam.anchors[r]) == net_bytes(ref[f"anchor:{r}"])
+        for A in sets:
+            key = A.canonical()
+            got = fam.intervened[(r, key)]
+            assert net_bytes(got) == net_bytes(ref[f"intervened:{r}:{key}"]), key
+            # partners own their arrays once training is over
+            assert not any(got.params[k] is fam.anchors[r].params[k]
+                           for k in got.params)
+
+
+def test_freeze_protocol_matches_reference_loop(small_paired):
+    spec = small_cnn_spec()
+    plan = quick_plan("skewed", steps=14, master_seed=17)
+    test_clean = sl.gen_clean_synthetic(watermark_task(), 32, seed=3)
+    res = freeze_protocol(spec, small_paired, plan, keep_block=2,
+                          clean_test=test_clean, err_c=Fraction(1, 10),
+                          err_s=Fraction(4, 10), t1=3, t2=3)
+    m = spec.m
+
+    def phases(t):
+        return [m - 1] if t < 3 else list(range(m)) if t < 6 else [2]
+
+    ref = reference_lockstep(small_paired, plan, nc.build_net(spec, seed=17),
+                             {"anchor": ("skewed", None, None)}, phases)
+    assert net_bytes(res.network) == net_bytes(ref["anchor"])
+
+
+def test_debug_sync_catches_a_perturbed_prefix(small_paired, monkeypatch):
+    spec = mlp4_spec()
+    A = InterventionSet.suffix(spec.m, 2)
+    entering = cf._Prefix.entering
+    served = []
+
+    def perturbed(self, s):
+        x = entering(self, s)
+        if s == 2:  # the partner's shared prefix, once per step
+            served.append(s)
+            if len(served) == 6:  # step 5
+                x = x.copy()
+                x.flat[0] += 1.0
+        return x
+
+    monkeypatch.setattr(cf._Prefix, "entering", perturbed)
+    plan = quick_plan("clean", steps=10, master_seed=5)
+    train_pair(spec, small_paired, plan, A)  # unchecked, the change slips by
+    served.clear()
+    with pytest.raises(AssertionError, match="step 5"):
+        train_pair(spec, small_paired, plan, A, debug_sync=True)

@@ -228,6 +228,19 @@ def test_cli_exit_codes(tmp_path):
     assert main(["report", "--out", str(empty_out)]) == 1
 
 
+@pytest.mark.parametrize("text", ["{ }", "{0,,1}", "-{x}", "a:6", "1:2:6"])
+def test_bad_explicit_set_fails_before_training(tmp_path, capsys, text):
+    raw = tiny_config(tmp_path / "run").to_dict()
+    raw.update(family="explicit", explicit_sets=["1:4", text])
+    with pytest.raises(ConfigError, match="explicit_sets"):
+        ExperimentConfig.from_dict(raw)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["counterfactual", "--config", str(cfg_path)]) == 1
+    assert "explicit_sets" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "run" / "results.csv")
+
+
 def test_cli_train_and_report(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg = tiny_config(tmp_path / "run", seeds=[0, 1], steps=20)
