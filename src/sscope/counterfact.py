@@ -92,10 +92,6 @@ class InterventionSet:
     def is_empty(self):
         return not self.members
 
-    @property
-    def is_full(self):
-        return len(self.members) == self.m
-
     def sorted(self):
         return sorted(self.members)
 

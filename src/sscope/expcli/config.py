@@ -104,6 +104,10 @@ class ExperimentConfig:
             raise ConfigError("steps and batch_size must be positive")
         if self.precision not in (32, 64):
             raise ConfigError("precision must be 32 or 64")
+        try:
+            self.frequency()
+        except (TypeError, UsageError):
+            raise ConfigError(f"bad skew_frequency {self.skew_frequency!r}") from None
         # resolve presets and set strings now so bad ones fail at config time
         self.task_spec()
         presets.optimizer_config(self.optimizer, self.optimizer_overrides)
@@ -154,15 +158,15 @@ class ExperimentConfig:
 
 
 def _parse_frequency(value):
-    if isinstance(value, str):
-        if value in _FREQ_NAMES:
-            return _FREQ_NAMES[value]
-        if "/" in value:
-            num, den = value.split("/")
-            return (int(num), int(den))
-        raise ConfigError(f"cannot parse frequency {value!r}")
-    num, den = value
-    return (int(num), int(den))
+    """A preset name, "num/den" or a [num, den] pair -> (num, den)."""
+    if isinstance(value, str) and value in _FREQ_NAMES:
+        return _FREQ_NAMES[value]
+    parts = value.split("/") if isinstance(value, str) else value
+    try:
+        num, den = (int(p) for p in parts)
+    except (TypeError, ValueError):
+        raise ConfigError(f"cannot parse frequency {value!r}") from None
+    return (num, den)
 
 
 def _canonical(obj) -> str:

@@ -244,11 +244,10 @@ def run_mitigation_trial(config: ExperimentConfig, seed: int):
                     dtype=_dtype(config),
                 )
             es_i = evaluate(res.network, test_full)
-            ec_i = evaluate(res.network, test_clean)
             set_repr = f"{kind.label()}@{target.label()}"
             records.append(
                 _record(
-                    config, seed, "mitigation", set_repr, ec_i, es_i,
+                    config, seed, "mitigation", set_repr, res.clean_eval, es_i,
                     wall_time=time.monotonic() - t0,
                     interv_kind=kind.label(),
                     interv_factor="" if kind.variant == "freeze" else repr(kind.factor),

@@ -22,7 +22,7 @@ import numpy as np
 from .counterfact import TrainPlan, train_single
 from .errors import ConfigError, UsageError
 from .metrics import GAP_FLOOR, LocalizationProfile, _as_fraction
-from .netcore import BlockNet, NetSpec, evaluate
+from .netcore import BlockNet, EvalReport, NetSpec, evaluate
 
 __all__ = [
     "InterventionKind",
@@ -98,11 +98,15 @@ class TargetBlocks:
 
 @dataclass(frozen=True)
 class MitigationResult:
-    clean_test_accuracy: Fraction
     extent: float | None  # None when the anchor gap is below the floor
     extent_defined: bool
     network: BlockNet
+    clean_eval: EvalReport  # the network on clean_test
     provenance: dict
+
+    @property
+    def clean_test_accuracy(self) -> Fraction:
+        return 1 - self.clean_eval.error_fraction
 
 
 def mitigation_extent(err_intervened, err_c, err_s, gap_floor=GAP_FLOOR):
@@ -140,10 +144,10 @@ def retrain_with_intervention(spec: NetSpec, pd, plan_skewed: TrainPlan,
     report = evaluate(net, clean_test)
     extent = mitigation_extent(report.error_fraction, err_c, err_s)
     return MitigationResult(
-        clean_test_accuracy=1 - report.error_fraction,
         extent=extent,
         extent_defined=extent is not None,
         network=net,
+        clean_eval=report,
         provenance={
             "kind": kind.label(),
             "factor": kind.factor,
@@ -198,10 +202,10 @@ def freeze_protocol(spec: NetSpec, pd, plan_skewed: TrainPlan, keep_block: int,
     report = evaluate(net, clean_test)
     extent = mitigation_extent(report.error_fraction, err_c, err_s)
     return MitigationResult(
-        clean_test_accuracy=1 - report.error_fraction,
         extent=extent,
         extent_defined=extent is not None,
         network=net,
+        clean_eval=report,
         provenance={
             "kind": "freeze",
             "keep_block": keep_block,

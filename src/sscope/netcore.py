@@ -8,6 +8,17 @@ identical outputs and counterfactual equivalences can be checked bit-exactly.
 Training arithmetic defaults to float32; float64 is available for gradient
 verification. All reductions use plain numpy ops, which are deterministic
 for a fixed platform and input bytes.
+
+Image activations are NCHW-shaped but channels-last in memory: a conv
+writes its GEMM rows, ReLU and MaxPool keep their input's layout, and the
+conv, MaxPool and GlobalAvgPool backward passes return input gradients in
+that same layout, so ReLU's elementwise backward never mixes strides.
+numpy's summation order follows the memory layout, so each reduction reads
+the layout it has always read: the conv bias gradient sums an NCHW copy,
+and GlobalAvgPool averages the channels-last activation. Likewise the conv
+GEMMs always multiply a C-contiguous (n*oh*ow, c*k*k) column matrix by the
+(out, c*k*k) weights. A MaxPool window's value and gradient go to its first
+maximum (lowest offset), whatever the window holds.
 """
 
 from __future__ import annotations
@@ -35,8 +46,7 @@ __all__ = [
     "build_net",
     "loss_and_grad",
     "evaluate",
-    "get_blocks",
-    "set_blocks",
+    "sync_blocks",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -74,15 +84,15 @@ class Dense:
         return ["dense", self.in_dim, self.out_dim]
 
 
-def _conv_windows(xp, kernel, stride, out_h, out_w):
-    n, c = xp.shape[:2]
-    sn, sc, sh, sw = xp.strides
-    return np.lib.stride_tricks.as_strided(
-        xp,
-        (n, c, out_h, out_w, kernel, kernel),
-        (sn, sc, sh * stride, sw * stride, sh, sw),
-        writeable=False,
-    )
+_COL_CHUNK = 1 << 17  # column-matrix elements filled per pass (512 KB of float32)
+
+
+def _taps(k, s, oh, ow):
+    """(kh, kw, rows, cols) of each kernel tap, in order: the padded-input
+    rows and columns that the tap meets across the output grid."""
+    for kh in range(k):
+        for kw in range(k):
+            yield kh, kw, slice(kh, kh + s * oh, s), slice(kw, kw + s * ow, s)
 
 
 @dataclass(frozen=True)
@@ -112,53 +122,51 @@ class Conv2d:
         )
         return {"w": w, "b": np.zeros(self.out_ch)}
 
-    def _pad(self, x):
-        if self.pad == 0:
-            return x
-        p = self.pad
-        return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-
     def forward(self, x, params):
-        # im2col + GEMM; the column matrix is cached for the backward pass
+        # im2col + GEMM; the column matrix is cached for the backward pass.
+        # The input is padded channels-last, so each of the k*k slice fills
+        # below copies whole channel runs into the (n, oh, ow, c, kh, kw)
+        # columns, a few images at a time so the rows being filled stay in
+        # cache across the fills.
         _, oh, ow = self.out_shape(x.shape[1:])
-        xp = self._pad(x)
-        n, c = xp.shape[:2]
-        k = self.kernel
-        win = _conv_windows(xp, k, self.stride, oh, ow)
-        col = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(
-            n * oh * ow, c * k * k
-        )
+        n, c, h, w = x.shape
+        k, s, p = self.kernel, self.stride, self.pad
+        xp = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=x.dtype)
+        xp[:, p : p + h, p : p + w, :] = x.transpose(0, 2, 3, 1)
+        col = np.empty((n, oh, ow, c, k, k), dtype=x.dtype)
+        step = max(1, _COL_CHUNK // col[0].size)
+        for lo in range(0, n, step):
+            src, dst = xp[lo : lo + step], col[lo : lo + step]
+            for kh, kw, rows, cols in _taps(k, s, oh, ow):
+                dst[..., kh, kw] = src[:, rows, cols, :]
+        col = col.reshape(n * oh * ow, c * k * k)
         wmat = params["w"].reshape(self.out_ch, c * k * k)
-        y = (col @ wmat.T).reshape(n, oh, ow, self.out_ch).transpose(0, 3, 1, 2)
-        y = y + params["b"][None, :, None, None]
-        return y, (col, xp.shape, x.shape, oh, ow)
+        y = col @ wmat.T
+        y += params["b"]
+        return y.reshape(n, oh, ow, self.out_ch).transpose(0, 3, 1, 2), (col, x.shape)
 
     def backward(self, dy, cache, params, need_dx=True):
-        col, xp_shape, x_shape, oh, ow = cache
-        n, c = xp_shape[:2]
-        k = self.kernel
+        col, (n, c, h, w) = cache
+        _, _, oh, ow = dy.shape
+        k, s, p = self.kernel, self.stride, self.pad
         dy_mat = np.ascontiguousarray(dy.transpose(0, 2, 3, 1)).reshape(
             n * oh * ow, self.out_ch
         )
         wmat = params["w"].reshape(self.out_ch, c * k * k)
         grads = {
             "w": (dy_mat.T @ col).reshape(params["w"].shape),
-            "b": dy.sum(axis=(0, 2, 3)),
+            # summed over an NCHW copy: the reduction order, and so the
+            # bytes, depend on the memory layout
+            "b": np.ascontiguousarray(dy).sum(axis=(0, 2, 3)),
         }
         if not need_dx:
             return None, grads
-        dcol = (dy_mat @ wmat).reshape(n, oh, ow, c, k, k).transpose(0, 3, 1, 2, 4, 5)
-        dxp = np.zeros(xp_shape, dtype=dy.dtype)
-        s = self.stride
-        for kh in range(k):
-            for kw in range(k):
-                dxp[:, :, kh : kh + s * oh : s, kw : kw + s * ow : s] += dcol[
-                    :, :, :, :, kh, kw
-                ]
-        if self.pad:
-            p = self.pad
-            dxp = dxp[:, :, p : p + x_shape[2], p : p + x_shape[3]]
-        return dxp, grads
+        # col2im into a channels-last buffer, adding the k*k taps in order
+        dcol = (dy_mat @ wmat).reshape(n, oh, ow, c, k, k)
+        dxp = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=dy.dtype)
+        for kh, kw, rows, cols in _taps(k, s, oh, ow):
+            dxp[:, rows, cols, :] += dcol[..., kh, kw]
+        return dxp[:, p : p + h, p : p + w, :].transpose(0, 3, 1, 2), grads
 
     def encode(self):
         return ["conv2d", self.in_ch, self.out_ch, self.kernel, self.stride, self.pad]
@@ -199,32 +207,45 @@ class MaxPool:
     def init_params(self, rng):
         return {}
 
-    def forward(self, x, params):
+    def _windows(self, a):
+        """The k*k strided views a[:, :, i::k, j::k], in (i, j) order."""
         k = self.kernel
-        n, c, h, w = x.shape
-        oh, ow = h // k, w // k
-        win = (
-            x.reshape(n, c, oh, k, ow, k)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(n, c, oh, ow, k * k)
-        )
-        # argmax picks the first maximum: ties break to the lowest offset
-        idx = win.argmax(axis=-1)
-        y = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
-        return y, (idx, x.shape)
+        return [a[:, :, i::k, j::k] for i in range(k) for j in range(k)]
+
+    def forward(self, x, params):
+        views = self._windows(x)
+        y = views[0].copy(order="K")
+        for v in views[1:]:
+            np.maximum(y, v, out=y)
+        # A window's first maximum (lowest offset) is its value. np.maximum
+        # returns it except on a tie of -0.0 with +0.0, whose sign it leaves
+        # unspecified, so where an input has its sign bit set (after a ReLU,
+        # only a negative zero does) zero windows take their first zero.
+        if np.signbit(x).any():
+            zero = y == 0
+            for v in reversed(views):
+                np.copyto(y, v, where=zero & (v == 0))
+        return y, (x, y)
 
     def backward(self, dy, cache, params, need_dx=True):
-        idx, x_shape = cache
-        k = self.kernel
-        n, c, h, w = x_shape
-        oh, ow = h // k, w // k
-        flat = np.zeros((n, c, oh, ow, k * k), dtype=dy.dtype)
-        np.put_along_axis(flat, idx[..., None], dy[..., None], axis=-1)
-        dx = (
-            flat.reshape(n, c, oh, ow, k, k)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(n, c, h, w)
-        )
+        # dy goes to each window's first maximum and every other input gets
+        # +0.0. Multiplying dy's bit patterns by the 0/1 routing mask selects
+        # exactly that; a masked np.copyto did the same at over twice the cost.
+        # Activations are finite here (loss_and_grad checks every block).
+        x, y = cache
+        bits = np.dtype(f"i{dy.itemsize}")
+        dy_bits = dy.view(bits)
+        dx = np.empty_like(x, dtype=dy.dtype)
+        *views, _ = self._windows(x)
+        *heads, last = self._windows(dx)
+        todo = np.ones_like(y, dtype=bool)  # windows not routed yet
+        for v, d in zip(views, heads):
+            hit = v == y
+            hit &= todo
+            todo ^= hit
+            np.multiply(dy_bits, hit, out=d.view(bits))
+        # a window not routed by now has its first maximum at the last offset
+        np.multiply(dy_bits, todo, out=last.view(bits))
         return dx, {}
 
     def encode(self):
@@ -242,12 +263,14 @@ class GlobalAvgPool:
         return {}
 
     def forward(self, x, params):
-        return x.mean(axis=(2, 3)), x.shape
+        return x.mean(axis=(2, 3)), x
 
     def backward(self, dy, cache, params, need_dx=True):
-        n, c, h, w = cache
-        dx = np.broadcast_to(dy[:, :, None, None], (n, c, h, w)) / (h * w)
-        return dx.astype(dy.dtype), {}
+        x = cache
+        h, w = x.shape[2:]
+        dx = np.empty_like(x, dtype=dy.dtype)  # in the input's memory layout
+        dx[...] = (dy / (h * w))[:, :, None, None]
+        return dx, {}
 
     def encode(self):
         return ["gap"]
@@ -281,6 +304,7 @@ _LAYER_DECODERS = {
 }
 
 _PARAMETERIZED = (Dense, Conv2d)
+_PARAM_NAMES = ("w", "b")  # the keys of every parameterised layer's init_params
 
 
 # --------------------------------------------------------------------------
@@ -408,8 +432,10 @@ class BlockNet:
         return x
 
     def _layer_params(self, bi, li):
-        prefix = f"b{bi}.l{li}."
-        return {k[len(prefix):]: v for k, v in self.params.items() if k.startswith(prefix)}
+        """The live arrays of layer li of block bi, by parameter name."""
+        if not isinstance(self.spec.blocks[bi][li], _PARAMETERIZED):
+            return {}
+        return {name: self.params[f"b{bi}.l{li}.{name}"] for name in _PARAM_NAMES}
 
 
 def build_net(spec: NetSpec, seed: int, dtype=np.float32) -> BlockNet:
@@ -529,49 +555,8 @@ def evaluate(net: BlockNet, pixels, labels=None, batch_size=512) -> EvalReport:
     return EvalReport(wrong, n, loss_sum / n)
 
 
-def mispredicted_indices(net: BlockNet, pixels, labels, batch_size=512):
-    labels = np.asarray(labels)
-    out = []
-    for lo in range(0, len(labels), batch_size):
-        hi = min(lo + batch_size, len(labels))
-        pred = net.forward(pixels[lo:hi]).argmax(axis=1)
-        out.extend((lo + np.nonzero(pred != labels[lo:hi])[0]).tolist())
-    return out
-
-
 # --------------------------------------------------------------------------
 # per-block access
-
-def _resolve_members(net, A):
-    members = list(A.members) if hasattr(A, "members") else sorted(A)
-    for i in members:
-        if not 0 <= i < net.m:
-            raise UsageError(f"block index {i} out of range for m={net.m}")
-    return members
-
-
-def get_blocks(net: BlockNet, A) -> dict:
-    """Copies of the parameter tensors of blocks in A, keyed by block index."""
-    return {
-        i: {k: net.params[k].copy() for k in net.block_keys(i)}
-        for i in _resolve_members(net, A)
-    }
-
-
-def set_blocks(net: BlockNet, A, values: dict):
-    """Overwrite blocks in A from values; blocks outside A are untouched."""
-    for i in _resolve_members(net, A):
-        if i not in values:
-            raise UsageError(f"no values supplied for block {i}")
-        for k in net.block_keys(i):
-            src = values[i][k]
-            if src.shape != net.params[k].shape:
-                raise UsageError(
-                    f"shape mismatch for block {i} ({k}): "
-                    f"{src.shape} != {net.params[k].shape}"
-                )
-            np.copyto(net.params[k], src)
-
 
 def sync_blocks(dst: BlockNet, src: BlockNet, members):
     """Copy the listed blocks' values from src into dst (same spec assumed)."""

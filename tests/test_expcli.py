@@ -241,6 +241,25 @@ def test_bad_explicit_set_fails_before_training(tmp_path, capsys, text):
     assert not os.path.exists(tmp_path / "run" / "results.csv")
 
 
+@pytest.mark.parametrize("frequency", ["a/b", "1/2/3", "1/0", "3/2", [1], [1, 0], 5])
+def test_bad_frequency_fails_before_training(tmp_path, capsys, frequency):
+    raw = tiny_config(tmp_path / "run").to_dict()
+    del raw["skew_frequency"]
+    raw["skew"] = {"kind": "watermark", "frequency": frequency}
+    with pytest.raises(ConfigError, match="frequency"):
+        ExperimentConfig.from_dict(raw)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["train", "--config", str(cfg_path)]) == 1
+    assert "frequency" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "run" / "results.csv")
+
+
+def test_bad_skew_frequency_field_is_config_error():
+    with pytest.raises(ConfigError, match="skew_frequency"):
+        ExperimentConfig.from_dict({"skew_frequency": [1, 0]})
+
+
 def test_cli_train_and_report(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg = tiny_config(tmp_path / "run", seeds=[0, 1], steps=20)

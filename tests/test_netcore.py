@@ -97,53 +97,23 @@ def test_cross_precision_same_misprediction_set():
     net32 = nc.build_net(spec, seed=5, dtype=np.float32)
     net64 = net32.astype(np.float64)
     x = stream(12, "prec").random((100, 1, 8, 8)).astype(np.float32)
-    labels = stream(12, "prec-labels").integers(0, 4, size=100)
     logits = net64.forward(x)
     top2 = np.sort(logits, axis=1)[:, -2:]
     assert (top2[:, 1] - top2[:, 0]).min() > 1e-3  # fixture has real margins
-    m32 = nc.mispredicted_indices(net32, x, labels)
-    m64 = nc.mispredicted_indices(net64, x, labels)
-    assert m32 == m64
-
-
-def test_get_set_blocks_roundtrip():
-    spec = small_spec()
-    net = nc.build_net(spec, seed=5)
-    donor = nc.build_net(spec, seed=6)
-    taken = nc.get_blocks(donor, [2])
-    nc.set_blocks(net, [2], taken)
-    assert net.block_bytes(2) == donor.block_bytes(2)
-    assert net.block_bytes(0) == nc.build_net(spec, seed=5).block_bytes(0)
-
-
-def test_set_blocks_empty_is_noop():
-    spec = small_spec()
-    net = nc.build_net(spec, seed=5)
-    before = net_bytes(net)
-    nc.set_blocks(net, [], {})
-    assert net_bytes(net) == before
+    assert (net32.forward(x).argmax(1) == logits.argmax(1)).all()
 
 
 def test_full_copy_matches_evaluation():
     spec = small_spec()
     a = nc.build_net(spec, seed=5)
     b = nc.build_net(spec, seed=9)
-    nc.set_blocks(b, range(a.m), nc.get_blocks(a, range(a.m)))
+    nc.sync_blocks(b, a, range(a.m))
+    assert net_bytes(b) == net_bytes(a)
     x = stream(7, "copy").random((30, 1, 8, 8)).astype(np.float32)
     labels = stream(7, "copy-labels").integers(0, 4, size=30)
     ra = nc.evaluate(a, x, labels)
     rb = nc.evaluate(b, x, labels)
     assert (ra.mispredictions, ra.loss_mean) == (rb.mispredictions, rb.loss_mean)
-
-
-def test_set_blocks_shape_mismatch_names_block():
-    spec = small_spec()
-    net = nc.build_net(spec, seed=5)
-    bad = nc.get_blocks(net, [1])
-    key = next(iter(bad[1]))
-    bad[1][key] = np.zeros((2, 2), dtype=np.float32)
-    with pytest.raises(UsageError, match="block 1"):
-        nc.set_blocks(net, [1], bad)
 
 
 def test_block_partition_is_sound():
