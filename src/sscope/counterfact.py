@@ -19,6 +19,12 @@ recomputed through its whole network from the raw view, and they must
 match the shared-prefix ones byte for byte. When training ends, each
 partner gets its own copy of the shared blocks.
 
+Evaluation shares the prefix the same way (`evaluate_family`): each anchor
+runs its forward pass over a test view once, block by block, in the chunks
+`evaluate` uses, and the anchor and each partner are scored from the
+activation entering their start block: m - 1 for the anchor, min(A) for a
+partner. Every report equals a plain `evaluate(net, view)` byte for byte.
+
 Two degenerate equivalences hold bit-exactly and are used as oracles: A = {}
 reproduces the anchor, and A = [m] reproduces a direct training run on the
 opposite role with the same seed.
@@ -31,7 +37,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, TrainingDiverged, UsageError
-from .netcore import BlockNet, NetSpec, build_net, loss_and_grad, sync_blocks
+from .netcore import (
+    BlockNet,
+    NetSpec,
+    build_net,
+    evaluate,
+    loss_and_grad,
+    sync_blocks,
+)
 from .optim import Optimizer, OptimizerConfig, ScheduleConfig
 from .rng import subseed
 from .skewlab import PairedDataset, paired_batches
@@ -44,6 +57,7 @@ __all__ = [
     "train_single",
     "train_pair",
     "train_family",
+    "evaluate_family",
 ]
 
 ROLES = ("clean", "skewed")
@@ -407,3 +421,45 @@ def train_family(spec: NetSpec, pd: PairedDataset, plan_clean: TrainPlan,
         steps=plan_clean.steps,
         update_counts={name: tr.updates for name, tr in done.items()},
     )
+
+
+def evaluate_family(fam: FamilyOutcome, views, batch_size=512) -> dict:
+    """One EvalReport per view for both anchors and every partner of a
+    non-empty set, keyed by anchor role or (direction role, canonical set);
+    each equals `evaluate(net, view, batch_size=batch_size)` byte for byte.
+
+    A partner holds its anchor's bytes below min(A), so per (anchor, view)
+    the anchor's blocks run once and every net is scored from the activation
+    entering its start block, in ascending start order. Only the activation
+    being advanced is held.
+    """
+    reports = {}
+    for role, anchor in fam.anchors.items():
+        starts = {role: (anchor.m - 1, anchor)}
+        for A in fam.sets:
+            if not A.is_empty:
+                key = (role, A.canonical())
+                starts[key] = (min(A.members), fam.intervened[key])
+        order = sorted(starts.items(), key=lambda item: item[1][0])
+        for view in views:
+            x, at = view.pixels, 0  # x is the activation entering block `at`
+            for name, (s, net) in order:
+                if s > at:
+                    x, at = _advance(anchor, x, at, s, batch_size), s
+                reports.setdefault(name, []).append(
+                    evaluate(net, x, view.labels, batch_size, start=s)
+                )
+    return reports
+
+
+def _advance(net, x, lo, hi, batch_size):
+    """Blocks lo..hi-1 of net over x, in `evaluate`'s chunks, gathered into
+    one array that keeps the chunks' memory layout (a reduction's bytes
+    depend on it)."""
+    out = None
+    for c in range(0, len(x), batch_size):
+        y = net.forward(x[c : c + batch_size], lo, hi)
+        if out is None:
+            out = np.empty_like(y, shape=(len(x), *y.shape[1:]))
+        out[c : c + len(y)] = y
+    return out

@@ -1,6 +1,7 @@
 """Exception taxonomy shared across the package.
 
-UsageError and ConfigError map to CLI exit code 1, everything else to 2.
+UsageError, ConfigError and StoreError map to CLI exit code 1, everything
+else to 2.
 """
 
 

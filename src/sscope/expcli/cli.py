@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Subcommands: gen-data, train, counterfactual, metrics, stats, intervene,
-report. Exit codes: 0 ok, 1 usage/config error, 2 runtime failure. The
-SSCOPE_OUT environment variable overrides the output directory from both
-the config file and the --out flag.
+report. Exit codes: 0 ok, 1 usage/config error or corrupt results store,
+2 runtime failure. The SSCOPE_OUT environment variable overrides the output
+directory from both the config file and the --out flag.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import csv
 import os
 import sys
 
-from ..errors import SscopeError, UsageError
+from ..errors import SscopeError, StoreError, UsageError
 from ..metrics import relative
 from ..skewlab import save_ssd1
 from ..stats import FactorTable, variance_explained
@@ -231,7 +231,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except UsageError as exc:
+    except (UsageError, StoreError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SscopeError as exc:

@@ -4,8 +4,12 @@ A trial is one (config cell, seed label): it builds its own train/test data
 from a trial-split seed, trains whatever the subcommand asks for (anchors
 only, a counterfactual family, or mitigation retrainings), evaluates every
 model on the clean and fully-skewed test views, flags divergence, and emits
-RunRecords. Trials are independent, so they can run in a process pool;
-records are appended by the parent only.
+RunRecords. A family is evaluated through `counterfact.evaluate_family`:
+per (anchor, test view) the anchor's blocks run once, and each partner is
+scored from the activation entering block min(A), which it shares with its
+anchor. Trials are independent, so they can run in a process pool; records
+are appended by the parent only, each trial's as soon as it returns, so a
+crash keeps every trial finished before it.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ..counterfact import InterventionSet, TrainPlan, train_family
+from ..counterfact import InterventionSet, TrainPlan, evaluate_family, train_family
 from ..errors import ConfigError, UsageError
 from ..interventions import (
     FREEZE,
@@ -164,20 +168,16 @@ def run_counterfactual_trial(config: ExperimentConfig, seed: int,
         init_from=_warmstart_net(config),
     )
     wall = time.monotonic() - started
-
-    def both(net):
-        return evaluate(net, test_clean), evaluate(net, test_full)
-
+    evals = evaluate_family(fam, (test_clean, test_full))
     records = []
     nets = {}
-    anchor_eval = {role: both(net) for role, net in fam.anchors.items()}
     for role_name, role in (("clean_anchor", "clean"), ("skewed_anchor", "skewed")):
-        ec, es = anchor_eval[role]
+        ec, es = evals[role]
         rec = _record(config, seed, role_name, "", ec, es, wall_time=wall)
         records.append(rec)
         nets[rec.run_id] = fam.anchors[role]
-    err_clean_of_skewed = anchor_eval["skewed"][0].error_fraction
-    err_skewfull_of_clean = anchor_eval["clean"][1].error_fraction
+    err_clean_of_skewed = evals["skewed"][0].error_fraction
+    err_skewfull_of_clean = evals["clean"][1].error_fraction
     for A in sets:
         if A.is_empty:
             continue  # the anchor record already covers the degenerate set
@@ -186,7 +186,7 @@ def run_counterfactual_trial(config: ExperimentConfig, seed: int,
             ("clean", "intervened_c"), ("skewed", "intervened_s")
         ):
             net = fam.intervened[(direction, key)]
-            ec, es = both(net)
+            ec, es = evals[(direction, key)]
             flag = detect_divergence(
                 ec.error_fraction, es.error_fraction,
                 err_clean_of_skewed, err_skewfull_of_clean,
@@ -218,8 +218,7 @@ def run_mitigation_trial(config: ExperimentConfig, seed: int):
     )
     records = []
     nets = {}
-    anchor_eval = {role: (evaluate(net, test_clean), evaluate(net, test_full))
-                   for role, net in fam.anchors.items()}
+    anchor_eval = evaluate_family(fam, (test_clean, test_full))
     wall = time.monotonic() - started
     for role_name, role in (("clean_anchor", "clean"), ("skewed_anchor", "skewed")):
         ec, es = anchor_eval[role]
@@ -297,9 +296,14 @@ def run_grid(config: ExperimentConfig, store: ResultsStore, kind="family",
     args = [(kind, cfg_dict, seed) for seed in pending]
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            outs = list(pool.map(_trial_worker, args))
-    else:
-        outs = [_trial_worker(a) for a in args]
+            return _persist(config, store, existing, pending,
+                            pool.map(_trial_worker, args), log)
+    return _persist(config, store, existing, pending, map(_trial_worker, args), log)
+
+
+def _persist(config, store, existing, pending, outs, log) -> int:
+    """Write each trial's records and anchor checkpoints as soon as `outs`
+    yields it, so a failing trial leaves every earlier one in the store."""
     written = 0
     for seed, (records, nets) in zip(pending, outs):
         for rec in records:

@@ -4,11 +4,16 @@ The CSV header's first cell is the schema tag ("sscsv1"); that column holds
 the run id. Error rates are stored as exact (mispredictions, n) integer
 pairs so downstream metric arithmetic stays rational. Reports and metric
 computations only ever read this store, never mutate it.
+
+Each row is appended in one write. A file that does not end in a newline
+has a torn last line (a write cut short): loading ignores it and the next
+append truncates it. Any other short or malformed row is a StoreError.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import time
@@ -140,13 +145,17 @@ class ResultsStore:
         os.makedirs(self.checkpoint_dir, exist_ok=True)
 
     def append(self, record: RunRecord, manifest: dict | None = None):
+        """Add one row in a single write, first cutting off a torn last line."""
         self._ensure_dirs()
-        new_file = not os.path.exists(self.csv_path)
-        with open(self.csv_path, "a", newline="") as fh:
-            writer = csv.writer(fh)
-            if new_file:
+        text = io.StringIO()
+        writer = csv.writer(text)
+        with open(self.csv_path, "a+b") as fh:
+            size = _complete_length(fh)
+            fh.truncate(size)
+            if size == 0:
                 writer.writerow(_COLUMNS)
             writer.writerow(record.row())
+            fh.write(text.getvalue().encode("utf-8"))
         if manifest is not None:
             payload = dict(manifest)
             payload.setdefault("run_id", record.run_id)
@@ -159,18 +168,33 @@ class ResultsStore:
     def load(self) -> list:
         if not os.path.exists(self.csv_path):
             return []
-        with open(self.csv_path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                return []
-            if tuple(header) != _COLUMNS:
-                raise StoreError(
-                    f"{self.csv_path}: schema mismatch "
-                    f"(expected header tag {SCHEMA_TAG!r}, got {header[:1]})"
-                )
-            rows = [dict(zip(_COLUMNS, row)) for row in reader]
-        return [RunRecord.from_row(r) for r in rows]
+        with open(self.csv_path, "rb") as fh:
+            raw = fh.read()
+        # a last line without its newline is an append cut short: ignore it
+        raw = raw[: raw.rfind(b"\n") + 1]
+        try:
+            rows = list(csv.reader(io.StringIO(raw.decode("utf-8"), newline="")))
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise StoreError(f"{self.csv_path}: unreadable: {exc}") from None
+        if not rows:
+            return []
+        if tuple(rows[0]) != _COLUMNS:
+            raise StoreError(
+                f"{self.csv_path}: schema mismatch "
+                f"(expected header tag {SCHEMA_TAG!r}, got {rows[0][:1]})"
+            )
+        return [self._parse(line, row) for line, row in enumerate(rows[1:], 2)]
+
+    def _parse(self, line, row) -> RunRecord:
+        if len(row) != len(_COLUMNS):
+            raise StoreError(
+                f"{self.csv_path}: line {line}: {len(row)} fields, "
+                f"expected {len(_COLUMNS)}"
+            )
+        try:
+            return RunRecord.from_row(dict(zip(_COLUMNS, row)))
+        except ValueError as exc:
+            raise StoreError(f"{self.csv_path}: line {line}: {exc}") from None
 
     def existing_run_ids(self) -> set:
         return {r.run_id for r in self.load()}
@@ -178,3 +202,17 @@ class ResultsStore:
     def checkpoint_path(self, run_id: str) -> str:
         self._ensure_dirs()
         return os.path.join(self.checkpoint_dir, f"{run_id}.ssc1")
+
+
+def _complete_length(fh) -> int:
+    """Length of a binary file up to the end of its last complete line; a
+    file that does not end in a newline has a torn last line."""
+    pos = fh.seek(0, os.SEEK_END)
+    while pos > 0:
+        step = min(pos, 4096)
+        pos -= step
+        fh.seek(pos)
+        cut = fh.read(step).rfind(b"\n")
+        if cut >= 0:
+            return pos + cut + 1
+    return 0

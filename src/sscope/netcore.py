@@ -534,8 +534,17 @@ class EvalReport:
         return Fraction(self.mispredictions, self.n_examples)
 
 
-def evaluate(net: BlockNet, pixels, labels=None, batch_size=512) -> EvalReport:
-    """Error rate and mean loss over a dataset; argmax ties go to the lowest class."""
+def evaluate(net: BlockNet, pixels, labels=None, batch_size=512,
+             start=0) -> EvalReport:
+    """Error rate and mean loss over a dataset; argmax ties go to the lowest class.
+
+    pixels is the activation entering block `start`, which is the raw images
+    when start is 0 (see `BlockNet.forward`). The forward pass runs in chunks
+    of batch_size images, so the activation must come from the same chunks
+    for the result to match a call with start 0 byte for byte.
+    """
+    if not 0 <= start < net.m:
+        raise UsageError(f"start block {start} outside [0, {net.m})")
     if labels is None:  # accept dataset-like objects
         pixels, labels = pixels.pixels, pixels.labels
     labels = np.asarray(labels)
@@ -546,7 +555,7 @@ def evaluate(net: BlockNet, pixels, labels=None, batch_size=512) -> EvalReport:
     loss_sum = 0.0
     for lo in range(0, n, batch_size):
         hi = min(lo + batch_size, n)
-        logits = net.forward(pixels[lo:hi])
+        logits = net.forward(pixels[lo:hi], start)
         pred = logits.argmax(axis=1)
         wrong += int((pred != labels[lo:hi]).sum())
         shifted = logits - logits.max(axis=1, keepdims=True)

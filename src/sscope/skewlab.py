@@ -487,20 +487,36 @@ def save_ssd1(ds: ImageDataset, path):
 
 
 def load_ssd1(path) -> ImageDataset:
+    """Read an SSD1 file; a truncated or overlong file, or a has-attributes
+    flag other than 0 or 1, is a UsageError."""
     import struct
 
     with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise UsageError(f"{path}: not an SSD1 dataset")
-        n, c, h, w, class_count = struct.unpack("<5I", fh.read(20))
-        (has_attr,) = struct.unpack("<B", fh.read(1))
-        count = n * c * h * w
-        pixels = np.frombuffer(fh.read(count), dtype="<u1")
-        if pixels.size != count:
-            raise UsageError(f"{path}: truncated pixel payload")
-        pixels = (pixels.astype(np.float32) / 255.0).reshape(n, c, h, w)
-        labels = np.frombuffer(fh.read(2 * n), dtype="<u2").astype(np.int64)
-        attributes = None
-        if has_attr:
-            attributes = np.frombuffer(fh.read(2 * n), dtype="<u2").astype(np.int64)
+        raw = fh.read()
+    if raw[:4] != _MAGIC:
+        raise UsageError(f"{path}: not an SSD1 dataset")
+    pos = len(_MAGIC)
+
+    def take(size, what):
+        nonlocal pos
+        if len(raw) - pos < size:
+            raise UsageError(f"{path}: truncated {what}")
+        pos += size
+        return raw[pos - size : pos]
+
+    n, c, h, w, class_count = struct.unpack("<5I", take(20, "header"))
+    has_attr = take(1, "header")[0]
+    if has_attr not in (0, 1):
+        raise UsageError(f"{path}: has-attributes flag {has_attr} is not 0 or 1")
+    count = n * c * h * w
+    pixels = np.frombuffer(take(count, "pixel payload"), dtype="<u1")
+    pixels = (pixels.astype(np.float32) / 255.0).reshape(n, c, h, w)
+    labels = np.frombuffer(take(2 * n, "labels"), dtype="<u2").astype(np.int64)
+    attributes = None
+    if has_attr:
+        attributes = np.frombuffer(take(2 * n, "attributes"), dtype="<u2").astype(
+            np.int64
+        )
+    if pos != len(raw):
+        raise UsageError(f"{path}: {len(raw) - pos} trailing bytes after the data")
     return ImageDataset(pixels, labels, class_count, attributes)

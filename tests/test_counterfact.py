@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import mlp4_spec, net_bytes, quick_plan, watermark_task
@@ -13,6 +14,7 @@ from sscope.counterfact import (
     train_single,
 )
 from sscope.errors import UsageError
+from sscope.expcli.presets import net_spec, task_spec
 from sscope.interventions import freeze_protocol
 from sscope.optim import Optimizer
 from sscope.rng import subseed
@@ -270,6 +272,70 @@ def test_family_matches_reference_loop(small_paired, spec_fn, sets):
             # partners own their arrays once training is over
             assert not any(got.params[k] is fam.anchors[r].params[k]
                            for k in got.params)
+
+
+FAMILIES = {
+    "suffix": lambda m: [InterventionSet.suffix(m, i) for i in range(m + 1)],
+    "single": lambda m: [InterventionSet.single_complement(m, i) for i in range(m)],
+    "explicit": lambda m: [InterventionSet(m, {0, 2}), InterventionSet(m, {1, 3}),
+                           InterventionSet.full(m)],
+    "anchors-only": lambda m: [],
+}
+
+
+def minicnn6_spec():
+    return net_spec("minicnn6", task_spec("bars16", None))
+
+
+def check_family_evaluation(pd, spec, sets, dtype, n, batch_size, monkeypatch):
+    """evaluate_family must score each net once per view, from block m - 1
+    for an anchor and min(A) for a partner, and match a plain evaluate."""
+    fam = train_family(spec, pd, quick_plan("clean", steps=12),
+                       quick_plan("skewed", steps=12), sets, dtype=dtype)
+    test_clean = sl.gen_clean_synthetic(watermark_task(), n, seed=5)
+    views = (test_clean, sl.make_fully_skewed(test_clean, watermark_task().watermark))
+    starts = []
+
+    def counted(net, pixels, labels, batch_size, start):
+        starts.append(start)
+        return nc.evaluate(net, pixels, labels, batch_size, start=start)
+
+    monkeypatch.setattr(cf, "evaluate", counted)
+    reports = cf.evaluate_family(fam, views, batch_size)
+    nets = dict(fam.anchors)
+    want_starts = [spec.m - 1] * 2
+    for A in sets:
+        if not A.is_empty:
+            for role in cf.ROLES:
+                nets[(role, A.canonical())] = fam.intervened[(role, A.canonical())]
+                want_starts.append(min(A.members))
+    assert reports.keys() == nets.keys()
+    assert sorted(starts) == sorted(want_starts * len(views))
+    for name, net in nets.items():
+        for got, view in zip(reports[name], views, strict=True):
+            plain = nc.evaluate(net, view, batch_size=batch_size)
+            assert (got.mispredictions, got.n_examples, got.loss_mean) == (
+                plain.mispredictions, plain.n_examples, plain.loss_mean), name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("spec_fn", [small_cnn_spec, mlp4_spec])
+def test_family_evaluation_matches_plain_evaluate(small_paired, spec_fn, family,
+                                                  dtype, monkeypatch):
+    # above 512 images, with a ragged last chunk
+    spec = spec_fn()
+    check_family_evaluation(small_paired, spec, FAMILIES[family](spec.m), dtype,
+                            n=700, batch_size=512, monkeypatch=monkeypatch)
+
+
+def test_family_evaluation_follows_evaluate_chunks(small_paired, monkeypatch):
+    # at 16-image chunks MiniCNN-6's logits depend on the chunking, so the
+    # shared activations must be computed in evaluate's own chunks
+    spec = minicnn6_spec()
+    check_family_evaluation(small_paired, spec, FAMILIES["suffix"](spec.m),
+                            np.float32, n=200, batch_size=16,
+                            monkeypatch=monkeypatch)
 
 
 def test_freeze_protocol_matches_reference_loop(small_paired):

@@ -1,10 +1,12 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from sscope.errors import ConfigError, StoreError, UsageError
+from sscope.expcli import runner
 from sscope.expcli.cli import main
 from sscope.expcli.config import ExperimentConfig, run_id, trial_seed
 from sscope.expcli.presets import net_spec, optimizer_config, task_spec
@@ -132,6 +134,87 @@ def test_rerun_is_idempotent(family_store):
     written = run_grid(config, store, kind="family", log=lambda *_: None)
     assert written == 0
     assert len(store.load()) == before
+
+
+def test_crash_keeps_finished_trials_and_resumes(tmp_path, monkeypatch):
+    config = tiny_config(tmp_path, steps=10)
+    store = ResultsStore(config.out)
+    worker = runner._trial_worker
+
+    def crash_on_second_seed(args):
+        if args[2] == config.seeds[1]:
+            raise RuntimeError("worker crashed")
+        return worker(args)
+
+    monkeypatch.setattr(runner, "_trial_worker", crash_on_second_seed)
+    with pytest.raises(RuntimeError, match="worker crashed"):
+        run_grid(config, store, kind="family", log=lambda *_: None)
+    kept = store.load()
+    assert {r.seed for r in kept} == {config.seeds[0]}
+    assert len(kept) == 2 + 2 * 4
+    for rec in kept:
+        if rec.role.endswith("_anchor"):
+            assert os.path.exists(store.checkpoint_path(rec.run_id))
+    monkeypatch.setattr(runner, "_trial_worker", worker)
+    log = []
+    assert run_grid(config, store, kind="family", log=log.append) == 2 + 2 * 4
+    assert log[0] == f"seed {config.seeds[0]}: already in store (idempotent skip)"
+    assert [r.run_id for r in store.load()[: len(kept)]] == [r.run_id for r in kept]
+
+
+@pytest.fixture(scope="module")
+def anchors_cli_store(tmp_path_factory):
+    root = tmp_path_factory.mktemp("anchors-cli")
+    cfg_path = root / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_config(root / "run", steps=20).to_dict()))
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    return cfg_path, root / "run"
+
+
+def _store_copy(anchors_cli_store, tmp_path):
+    cfg_path, out = anchors_cli_store
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    return ["--config", str(cfg_path), "--out", str(copy)], copy / "results.csv"
+
+
+@pytest.mark.parametrize("keep", [lambda n: 1, lambda n: n // 2, lambda n: n - 2,
+                                  lambda n: n - 1],
+                         ids=["one-byte", "half", "no-newline", "no-lf"])
+def test_torn_last_row_is_ignored_and_rewritten(anchors_cli_store, tmp_path, keep):
+    flags, csv_path = _store_copy(anchors_cli_store, tmp_path)
+    data = csv_path.read_bytes()
+    original = [r.run_id for r in ResultsStore(csv_path.parent).load()]
+    last = data.rstrip(b"\r\n").rfind(b"\n") + 1  # where the last row starts
+    csv_path.write_bytes(data[: last + keep(len(data) - last)])
+    assert [r.run_id for r in ResultsStore(csv_path.parent).load()] == original[:-1]
+    assert main(["report", *flags]) == 0
+    assert main(["train", *flags]) == 0  # resumes the torn trial
+    assert [r.run_id for r in ResultsStore(csv_path.parent).load()] == original
+    resumed = csv_path.read_bytes()
+    assert resumed[:last] == data[:last]
+    assert resumed.endswith(b"\r\n") and resumed.count(b"\n") == data.count(b"\n")
+
+
+@pytest.mark.parametrize("corrupt", ["short", "bad-int", "cut"])
+def test_malformed_earlier_row_is_store_error(anchors_cli_store, tmp_path, capsys,
+                                              corrupt):
+    flags, csv_path = _store_copy(anchors_cli_store, tmp_path)
+    lines = csv_path.read_bytes().split(b"\r\n")
+    if corrupt == "short":
+        lines[1] = b",".join(lines[1].split(b",")[:10])
+    elif corrupt == "bad-int":
+        fields = lines[1].split(b",")
+        fields[4] = b"x"  # the seed column
+        lines[1] = b",".join(fields)
+    else:
+        lines[1] = lines[1][: len(lines[1]) // 2]
+    csv_path.write_bytes(b"\r\n".join(lines))
+    with pytest.raises(StoreError, match="line 2"):
+        ResultsStore(csv_path.parent).load()
+    assert main(["report", *flags]) == 1
+    assert main(["train", *flags]) == 1
+    assert "line 2" in capsys.readouterr().err
 
 
 def test_manifests_and_checkpoints_written(family_store):

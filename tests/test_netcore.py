@@ -3,6 +3,7 @@ import pytest
 
 from sscope import netcore as nc
 from sscope.errors import NumericError, UsageError
+from sscope.expcli.presets import net_spec, task_spec
 from sscope.rng import stream
 
 
@@ -90,6 +91,23 @@ def test_evaluate_deterministic_and_empty_rejected():
     assert (r1.mispredictions, r1.loss_mean) == (r2.mispredictions, r2.loss_mean)
     with pytest.raises(UsageError):
         nc.evaluate(net, x[:0], labels[:0])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("net_name", ["minicnn6", "mlp4"])
+def test_evaluate_from_any_start_block(net_name, dtype):
+    spec = net_spec(net_name, task_spec("bars16", None))
+    net = nc.build_net(spec, seed=6, dtype=dtype)
+    x = stream(10, "start").random((300, *spec.input_shape)).astype(np.float32)
+    labels = stream(10, "start-labels").integers(0, spec.class_count, size=300)
+    plain = nc.evaluate(net, x, labels)
+    for s in range(1, spec.m):
+        got = nc.evaluate(net, net.forward(x, 0, s), labels, start=s)
+        assert (got.mispredictions, got.loss_mean) == (
+            plain.mispredictions, plain.loss_mean), s
+    for s in (-1, spec.m):
+        with pytest.raises(UsageError, match="start block"):
+            nc.evaluate(net, x, labels, start=s)
 
 
 def test_cross_precision_same_misprediction_set():

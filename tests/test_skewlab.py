@@ -203,6 +203,31 @@ def test_batch_size_larger_than_dataset_rejected():
         next(sl.paired_batches(pd, 17, epoch_seed=5))
 
 
+def test_ssd1_rejects_truncation_trailing_bytes_and_bad_flag(tmp_path):
+    ds = sl.ImageDataset(
+        np.linspace(0, 1, 8, dtype=np.float32).reshape(2, 1, 2, 2),
+        np.array([1, 3]), 4, np.array([0, 1]),
+    )
+    path = tmp_path / "tiny.ssd1"
+    sl.save_ssd1(ds, path)
+    data = path.read_bytes()
+    assert len(data) == 4 + 20 + 1 + 8 + 2 * 2 + 2 * 2
+    bad = tmp_path / "bad.ssd1"
+    for cut in range(len(data)):
+        bad.write_bytes(data[:cut])
+        with pytest.raises(UsageError):
+            sl.load_ssd1(bad)
+    bad.write_bytes(data + b"\0")
+    with pytest.raises(UsageError, match="trailing"):
+        sl.load_ssd1(bad)
+    bad.write_bytes(data[:24] + b"\2" + data[25:])
+    with pytest.raises(UsageError, match="flag"):
+        sl.load_ssd1(bad)
+    loaded = sl.load_ssd1(path)
+    assert (loaded.labels == ds.labels).all()
+    assert (loaded.attributes == ds.attributes).all()
+
+
 def test_ssd1_roundtrip(tmp_path):
     task = sl.SyntheticTaskSpec(class_count=4, attribute_groups=2)
     ds = sl.gen_clean_synthetic(task, 32, seed=11)
