@@ -19,11 +19,12 @@ recomputed through its whole network from the raw view, and they must
 match the shared-prefix ones byte for byte. When training ends, each
 partner gets its own copy of the shared blocks.
 
-Evaluation shares the prefix the same way (`evaluate_family`): each anchor
-runs its forward pass over a test view once, block by block, in the chunks
-`evaluate` uses, and the anchor and each partner are scored from the
-activation entering their start block: m - 1 for the anchor, min(A) for a
-partner. Every report equals a plain `evaluate(net, view)` byte for byte.
+Evaluation shares the prefix through the same `_Prefix` (`evaluate_family`):
+per (anchor, test view) it runs the anchor's blocks once, in the chunks
+`evaluate` uses, and keeps each block's activation while that view is
+scored. The anchor and each partner are scored from the activation entering
+their start block: m - 1 for the anchor, min(A) for a partner. Every report
+equals a plain `evaluate(net, view)` byte for byte.
 
 Two degenerate equivalences hold bit-exactly and are used as oracles: A = {}
 reproduces the anchor, and A = [m] reproduces a direct training run on the
@@ -219,17 +220,32 @@ def _initial_net(spec, plan, dtype, init_from):
 
 
 class _Prefix:
-    """One net's forward activations on one batch view, block by block."""
+    """One net's forward activations on one view, block by block, as asked
+    for. With a chunk size, each block runs in `evaluate`'s chunks, gathered
+    into one array that keeps the chunks' memory layout (a reduction's bytes
+    depend on it)."""
 
-    def __init__(self, net, x):
+    def __init__(self, net, x, chunk=None):
         self.net = net
+        self.chunk = chunk
         self.acts = [net._ingest(x)]  # acts[b] is the activation entering block b
 
     def entering(self, s):
         while len(self.acts) <= s:
-            b = len(self.acts) - 1
-            self.acts.append(self.net.forward(self.acts[b], b, b + 1))
+            self.acts.append(self._block(len(self.acts) - 1))
         return self.acts[s]
+
+    def _block(self, b):
+        x = self.acts[b]
+        if self.chunk is None:
+            return self.net.forward(x, b, b + 1)
+        out = None
+        for c in range(0, len(x), self.chunk):
+            y = self.net.forward(x[c : c + self.chunk], b, b + 1)
+            if out is None:
+                out = np.empty_like(y, shape=(len(x), *y.shape[1:]))
+            out[c : c + len(y)] = y
+        return out
 
 
 def _lockstep(pd, plan, trainees, debug_sync=False, lr_scales=None, wd_scales=None,
@@ -429,9 +445,10 @@ def evaluate_family(fam: FamilyOutcome, views, batch_size=512) -> dict:
     each equals `evaluate(net, view, batch_size=batch_size)` byte for byte.
 
     A partner holds its anchor's bytes below min(A), so per (anchor, view)
-    the anchor's blocks run once and every net is scored from the activation
-    entering its start block, in ascending start order. Only the activation
-    being advanced is held.
+    one `_Prefix` runs the anchor's blocks once, in `evaluate`'s chunks, and
+    every net is scored from the activation entering its start block: m - 1
+    for the anchor, min(A) for a partner. The prefix holds each activation
+    it has computed until the view is done.
     """
     reports = {}
     for role, anchor in fam.anchors.items():
@@ -440,26 +457,10 @@ def evaluate_family(fam: FamilyOutcome, views, batch_size=512) -> dict:
             if not A.is_empty:
                 key = (role, A.canonical())
                 starts[key] = (min(A.members), fam.intervened[key])
-        order = sorted(starts.items(), key=lambda item: item[1][0])
         for view in views:
-            x, at = view.pixels, 0  # x is the activation entering block `at`
-            for name, (s, net) in order:
-                if s > at:
-                    x, at = _advance(anchor, x, at, s, batch_size), s
+            prefix = _Prefix(anchor, view.pixels, batch_size)
+            for name, (s, net) in starts.items():
                 reports.setdefault(name, []).append(
-                    evaluate(net, x, view.labels, batch_size, start=s)
+                    evaluate(net, prefix.entering(s), view.labels, batch_size, start=s)
                 )
     return reports
-
-
-def _advance(net, x, lo, hi, batch_size):
-    """Blocks lo..hi-1 of net over x, in `evaluate`'s chunks, gathered into
-    one array that keeps the chunks' memory layout (a reduction's bytes
-    depend on it)."""
-    out = None
-    for c in range(0, len(x), batch_size):
-        y = net.forward(x[c : c + batch_size], lo, hi)
-        if out is None:
-            out = np.empty_like(y, shape=(len(x), *y.shape[1:]))
-        out[c : c + len(y)] = y
-    return out

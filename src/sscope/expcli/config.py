@@ -24,6 +24,15 @@ __all__ = ["ExperimentConfig", "run_id", "trial_seed"]
 _FAMILIES = ("single", "suffix", "explicit")
 _MODES = ("scratch", "warmstart")
 _FREQ_NAMES = {"common": (127, 128), "rare": (15, 16)}
+_SKEW_KEYS = ("kind", "strength", "frequency", "patch_size")
+# the type of every field but skew_frequency (parsed on its own); see _is_json
+_FIELD_TYPES = dict(
+    task=str, skew_kind=str, skew_strength=float, patch_size=int, net=str,
+    optimizer=str, optimizer_overrides=dict, mode=str,
+    warmstart_checkpoint=(str, type(None)), family=str, explicit_sets=(list, tuple),
+    seeds=(list, tuple), steps=int, batch_size=int, train_n=int, test_n=int,
+    master_seed=int, precision=int, out=str, workers=int, debug_sync=bool,
+)
 
 
 @dataclass(frozen=True)
@@ -57,6 +66,8 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         data = dict(raw)
         skew = data.pop("skew", {})
+        if not isinstance(skew, dict):
+            raise ConfigError(f"skew must be a JSON object, got {skew!r}")
         if skew:
             data["skew_kind"] = skew.get("kind", "watermark")
             if "strength" in skew:
@@ -64,13 +75,13 @@ class ExperimentConfig:
             if "frequency" in skew:
                 data["skew_frequency"] = _parse_frequency(skew["frequency"])
             if "patch_size" in skew:
-                data["patch_size"] = int(skew["patch_size"])
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
+                data["patch_size"] = skew["patch_size"]
+        unknown = set(data) - set(cls.__dataclass_fields__)
+        unknown |= {f"skew.{k}" for k in skew if k not in _SKEW_KEYS}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         for tup_field in ("seeds", "explicit_sets", "skew_frequency"):
-            if tup_field in data:
+            if isinstance(data.get(tup_field), list):
                 data[tup_field] = tuple(data[tup_field])
         return cls(**data).validate()
 
@@ -88,6 +99,11 @@ class ExperimentConfig:
         return cls.from_dict(raw)
 
     def validate(self) -> "ExperimentConfig":
+        for name, want in _FIELD_TYPES.items():
+            if not _is_json(getattr(self, name), want):
+                raise ConfigError(f"{name} has the wrong type: {getattr(self, name)!r}")
+        if not all(_is_json(s, int) for s in self.seeds):
+            raise ConfigError(f"seeds must be integers, got {list(self.seeds)}")
         if self.family not in _FAMILIES:
             raise ConfigError(f"family must be one of {_FAMILIES}")
         if self.mode not in _MODES:
@@ -104,12 +120,17 @@ class ExperimentConfig:
             raise ConfigError("steps and batch_size must be positive")
         if self.precision not in (32, 64):
             raise ConfigError("precision must be 32 or 64")
+        if self.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         try:
             self.frequency()
         except (TypeError, UsageError):
             raise ConfigError(f"bad skew_frequency {self.skew_frequency!r}") from None
         # resolve presets and set strings now so bad ones fail at config time
-        self.task_spec()
+        task = self.task_spec()
+        if self.skew_kind == "sampling" and not task.attribute_groups:
+            raise ConfigError(
+                f"sampling skew needs a task with attribute groups, not {self.task}")
         presets.optimizer_config(self.optimizer, self.optimizer_overrides)
         if self.explicit_sets:
             m = self.net_spec().m
@@ -155,6 +176,14 @@ class ExperimentConfig:
         for k in ("seeds", "explicit_sets", "skew_frequency"):
             d[k] = list(d[k])
         return d
+
+
+def _is_json(value, want):
+    """isinstance for a JSON value: true and false are no numbers, and an
+    integer is also a float."""
+    if isinstance(value, bool):
+        return want is bool
+    return isinstance(value, (int, float) if want is float else want)
 
 
 def _parse_frequency(value):

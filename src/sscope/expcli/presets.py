@@ -99,6 +99,8 @@ def optimizer_config(name: str, overrides: dict | None = None) -> OptimizerConfi
     for key, val in (overrides or {}).items():
         if key not in ("peak_lr", "weight_decay", "momentum", "epsilon"):
             raise ConfigError(f"cannot override optimizer field {key!r}")
+        if isinstance(val, bool) or not isinstance(val, (int, float)):
+            raise ConfigError(f"optimizer override {key} must be a number, got {val!r}")
         kw[key] = val
     return OptimizerConfig(**kw).validate()
 
@@ -115,4 +117,6 @@ def blend_strength(value) -> float:
         if value not in _STRENGTH_NAMES:
             raise ConfigError(f"unknown blend strength {value!r}")
         return _STRENGTH_NAMES[value]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"blend strength must be a name or a number, got {value!r}")
     return float(value)

@@ -70,7 +70,7 @@ def build_trial_data(config: ExperimentConfig, seed: int):
     if config.skew_kind == "watermark":
         skew = config.watermark()
     else:
-        skew = SamplingSkewSpec(num_groups=task.attribute_groups or 2)
+        skew = SamplingSkewSpec(num_groups=task.attribute_groups)
     train_clean = gen_clean_synthetic(task, config.train_n, subseed(tseed, "data-train"))
     train_full = make_fully_skewed(train_clean, skew)
     pd = apply_frequency(
@@ -206,6 +206,18 @@ def mitigation_targets(m: int):
     return singles + doubles
 
 
+def _mitigation_runs(m: int):
+    """(kind, target, set string) of every retraining of a mitigation trial,
+    in the order it runs them. Freezing keeps a single block, so it skips
+    the double targets."""
+    return [
+        (kind, target, f"{kind.label()}@{target.label()}")
+        for kind in MITIGATION_KINDS
+        for target in mitigation_targets(m)
+        if not (kind.variant == "freeze" and target.is_double)
+    ]
+
+
 def run_mitigation_trial(config: ExperimentConfig, seed: int):
     """Anchors plus one retraining per (intervention kind, target)."""
     started = time.monotonic()
@@ -227,41 +239,37 @@ def run_mitigation_trial(config: ExperimentConfig, seed: int):
         nets[rec.run_id] = fam.anchors[role]
     err_c = anchor_eval["clean"][0].error_fraction
     err_s = anchor_eval["skewed"][0].error_fraction
-    for kind in MITIGATION_KINDS:
-        for target in mitigation_targets(spec.m):
-            if kind.variant == "freeze" and target.is_double:
-                continue  # freezing keeps a single block
-            t0 = time.monotonic()
-            if kind.variant == "freeze":
-                res = freeze_protocol(
-                    spec, pd, plan_s, target.blocks[0], test_clean, err_c, err_s,
-                    dtype=_dtype(config),
-                )
-            else:
-                res = retrain_with_intervention(
-                    spec, pd, plan_s, kind, target, test_clean, err_c, err_s,
-                    dtype=_dtype(config),
-                )
-            es_i = evaluate(res.network, test_full)
-            set_repr = f"{kind.label()}@{target.label()}"
-            records.append(
-                _record(
-                    config, seed, "mitigation", set_repr, res.clean_eval, es_i,
-                    wall_time=time.monotonic() - t0,
-                    interv_kind=kind.label(),
-                    interv_factor="" if kind.variant == "freeze" else repr(kind.factor),
-                    interv_targets=target.label(),
-                    extent="" if res.extent is None else repr(res.extent),
-                )
+    for kind, target, set_repr in _mitigation_runs(spec.m):
+        t0 = time.monotonic()
+        if kind.variant == "freeze":
+            res = freeze_protocol(
+                spec, pd, plan_s, target.blocks[0], test_clean, err_c, err_s,
+                dtype=_dtype(config),
             )
+        else:
+            res = retrain_with_intervention(
+                spec, pd, plan_s, kind, target, test_clean, err_c, err_s,
+                dtype=_dtype(config),
+            )
+        es_i = evaluate(res.network, test_full)
+        records.append(
+            _record(
+                config, seed, "mitigation", set_repr, res.clean_eval, es_i,
+                wall_time=time.monotonic() - t0,
+                interv_kind=kind.label(),
+                interv_factor="" if kind.variant == "freeze" else repr(kind.factor),
+                interv_targets=target.label(),
+                extent="" if res.extent is None else repr(res.extent),
+            )
+        )
     return records, nets
 
 
 def _probe_run_id(config: ExperimentConfig, seed: int, kind: str) -> str:
     """Run id of the last record a trial of this kind writes (idempotence probe)."""
     if kind == "mitigation":
-        target = mitigation_targets(config.net_spec().m)[-2]  # last single block
-        return run_id(config, seed, "mitigation", f"{FREEZE.label()}@{target.label()}")
+        _, _, last = _mitigation_runs(config.net_spec().m)[-1]
+        return run_id(config, seed, "mitigation", last)
     if kind == "family":
         sets = [A for A in intervention_sets(config, config.net_spec().m)
                 if not A.is_empty]

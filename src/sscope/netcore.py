@@ -9,6 +9,11 @@ Training arithmetic defaults to float32; float64 is available for gradient
 verification. All reductions use plain numpy ops, which are deterministic
 for a fixed platform and input bytes.
 
+`BlockNet.forward` holds the only block/layer loop (the raw batch is ingested
+at block 0, and a non-finite activation raises NumericError naming its block);
+`loss_and_grad` runs it keeping each layer's cache, and `evaluate` runs it
+chunk by chunk, so every path computes a net's activations the same way.
+
 Image activations are NCHW-shaped but channels-last in memory: a conv
 writes its GEMM rows, ReLU and MaxPool keep their input's layout, and the
 conv, MaxPool and GlobalAvgPool backward passes return input gradients in
@@ -231,7 +236,7 @@ class MaxPool:
         # dy goes to each window's first maximum and every other input gets
         # +0.0. Multiplying dy's bit patterns by the 0/1 routing mask selects
         # exactly that; a masked np.copyto did the same at over twice the cost.
-        # Activations are finite here (loss_and_grad checks every block).
+        # Activations are finite here (BlockNet._forward checks every block).
         x, y = cache
         bits = np.dtype(f"i{dy.itemsize}")
         dy_bits = dy.view(bits)
@@ -392,9 +397,6 @@ class BlockNet:
     def block_keys(self, i):
         return [k for k in self.params if k.startswith(f"b{i}.")]
 
-    def block_values(self, i):
-        return {k: self.params[k] for k in self.block_keys(i)}
-
     def block_bytes(self, i):
         return b"".join(self.params[k].tobytes() for k in self.block_keys(i))
 
@@ -422,14 +424,21 @@ class BlockNet:
         """Run blocks lo..hi-1 (default: all) on the activation entering block
         lo, which is the raw batch when lo is 0; with the defaults this gives
         the logits. Raises NumericError naming the block on overflow."""
+        return self._forward(x, lo, hi)[0]
+
+    def _forward(self, x, lo=0, hi=None, caches=None):
+        """`forward`, appending each layer's (bi, li, layer, cache) to
+        `caches` when a list is given (the backward pass reads them)."""
         if lo == 0:
             x = self._ingest(x)
         for bi in range(lo, self.m if hi is None else hi):
             for li, layer in enumerate(self.spec.blocks[bi]):
-                x, _ = layer.forward(x, self._layer_params(bi, li))
+                x, cache = layer.forward(x, self._layer_params(bi, li))
+                if caches is not None:
+                    caches.append((bi, li, layer, cache))
             if not np.isfinite(x).all():
                 raise NumericError(f"non-finite activation in block {bi}", bi)
-        return x
+        return x, caches
 
     def _layer_params(self, bi, li):
         """The live arrays of layer li of block bi, by parameter name."""
@@ -482,21 +491,13 @@ def loss_and_grad(net: BlockNet, x, labels, start=0):
     """
     if not 0 <= start < net.m:
         raise UsageError(f"start block {start} outside [0, {net.m})")
-    if start == 0:
-        x = net._ingest(x)
     labels = np.asarray(labels)
-    if x.shape[0] == 0:
+    if len(x) == 0:
         raise UsageError("empty batch")
     if labels.min() < 0 or labels.max() >= net.spec.class_count:
         raise UsageError("label out of range")
-    caches = []
-    for bi in range(start, net.m):
-        for li, layer in enumerate(net.spec.blocks[bi]):
-            x, cache = layer.forward(x, net._layer_params(bi, li))
-            caches.append((bi, li, layer, cache))
-        if not np.isfinite(x).all():
-            raise NumericError(f"non-finite activation in block {bi}", bi)
-    loss, dy = softmax_xent(x, labels)
+    logits, caches = net._forward(x, start, caches=[])
+    loss, dy = softmax_xent(logits, labels)
     if not np.isfinite(loss):
         raise NumericError("non-finite loss", net.m - 1)
     lowest = next(

@@ -24,7 +24,7 @@ features stay learnable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -34,14 +34,12 @@ from .errors import DataError, UsageError
 from .rng import stream
 
 __all__ = [
-    "LabeledImage",
     "ImageDataset",
     "WatermarkSkewSpec",
     "SamplingSkewSpec",
     "SkewFrequency",
     "PairedDataset",
     "gen_clean_synthetic",
-    "blend_watermark",
     "make_fully_skewed",
     "apply_frequency",
     "paired_batches",
@@ -58,13 +56,6 @@ STRONG = 0.75
 WEAK = 0.25
 
 
-@dataclass(frozen=True)
-class LabeledImage:
-    pixels: np.ndarray  # (channels, h, w), values in [0, 1]
-    label: int
-    attribute: int | None = None
-
-
 @dataclass
 class ImageDataset:
     """Column-oriented image dataset; immutable by convention after build."""
@@ -78,10 +69,6 @@ class ImageDataset:
 
     def __len__(self):
         return len(self.labels)
-
-    def __getitem__(self, i) -> LabeledImage:
-        attr = None if self.attributes is None else int(self.attributes[i])
-        return LabeledImage(self.pixels[i], int(self.labels[i]), attr)
 
     def tobytes(self):
         parts = [self.pixels.tobytes(), self.labels.tobytes()]
@@ -102,6 +89,8 @@ class WatermarkSkewSpec:
     def validate(self, image_hw=None):
         if not 0 < self.blend_strength <= 1:
             raise UsageError("blend_strength must be in (0, 1]")
+        if self.patch_size < 1:
+            raise UsageError(f"patch_size must be >= 1, got {self.patch_size}")
         if image_hw is not None and self.patch_size > min(image_hw):
             raise UsageError(
                 f"patch {self.patch_size} exceeds image dims {image_hw}"
@@ -156,23 +145,9 @@ RARE = SkewFrequency(15, 16)
 # --------------------------------------------------------------------------
 # watermark blending
 
-def blend_watermark(img: LabeledImage, glyph: np.ndarray, alpha: float) -> LabeledImage:
-    """Convex-blend a p x p glyph into the upper-left corner of one image."""
-    if not 0 <= alpha <= 1:
-        raise UsageError("alpha must be in [0, 1]")
-    p = glyph.shape[0]
-    if glyph.shape != (p, p):
-        raise UsageError("glyph must be square")
-    _, h, w = img.pixels.shape
-    if p > h or p > w:
-        raise UsageError(f"patch {p} exceeds image dims ({h}, {w})")
-    out = img.pixels.copy()
-    out[:, :p, :p] = (1.0 - alpha) * out[:, :p, :p] + alpha * glyph[None]
-    return LabeledImage(out, img.label, img.attribute)
-
-
 def _blend_batch(pixels, glyph_per_image, alpha):
-    """Vectorized corner blend; glyph_per_image has shape (n, p, p)."""
+    """Convex-blend each image's p x p glyph into its upper-left corner;
+    glyph_per_image has shape (n, p, p)."""
     out = pixels.copy()
     p = glyph_per_image.shape[-1]
     out[:, :, :p, :p] = (
@@ -371,7 +346,6 @@ class PairedDataset:
     clean: ImageDataset
     fully_skewed: ImageDataset
     skew_mask: np.ndarray  # (n,) bool
-    provenance: dict = field(default_factory=dict)
     _skewed: ImageDataset | None = None
 
     def __post_init__(self):
@@ -404,40 +378,14 @@ class PairedDataset:
             )
         return self._skewed
 
-    def view(self, role: str) -> ImageDataset:
-        if role == "clean":
-            return self.clean
-        if role == "skewed":
-            return self.skewed
-        if role == "fully_skewed":
-            return self.fully_skewed
-        raise UsageError(f"unknown dataset role {role!r}")
 
-
-def apply_frequency(
-    clean: ImageDataset,
-    fully_skewed: ImageDataset,
-    freq: SkewFrequency,
-    seed: int,
-    exact_count: bool = False,
-) -> PairedDataset:
+def apply_frequency(clean: ImageDataset, fully_skewed: ImageDataset,
+                    freq: SkewFrequency, seed: int) -> PairedDataset:
     """Draw the skew mask at the given frequency and pair the two views."""
     if len(clean) != len(fully_skewed):
         raise UsageError("clean and fully_skewed lengths differ")
-    n = len(clean)
-    rng = stream(seed, "skew-mask")
-    if exact_count:
-        count = int(round(n * freq.value))
-        mask = np.zeros(n, dtype=bool)
-        mask[rng.permutation(n)[:count]] = True
-    else:
-        mask = rng.random(n) < freq.value
-    return PairedDataset(
-        clean,
-        fully_skewed,
-        mask,
-        provenance={"frequency": f"{freq.numerator}/{freq.denominator}", "seed": seed},
-    )
+    mask = stream(seed, "skew-mask").random(len(clean)) < freq.value
+    return PairedDataset(clean, fully_skewed, mask)
 
 
 @dataclass(frozen=True)

@@ -128,12 +128,21 @@ def test_store_rejects_foreign_schema(tmp_path):
         store.load()
 
 
-def test_rerun_is_idempotent(family_store):
-    config, store, _ = family_store
-    before = len(store.load())
-    written = run_grid(config, store, kind="family", log=lambda *_: None)
-    assert written == 0
-    assert len(store.load()) == before
+@pytest.mark.parametrize("kind", ["anchors", "family", "mitigation"])
+def test_rerun_is_idempotent(tmp_path, monkeypatch, kind):
+    config = tiny_config(tmp_path, seeds=[0])  # 30 steps: freezing needs t1, t2 >= 1
+    store = ResultsStore(config.out)
+    assert run_grid(config, store, kind=kind, log=lambda *_: None) > 0
+    before = store.load()
+
+    def retrain(args):
+        raise AssertionError(f"seed {args[2]} retrained")
+
+    monkeypatch.setattr(runner, "_trial_worker", retrain)
+    log = []
+    assert run_grid(config, store, kind=kind, log=log.append) == 0
+    assert log == ["seed 0: already in store (idempotent skip)"]
+    assert store.load() == before
 
 
 def test_crash_keeps_finished_trials_and_resumes(tmp_path, monkeypatch):
@@ -335,6 +344,57 @@ def test_bad_frequency_fails_before_training(tmp_path, capsys, frequency):
     cfg_path.write_text(json.dumps(raw))
     assert main(["train", "--config", str(cfg_path)]) == 1
     assert "frequency" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "run" / "results.csv")
+
+
+@pytest.mark.parametrize("bad", [
+    {"seeds": 5},
+    {"seeds": [0, "1"]},
+    {"steps": "10"},
+    {"task": ["bars16"]},
+    {"debug_sync": 1},
+    {"skew": ["x"]},
+    {"skew": {"strength": [1]}},
+    {"skew": {"patch_size": "abc"}},
+    {"skew": {"frequncy": "rare"}},
+    {"optimizer_overrides": {"peak_lr": "x"}},
+], ids=["seeds-int", "seeds-str-item", "steps-str", "task-list", "debug-sync-int",
+        "skew-list", "strength-list", "patch-size-str", "skew-unknown-key",
+        "override-str"])
+def test_malformed_config_fails_before_training(tmp_path, capsys, bad):
+    raw = tiny_config(tmp_path / "run").to_dict()
+    raw.update(bad)
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(raw)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["train", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not os.path.exists(tmp_path / "run" / "results.csv")
+
+
+def test_sampling_skew_needs_attribute_groups(tmp_path, capsys):
+    raw = tiny_config(tmp_path / "run").to_dict()
+    raw["skew"] = {"kind": "sampling", "frequency": "rare"}
+    with pytest.raises(ConfigError, match="attribute groups"):
+        ExperimentConfig.from_dict(raw)
+    assert ExperimentConfig.from_dict(dict(raw, task="tint2")).skew_kind == "sampling"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["train", "--config", str(cfg_path)]) == 1
+    assert "attribute groups" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "run" / "results.csv")
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_workers_below_one_is_config_error(tmp_path, capsys, workers):
+    with pytest.raises(ConfigError, match="workers"):
+        tiny_config(tmp_path / "run", workers=workers)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_config(tmp_path / "run").to_dict()))
+    rc = main(["train", "--config", str(cfg_path), "--workers", str(workers)])
+    assert rc == 1
+    assert "workers" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "run" / "results.csv")
 
 

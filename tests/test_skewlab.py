@@ -54,27 +54,37 @@ def test_zero_n_rejected():
 
 
 def test_blend_identity_and_full_replacement():
-    img = sl.LabeledImage(np.full((1, 16, 16), 0.2, dtype=np.float32), 3)
-    glyph = np.ones((10, 10), dtype=np.float32)
-    out0 = sl.blend_watermark(img, glyph, 0.0)
-    assert out0.pixels.tobytes() == img.pixels.tobytes()
-    out1 = sl.blend_watermark(img, glyph, 1.0)
-    assert (out1.pixels[:, :10, :10] == 1.0).all()
-    assert (out1.pixels[:, 10:, :] == np.float32(0.2)).all()
+    pixels = np.full((2, 1, 16, 16), 0.2, dtype=np.float32)
+    glyphs = np.ones((2, 10, 10), dtype=np.float32)
+    out0 = sl._blend_batch(pixels, glyphs, 0.0)
+    assert out0.tobytes() == pixels.tobytes()
+    out1 = sl._blend_batch(pixels, glyphs, 1.0)
+    assert (out1[:, :, :10, :10] == 1.0).all()
+    assert (out1[:, :, 10:, :] == np.float32(0.2)).all()
+    assert (out1[:, :, :10, 10:] == np.float32(0.2)).all()
 
 
 def test_blend_formula_value():
-    img = sl.LabeledImage(np.full((1, 16, 16), 0.2, dtype=np.float32), 0)
-    glyph = np.ones((10, 10), dtype=np.float32)
-    out = sl.blend_watermark(img, glyph, 0.75)
-    assert out.pixels[0, 0, 0] == pytest.approx(0.8, abs=1e-7)
-    assert out.label == 0
+    pixels = np.full((1, 1, 16, 16), 0.2, dtype=np.float32)
+    out = sl._blend_batch(pixels, np.ones((1, 10, 10), dtype=np.float32), 0.75)
+    assert out.dtype == np.float32
+    assert out[0, 0, 0, 0] == pytest.approx(0.8, abs=1e-7)
+    # the fully skewed view blends each label's glyph over the pre-blend base
+    task = watermark_task()
+    clean = sl.gen_clean_synthetic(task, 64, seed=3)
+    skewed = sl.make_fully_skewed(clean, task.watermark)
+    glyphs = task.watermark.glyphs(task.class_count)[clean.labels][:, None]
+    want = 0.25 * clean.base_pixels[:, :, :10, :10] + 0.75 * glyphs
+    np.testing.assert_allclose(skewed.pixels[:, :, :10, :10], want, atol=1e-6)
 
 
 def test_blend_oversized_patch_rejected():
-    img = sl.LabeledImage(np.zeros((1, 8, 8), dtype=np.float32), 0)
-    with pytest.raises(UsageError):
-        sl.blend_watermark(img, np.ones((10, 10), dtype=np.float32), 0.5)
+    with pytest.raises(UsageError, match="exceeds image dims"):
+        sl.WatermarkSkewSpec(patch_size=10).validate((8, 8))
+    with pytest.raises(UsageError, match="exceeds image dims"):
+        sl.gen_clean_synthetic(
+            watermark_task(watermark=sl.WatermarkSkewSpec(patch_size=17)), 4, seed=1
+        )
 
 
 def test_fully_skewed_watermark_is_perfectly_predictive():
@@ -148,14 +158,6 @@ def test_frequency_mask_popcount():
     pd = sl.apply_frequency(clean, fully, sl.RARE, seed=10)
     pop = int(pd.skew_mask.sum())
     assert 14_850 <= pop <= 15_150  # Binomial(16000, 15/16), 5 sigma
-
-
-def test_frequency_exact_count_mode():
-    task = watermark_task()
-    clean = sl.gen_clean_synthetic(task, 1024, seed=3)
-    fully = sl.make_fully_skewed(clean, task.watermark)
-    pd = sl.apply_frequency(clean, fully, sl.RARE, seed=10, exact_count=True)
-    assert int(pd.skew_mask.sum()) == round(1024 * 15 / 16)
 
 
 def test_label_preservation_invariant():
