@@ -195,14 +195,17 @@ def _anchor(name, net, role):
 
 
 def _partner(name, anchor, A):
-    """A partner of `anchor` that owns the blocks in A and aliases the rest."""
-    params = dict(anchor.net.params)
-    for b in A.members:
-        for k in anchor.net.block_keys(b):
-            params[k] = params[k].copy()
+    """A partner of `anchor` with its own copy of the anchor's buffer, whose
+    blocks outside A read the anchor's arrays until training ends."""
+    net = anchor.net.copy()
+    net.params.update(
+        (k, anchor.net.params[k])
+        for b in range(net.m) if b not in A.members
+        for k in net.block_keys(b)
+    )
     return _Trainee(
         name=name,
-        net=BlockNet(anchor.net.spec, params, anchor.net.dtype),
+        net=net,
         data_role=_other_role(anchor.data_role),
         update_blocks=A.sorted(),
         anchor=anchor,
@@ -213,9 +216,7 @@ def _initial_net(spec, plan, dtype, init_from):
     if init_from is not None:
         if init_from.spec != spec:
             raise UsageError("warmstart checkpoint spec differs from requested spec")
-        return BlockNet(
-            spec, {k: v.copy() for k, v in init_from.params.items()}, dtype
-        )
+        return BlockNet(spec, init_from.params, dtype)
     return build_net(spec, seed=plan.master_seed, dtype=dtype)
 
 
@@ -273,42 +274,34 @@ def _lockstep(pd, plan, trainees, debug_sync=False, lr_scales=None, wd_scales=No
             if t >= plan.steps:
                 break
             views = {"clean": batch.clean_x, "skewed": batch.skew_x}
-            step_blocks = {tr.name: tr.update_blocks for tr in trainees}
-            if phase_blocks is not None:
-                step_blocks.update(phase_blocks(t))
+            phase = phase_blocks(t) if phase_blocks is not None else {}
             prefixes = {}
-            grads = {}
+            computed = []  # (trainee, update blocks, gradients by name)
             for tr in trainees:
-                if not step_blocks[tr.name]:
+                blocks = phase.get(tr.name, tr.update_blocks)
+                if not blocks:
                     continue
-                s = min(step_blocks[tr.name])
+                s = min(blocks)
                 source = tr.anchor or tr
                 key = (source.name, tr.data_role)
                 try:
                     if key not in prefixes:
                         prefixes[key] = _Prefix(source.net, views[tr.data_role])
                     x = prefixes[key].entering(s)
-                    _, grads[tr.name] = loss_and_grad(tr.net, x, batch.labels, start=s)
+                    _, grads = loss_and_grad(tr.net, x, batch.labels, start=s)
                 except NumericError as exc:
                     raise TrainingDiverged(
                         f"{tr.name}: {exc} at step {t}", step=t
                     ) from exc
+                computed.append((tr, blocks, grads))
             if debug_sync:
-                partners = [tr for tr in trainees
-                            if tr.anchor is not None and tr.name in grads]
+                partners = [c for c in computed if c[0].anchor is not None]
                 if partners:
-                    tr = partners[t % len(partners)]
+                    tr, blocks, grads = partners[t % len(partners)]
                     _check_shared_path(tr, views[tr.data_role], batch.labels,
-                                       step_blocks[tr.name], grads[tr.name], t)
-            for tr in trainees:
-                if tr.name not in grads:
-                    continue
-                keys = [k for b in step_blocks[tr.name] for k in tr.net.block_keys(b)]
-                tr.optimizer.step(
-                    {k: tr.net.params[k] for k in keys},
-                    {k: grads[tr.name][k] for k in keys},
-                    t,
-                )
+                                       blocks, grads, t)
+            for tr, blocks, grads in computed:
+                tr.optimizer.step(tr.net, grads, blocks, t)
                 tr.updates += 1
             if on_step_end is not None:
                 on_step_end(t, by_name)
@@ -316,11 +309,8 @@ def _lockstep(pd, plan, trainees, debug_sync=False, lr_scales=None, wd_scales=No
         epoch += 1
     for tr in trainees:
         if tr.anchor is not None:
-            shared = sorted(set(range(tr.net.m)) - set(tr.update_blocks))
-            for b in shared:
-                for k in tr.net.block_keys(b):
-                    tr.net.params[k] = np.empty_like(tr.net.params[k])
-            sync_blocks(tr.net, tr.anchor.net, shared)
+            sync_blocks(tr.net, tr.anchor.net,
+                        [b for b in range(tr.net.m) if b not in tr.update_blocks])
     return by_name
 
 

@@ -15,7 +15,7 @@ crash keeps every trial finished before it.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +29,7 @@ from ..interventions import (
     WD_DOWN,
     WD_UP,
     TargetBlocks,
+    freeze_phases,
     freeze_protocol,
     retrain_with_intervention,
 )
@@ -291,6 +292,8 @@ def run_grid(config: ExperimentConfig, store: ResultsStore, kind="family",
     """Run every seed of the grid, skipping trials already in the store."""
     if kind not in ("family", "anchors", "mitigation"):
         raise UsageError(f"unknown grid kind {kind!r}")
+    if kind == "mitigation":
+        freeze_phases(config.steps)  # a too-short run fails before any training
     existing = store.existing_run_ids()
     cfg_dict = config.to_dict()
     pending = []
@@ -304,9 +307,30 @@ def run_grid(config: ExperimentConfig, store: ResultsStore, kind="family",
     args = [(kind, cfg_dict, seed) for seed in pending]
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            return _persist(config, store, existing, pending,
-                            pool.map(_trial_worker, args), log)
+            futures = [pool.submit(_trial_worker, a) for a in args]
+            try:
+                return _persist(config, store, existing, pending,
+                                _in_seed_order(pool, futures), log)
+            finally:
+                pool.shutdown(cancel_futures=True)
     return _persist(config, store, existing, pending, map(_trial_worker, args), log)
+
+
+def _in_seed_order(pool, futures):
+    """Each trial's result in submission order, as soon as it is done. The
+    first trial to fail, whatever its place, cancels every trial not yet
+    started; the finished trials before it are still yielded, then its
+    error is raised."""
+    waiting = set(futures)
+    for fut in futures:
+        while not fut.done():
+            done, waiting = wait(waiting, return_when=FIRST_COMPLETED)
+            if any(not f.cancelled() and f.exception() for f in done):
+                pool.shutdown(cancel_futures=True)  # waits for running trials
+        if fut.cancelled():
+            raise next(f.exception() for f in futures
+                       if not f.cancelled() and f.exception())
+        yield fut.result()
 
 
 def _persist(config, store, existing, pending, outs, log) -> int:

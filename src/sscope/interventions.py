@@ -15,7 +15,6 @@ exact arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -35,6 +34,7 @@ __all__ = [
     "FREEZE",
     "mitigation_extent",
     "retrain_with_intervention",
+    "freeze_phases",
     "freeze_protocol",
     "build_mitigation_regression",
 ]
@@ -104,10 +104,6 @@ class MitigationResult:
     clean_eval: EvalReport  # the network on clean_test
     provenance: dict
 
-    @property
-    def clean_test_accuracy(self) -> Fraction:
-        return 1 - self.clean_eval.error_fraction
-
 
 def mitigation_extent(err_intervened, err_c, err_s, gap_floor=GAP_FLOOR):
     """(err_s - err_i) / (err_s - err_c); None when the gap is below the floor.
@@ -157,6 +153,22 @@ def retrain_with_intervention(spec: NetSpec, pd, plan_skewed: TrainPlan,
     )
 
 
+def freeze_phases(steps: int, t1=None, t2=None) -> tuple:
+    """(t1, t2) of the freezing protocol over `steps` steps: 5% of the steps
+    each unless given. ConfigError unless both phases are non-empty and
+    leave steps for the kept block."""
+    t1 = int(round(0.05 * steps)) if t1 is None else int(t1)
+    t2 = int(round(0.05 * steps)) if t2 is None else int(t2)
+    if t1 < 1 or t2 < 1:
+        raise ConfigError(
+            f"freeze phases must be non-empty, got t1={t1}, t2={t2} of {steps} steps")
+    if t1 + t2 >= steps:
+        raise ConfigError(
+            f"freeze phases t1+t2={t1 + t2} leave no fine-tuning steps of T={steps}"
+        )
+    return t1, t2
+
+
 def freeze_protocol(spec: NetSpec, pd, plan_skewed: TrainPlan, keep_block: int,
                     clean_test, err_c, err_s, t1=None, t2=None,
                     dtype=np.float32) -> MitigationResult:
@@ -164,15 +176,7 @@ def freeze_protocol(spec: NetSpec, pd, plan_skewed: TrainPlan, keep_block: int,
     steps, then only keep_block for the remainder."""
     if not 0 <= keep_block < spec.m:
         raise UsageError(f"keep_block {keep_block} outside [0, {spec.m})")
-    T = plan_skewed.steps
-    t1 = int(round(0.05 * T)) if t1 is None else int(t1)
-    t2 = int(round(0.05 * T)) if t2 is None else int(t2)
-    if t1 < 1 or t2 < 1:
-        raise ConfigError(f"freeze phases must be non-empty, got t1={t1}, t2={t2}")
-    if t1 + t2 >= T:
-        raise ConfigError(
-            f"freeze phases t1+t2={t1 + t2} leave no fine-tuning steps of T={T}"
-        )
+    t1, t2 = freeze_phases(plan_skewed.steps, t1, t2)
     all_blocks = list(range(spec.m))
     last_only = [spec.m - 1]
     kept_only = [keep_block]

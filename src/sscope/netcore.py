@@ -9,6 +9,13 @@ Training arithmetic defaults to float32; float64 is available for gradient
 verification. All reductions use plain numpy ops, which are deterministic
 for a fixed platform and input bytes.
 
+A net's parameters live in one contiguous 1-D buffer (`BlockNet.flat`), in
+declaration order, with fixed per-block offsets; `BlockNet.params` holds
+reshaped views into it. So a block is one slice of the buffer: block bytes,
+block copies (`sync_blocks`) and SSC1 checkpoints are slice operations, and
+the optimizer steps a run of consecutive blocks with one op per arithmetic
+step (see optim).
+
 `BlockNet.forward` holds the only block/layer loop (the raw batch is ingested
 at block 0, and a non-finite activation raises NumericError naming its block);
 `loss_and_grad` runs it keeping each layer's cache, and `evaluate` runs it
@@ -383,33 +390,59 @@ class NetSpec:
 # network
 
 class BlockNet:
-    """A NetSpec plus its parameter store, addressed per block."""
+    """A NetSpec plus its parameters, held in one flat buffer per net.
+
+    `flat` holds every parameter in declaration order (block, then layer,
+    then w before b), so block i is the slice
+    flat[block_offsets[i]:block_offsets[i + 1]] and a checkpoint is flat's
+    bytes. `params` maps each parameter name to a reshaped view into `flat`;
+    the forward and backward passes read it. While a lockstep partner
+    trains, its shared blocks are views into its anchor's buffer instead,
+    until `sync_blocks` copies them into its own (see counterfact).
+    """
 
     def __init__(self, spec: NetSpec, params: dict, dtype=np.float32):
         self.spec = spec
         self.dtype = np.dtype(dtype)
-        self.params = {k: np.asarray(v, dtype=self.dtype) for k, v in params.items()}
+        keys = [
+            f"b{bi}.l{li}.{name}"
+            for bi, block in enumerate(spec.blocks)
+            for li, layer in enumerate(block) if isinstance(layer, _PARAMETERIZED)
+            for name in _PARAM_NAMES
+        ]
+        if sorted(keys) != sorted(params):
+            raise UsageError(f"parameters {sorted(params)} do not match the spec's {keys}")
+        arrays = [np.asarray(params[k]) for k in keys]
+        self.flat = np.concatenate(arrays, axis=None, dtype=self.dtype)
+        self._slots = {}  # name -> (lo, hi, shape) within flat
+        lo = 0
+        for k, a in zip(keys, arrays):
+            self._slots[k] = (lo, lo + a.size, a.shape)
+            lo += a.size
+        self._block_keys = [[k for k in keys if k.startswith(f"b{i}.")]
+                            for i in range(spec.m)]
+        self.block_offsets = [0]
+        for names in self._block_keys:
+            self.block_offsets.append(
+                self._slots[names[-1]][1] if names else self.block_offsets[-1])
+        self.params = {k: self._view(k) for k in keys}
 
     @property
     def m(self):
         return self.spec.m
 
+    def _view(self, key):
+        lo, hi, shape = self._slots[key]
+        return self.flat[lo:hi].reshape(shape)
+
     def block_keys(self, i):
-        return [k for k in self.params if k.startswith(f"b{i}.")]
+        return self._block_keys[i]
 
     def block_bytes(self, i):
-        return b"".join(self.params[k].tobytes() for k in self.block_keys(i))
+        return self.flat[self.block_offsets[i] : self.block_offsets[i + 1]].tobytes()
 
     def copy(self):
-        return BlockNet(
-            self.spec, {k: v.copy() for k, v in self.params.items()}, self.dtype
-        )
-
-    def astype(self, dtype):
-        return BlockNet(self.spec, self.params, dtype)
-
-    def num_params(self):
-        return sum(v.size for v in self.params.values())
+        return BlockNet(self.spec, self.params, self.dtype)
 
     def _ingest(self, x):
         x = np.asarray(x, dtype=self.dtype)
@@ -527,10 +560,6 @@ class EvalReport:
     loss_mean: float
 
     @property
-    def error_rate(self) -> float:
-        return self.mispredictions / self.n_examples
-
-    @property
     def error_fraction(self) -> Fraction:
         return Fraction(self.mispredictions, self.n_examples)
 
@@ -569,15 +598,19 @@ def evaluate(net: BlockNet, pixels, labels=None, batch_size=512,
 # per-block access
 
 def sync_blocks(dst: BlockNet, src: BlockNet, members):
-    """Copy the listed blocks' values from src into dst (same spec assumed)."""
+    """Copy the listed blocks' values from src's buffer into dst's own, and
+    point dst's parameters of those blocks at its own buffer (same spec
+    assumed)."""
     for i in members:
-        for k in dst.block_keys(i):
-            np.copyto(dst.params[k], src.params[k])
+        lo, hi = dst.block_offsets[i], dst.block_offsets[i + 1]
+        dst.flat[lo:hi] = src.flat[lo:hi]
+        dst.params.update((k, dst._view(k)) for k in dst.block_keys(i))
 
 
 # --------------------------------------------------------------------------
 # checkpoint format: magic "SSC1", u32 spec length, canonical spec text,
-# then per-block float32 little-endian tensors in declaration order.
+# then the flat parameter buffer as float32 little-endian, which is every
+# block's tensors in declaration order.
 
 _MAGIC = b"SSC1"
 
@@ -588,27 +621,33 @@ def save_checkpoint(net: BlockNet, path):
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", len(text)))
         fh.write(text)
-        for bi in range(net.m):
-            for k in net.block_keys(bi):
-                fh.write(net.params[k].astype("<f4").tobytes())
+        fh.write(net.flat.astype("<f4").tobytes())
 
 
 def load_checkpoint(path, dtype=np.float32) -> BlockNet:
+    """Read an SSC1 file; a truncated or malformed file, or trailing bytes,
+    raise UsageError."""
     with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise UsageError(f"{path}: not an SSC1 checkpoint")
-        (length,) = struct.unpack("<I", fh.read(4))
-        spec = NetSpec.decode(json.loads(fh.read(length).decode("utf-8")))
+        data = fh.read()
+    if data[:4] != _MAGIC:
+        raise UsageError(f"{path}: not an SSC1 checkpoint")
+    if len(data) < 8:
+        raise UsageError(f"{path}: truncated checkpoint header")
+    (length,) = struct.unpack_from("<I", data, 4)
+    end = 8 + length
+    if len(data) < end:
+        raise UsageError(f"{path}: truncated architecture text")
+    try:
+        spec = NetSpec.decode(json.loads(data[8:end].decode("utf-8")))
         net = build_net(spec, seed=0, dtype=dtype)
-        for bi in range(net.m):
-            for k in net.block_keys(bi):
-                want = net.params[k]
-                raw = fh.read(want.size * 4)
-                if len(raw) != want.size * 4:
-                    raise UsageError(f"{path}: truncated checkpoint at {k}")
-                net.params[k] = np.frombuffer(raw, dtype="<f4").reshape(
-                    want.shape
-                ).astype(dtype)
-        if fh.read(1):
-            raise UsageError(f"{path}: trailing bytes after parameters")
+    except (ValueError, KeyError, TypeError, IndexError, OverflowError) as exc:
+        raise UsageError(f"{path}: malformed architecture text: {exc}") from None
+    raw = data[end:]
+    want = net.flat.size * 4
+    if len(raw) < want:
+        raise UsageError(
+            f"{path}: truncated checkpoint: {len(raw)} of {want} parameter bytes")
+    if len(raw) > want:
+        raise UsageError(f"{path}: trailing bytes after parameters")
+    net.flat[:] = np.frombuffer(raw, dtype="<f4")
     return net

@@ -4,10 +4,19 @@ Two families: SGD with Nesterov momentum (coupled weight decay) and AdamW
 (decoupled decay, applied to the parameter before the moment update).
 Schedules are linear warmup into cosine decay.
 
-Optimizer state is keyed by parameter name and created lazily the first time
-a key is stepped, so a parameter that is never stepped accumulates no state.
-Per-block learning-rate and weight-decay scale factors support the layer-wise
+An optimizer steps one BlockNet through its flat parameter buffer (see
+netcore.BlockNet). Its state mirrors that layout: flat moment buffers (AdamW's
+m and v, SGD's velocity v) the size of the net's buffer, and one step count
+per block, since the freezing protocol steps some blocks more often than
+others and AdamW's bias correction reads the block's own count. A block that
+is never stepped keeps zero moments and a count of 0. Per-block
+learning-rate and weight-decay scale factors support the layer-wise
 mitigation experiments.
+
+A step updates each maximal run of consecutive blocks that share a learning
+rate scale, weight decay scale and step count with one slice operation per
+arithmetic op, using the same Python-float scalars as a per-parameter loop
+would, so every byte equals that loop's.
 """
 
 from __future__ import annotations
@@ -84,68 +93,120 @@ def lr_at(t: int, schedule: ScheduleConfig, peak_lr: float) -> float:
     )
 
 
-def _block_of(key: str) -> int:
-    return int(key.split(".", 1)[0][1:])
-
-
 @dataclass
 class Optimizer:
+    """Steps the blocks of one BlockNet; its state, created at the first
+    step, has the layout of that net's flat buffer."""
+
     config: OptimizerConfig
     schedule: ScheduleConfig
     lr_block_scale: dict = field(default_factory=dict)
     wd_block_scale: dict = field(default_factory=dict)
-    state: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.config.validate()
         self.schedule.validate()
+        self.m = None  # AdamW's first moment, flat; created at the first step
+        self.v = None  # AdamW's second moment, or SGD's velocity
+        self.block_steps = None  # updates applied to each block so far
+        self._work = None  # the gathered gradient and a temporary, flat
+        self._layouts = {}  # update set -> (parameter names, its blocks' spans)
 
-    def _state_for(self, key, arr):
-        st = self.state.get(key)
-        if st is None:
-            if self.config.kind == SGD_NESTEROV:
-                st = {"v": np.zeros_like(arr)}
+    def _layout(self, net, blocks):
+        """The parameter names of an update set in flat order, and for each
+        of its blocks (ascending) the block and its span in the gradient."""
+        key = tuple(blocks)
+        layout = self._layouts.get(key)
+        if layout is None:
+            names, spans, at = [], [], 0
+            for b in sorted(set(blocks)):
+                names += net.block_keys(b)
+                size = net.block_offsets[b + 1] - net.block_offsets[b]
+                spans.append((b, at, at + size))
+                at += size
+            layout = self._layouts[key] = (names, spans)
+        return layout
+
+    def _runs(self, spans):
+        """Maximal runs of consecutive blocks sharing (lr scale, wd scale,
+        step count), as [first block, end block, gradient lo, gradient hi]."""
+        runs = []
+        prev = None
+        for b, lo, hi in spans:
+            same = (self.lr_block_scale.get(b, 1.0), self.wd_block_scale.get(b, 1.0),
+                    self.block_steps[b])
+            if runs and runs[-1][1] == b and same == prev:
+                runs[-1][1] = b + 1
+                runs[-1][3] = hi
             else:
-                st = {"m": np.zeros_like(arr), "v": np.zeros_like(arr), "t": 0}
-            self.state[key] = st
-        return st
+                runs.append([b, b + 1, lo, hi])
+            prev = same
+        return runs
 
-    def step(self, params: dict, grads: dict, t: int):
-        """Apply one update, in place, to exactly the keys present in params."""
+    def step(self, net, grads: dict, blocks, t: int):
+        """Apply one update, in place, to exactly the listed blocks of net,
+        whose gradients `grads` holds by parameter name."""
+        names, spans = self._layout(net, blocks)
+        if self.v is None:
+            self.v = np.zeros_like(net.flat)
+            if self.config.kind == ADAMW:
+                self.m = np.zeros_like(net.flat)
+            self.block_steps = [0] * net.m
+            self._work = np.empty((2, net.flat.size), net.flat.dtype)
+        if not names:
+            return  # the listed blocks hold no parameters
+        g_all = np.concatenate([grads[k] for k in names], axis=None,
+                               out=self._work[0, : spans[-1][2]])
+        if not np.isfinite(g_all).all():
+            bad = next(b for b, lo, hi in spans if not np.isfinite(g_all[lo:hi]).all())
+            raise NumericError(f"non-finite gradient in block {bad}", bad)
         base_lr = lr_at(t, self.schedule, self.config.peak_lr)
-        for key in params:
-            g = grads[key]
-            if not np.isfinite(g).all():
-                raise NumericError(
-                    f"non-finite gradient at {key}", _block_of(key)
-                )
-            p = params[key]
-            block = _block_of(key)
-            lr = base_lr * self.lr_block_scale.get(block, 1.0)
-            wd = self.config.weight_decay * self.wd_block_scale.get(block, 1.0)
-            st = self._state_for(key, p)
+        # Each in-place op below computes what `a op b` computes, elementwise
+        # with the same operands and scalars, so the bytes match the plain
+        # expressions in the comments. Once g is used up, its slice of the
+        # gathered gradient serves as a second temporary.
+        for first, end, glo, ghi in self._runs(spans):
+            lo, hi = net.block_offsets[first], net.block_offsets[end]
+            lr = base_lr * self.lr_block_scale.get(first, 1.0)
+            wd = self.config.weight_decay * self.wd_block_scale.get(first, 1.0)
+            p, g, v = net.flat[lo:hi], g_all[glo:ghi], self.v[lo:hi]
+            tmp = self._work[1, lo:hi]
             if self.config.kind == SGD_NESTEROV:
-                # velocity lookahead: v <- mu*v + g; p <- p - lr*(g + mu*v)
+                # coupled decay g <- g + wd*p, then the velocity lookahead
+                # v <- mu*v + g; p <- p - lr*(g + mu*v)
                 if wd:
-                    g = g + (wd * p).astype(g.dtype)
+                    np.multiply(p, wd, out=tmp)
+                    tmp += g
+                    g, tmp = tmp, g
                 mu = self.config.momentum
-                v = st["v"]
                 v *= mu
                 v += g
-                p -= (lr * (g + mu * v)).astype(p.dtype)
+                np.multiply(v, mu, out=tmp)
+                tmp += g
+                tmp *= lr
+                p -= tmp
             else:
-                # decoupled decay precedes the moment update
+                # decoupled decay precedes the moment update:
+                # p *= 1 - lr*wd; m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g^2;
+                # p -= lr*mhat / (sqrt(vhat) + eps)
                 if wd:
                     p *= 1.0 - lr * wd
                 b1, b2 = self.config.betas
-                st["t"] += 1
-                m, v = st["m"], st["v"]
+                steps = self.block_steps[first] + 1
+                m = self.m[lo:hi]
                 m *= b1
-                m += (1.0 - b1) * g
+                np.multiply(g, 1.0 - b1, out=tmp)
+                m += tmp
                 v *= b2
-                v += (1.0 - b2) * np.square(g)
-                mhat = m / (1.0 - b1 ** st["t"])
-                vhat = v / (1.0 - b2 ** st["t"])
-                p -= (lr * mhat / (np.sqrt(vhat) + self.config.epsilon)).astype(
-                    p.dtype
-                )
+                np.square(g, out=tmp)
+                tmp *= 1.0 - b2
+                v += tmp
+                np.divide(m, 1.0 - b1 ** steps, out=tmp)  # mhat
+                tmp *= lr
+                np.divide(v, 1.0 - b2 ** steps, out=g)  # vhat
+                np.sqrt(g, out=g)
+                g += self.config.epsilon
+                tmp /= g
+                p -= tmp
+            for b in range(first, end):
+                self.block_steps[b] += 1

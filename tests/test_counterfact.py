@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import mlp4_spec, net_bytes, quick_plan, watermark_task
 from sscope import counterfact as cf
@@ -16,8 +18,8 @@ from sscope.counterfact import (
 from sscope.errors import UsageError
 from sscope.expcli.presets import net_spec, task_spec
 from sscope.interventions import freeze_protocol
-from sscope.optim import Optimizer
 from sscope.rng import subseed
+from test_optim import PerKeyOptimizer
 
 
 def test_intervention_set_constructors():
@@ -41,6 +43,14 @@ def test_intervention_set_canonical_roundtrip():
     assert [a.canonical() for a in cases] == ["{}", "0:6", "2:6", "-{3}", "{0,2}"]
     for a in cases:
         assert InterventionSet.parse(a.canonical(), m) == a
+
+
+@given(st.integers(1, 8).flatmap(
+    lambda m: st.tuples(st.just(m), st.frozensets(st.integers(0, m - 1)))))
+def test_parse_inverts_canonical_for_any_set(case):
+    m, members = case
+    A = InterventionSet(m, members)
+    assert InterventionSet.parse(A.canonical(), m) == A
 
 
 @pytest.mark.parametrize("text", ["{ }", "{0,,1}", "-{x}", "a:6", "1:2:6",
@@ -205,9 +215,10 @@ def reference_lockstep(pd, plan, init, members, phases=None):
     blocks it updates, then each partner copies all other blocks from its
     anchor. members maps a name to (data role, update blocks, anchor name
     or None); phases(t), if given, replaces every update set at step t.
+    Updates go through the per-key reference optimizer.
     """
     nets = {name: init.copy() for name in members}
-    opts = {name: Optimizer(plan.optimizer, plan.schedule) for name in members}
+    opts = {name: PerKeyOptimizer(plan.optimizer, plan.schedule) for name in members}
     t = epoch = 0
     while t < plan.steps:
         eseed = subseed(plan.master_seed, "shuffle", epoch)
@@ -270,8 +281,8 @@ def test_family_matches_reference_loop(small_paired, spec_fn, sets):
             got = fam.intervened[(r, key)]
             assert net_bytes(got) == net_bytes(ref[f"intervened:{r}:{key}"]), key
             # partners own their arrays once training is over
-            assert not any(got.params[k] is fam.anchors[r].params[k]
-                           for k in got.params)
+            assert not np.shares_memory(got.flat, fam.anchors[r].flat)
+            assert all(np.shares_memory(v, got.flat) for v in got.params.values())
 
 
 FAMILIES = {

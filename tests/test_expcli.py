@@ -1,6 +1,7 @@
 import json
 import os
 import shutil
+import time
 
 import numpy as np
 import pytest
@@ -169,6 +170,52 @@ def test_crash_keeps_finished_trials_and_resumes(tmp_path, monkeypatch):
     assert run_grid(config, store, kind="family", log=log.append) == 2 + 2 * 4
     assert log[0] == f"seed {config.seeds[0]}: already in store (idempotent skip)"
     assert [r.run_id for r in store.load()[: len(kept)]] == [r.run_id for r in kept]
+
+
+_TRIAL_WORKER = runner._trial_worker
+
+
+def _fail_seed_1(args):
+    """Trial worker of the pool test, at module level so that the pool can
+    send it. It marks every trial it starts and fails seed 1 at once; the
+    other trials wait half a second first, so the failure arrives while
+    seed 0 still runs."""
+    _, config_dict, seed = args
+    open(os.path.join(config_dict["out"], f"started-{seed}"), "w").close()
+    if seed == 1:
+        raise RuntimeError("trial 1 failed")
+    time.sleep(0.5)
+    return _TRIAL_WORKER(args)
+
+
+def test_pool_failure_cancels_trials_not_started(tmp_path, monkeypatch):
+    config = tiny_config(tmp_path, seeds=list(range(10)), steps=10, workers=2)
+    store = ResultsStore(config.out)
+    monkeypatch.setattr(runner, "_trial_worker", _fail_seed_1)
+    with pytest.raises(RuntimeError, match="trial 1 failed"):
+        run_grid(config, store, kind="anchors", log=lambda *_: None)
+    assert {r.seed for r in store.load()} == {0}  # finished before the failure
+    started = {int(p.name.split("-")[1]) for p in tmp_path.glob("started-*")}
+    # Only trials a worker had taken (2) or the pool had queued for its
+    # workers (3, plus 1 refilled as the failure came in) may have run.
+    assert {0, 1} <= started <= set(range(6))
+
+
+def test_short_intervene_config_fails_before_training(tmp_path, capsys, monkeypatch):
+    # 10 steps give freezing phases of round(0.5) = 0 steps each
+    def no_work(*args, **kwargs):
+        raise AssertionError("the grid built data or trained")
+
+    monkeypatch.setattr(runner, "build_trial_data", no_work)
+    monkeypatch.setattr(runner, "train_family", no_work)
+    config = tiny_config(tmp_path / "run", seeds=[0], steps=10)
+    with pytest.raises(ConfigError, match="freeze phases"):
+        run_grid(config, ResultsStore(config.out), kind="mitigation")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config.to_dict()))
+    assert main(["intervene", "--config", str(cfg_path)]) == 1
+    assert "freeze phases" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "run" / "results.csv")
 
 
 @pytest.fixture(scope="module")

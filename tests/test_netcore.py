@@ -1,5 +1,12 @@
+import struct
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sscope import netcore as nc
 from sscope.errors import NumericError, UsageError
@@ -67,7 +74,7 @@ def test_constant_predictor_error_rate():
     x = stream(2, "const").random((10, 3)).astype(np.float32)
     labels = np.array([0, 0, 0, 1, 2, 3, 4, 1, 2, 3])
     report = nc.evaluate(net, x, labels)
-    assert report.error_rate == pytest.approx(0.7)
+    assert report.error_fraction == Fraction(7, 10)
     assert report.n_examples == 10
 
 
@@ -113,7 +120,7 @@ def test_evaluate_from_any_start_block(net_name, dtype):
 def test_cross_precision_same_misprediction_set():
     spec = small_spec()
     net32 = nc.build_net(spec, seed=5, dtype=np.float32)
-    net64 = net32.astype(np.float64)
+    net64 = nc.BlockNet(spec, net32.params, np.float64)
     x = stream(12, "prec").random((100, 1, 8, 8)).astype(np.float32)
     logits = net64.forward(x)
     top2 = np.sort(logits, axis=1)[:, -2:]
@@ -165,3 +172,88 @@ def test_checkpoint_roundtrip(tmp_path):
     loaded = nc.load_checkpoint(path)
     assert loaded.spec == net.spec
     assert net_bytes(loaded) == net_bytes(net)
+
+
+# --------------------------------------------------------------------------
+# SSC1 properties
+
+@st.composite
+def small_specs(draw):
+    """A small MLP (Dense+ReLU blocks) or CNN (conv stage, then GAP+Dense)."""
+    classes = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        dims = [draw(st.integers(1, 5))] + draw(st.lists(st.integers(1, 6),
+                                                          min_size=1, max_size=3))
+        blocks = [[nc.Dense(a, b), nc.ReLU()] for a, b in zip(dims, dims[1:])]
+        return nc.NetSpec(blocks + [[nc.Dense(dims[-1], classes)]], classes, (dims[0],))
+    ch, mid = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    k, size = draw(st.sampled_from([1, 3])), draw(st.sampled_from([4, 6, 8]))
+    return nc.NetSpec(
+        [[nc.Conv2d(ch, mid, k, pad=k // 2), nc.ReLU(), nc.MaxPool(2)],
+         [nc.GlobalAvgPool(), nc.Dense(mid, classes)]],
+        classes, (ch, size, size))
+
+
+def checkpoint_bytes(spec, seed):
+    """A net of `spec` with random parameters, and its SSC1 file's bytes."""
+    net = nc.build_net(spec, seed=seed)
+    net.flat[:] = stream(seed, "ssc1").standard_normal(net.flat.size)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "net.ssc1"
+        nc.save_checkpoint(net, path)
+        return net, path.read_bytes()
+
+
+def load_bytes(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "net.ssc1"
+        path.write_bytes(data)
+        return nc.load_checkpoint(path)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=small_specs(), seed=st.integers(0, 2**32 - 1))
+def test_checkpoint_roundtrip_is_byte_exact(spec, seed):
+    net, data = checkpoint_bytes(spec, seed)
+    loaded = load_bytes(data)
+    assert loaded.spec == net.spec
+    assert loaded.flat.tobytes() == net.flat.tobytes()
+    for k, v in net.params.items():
+        assert loaded.params[k].tobytes() == v.tobytes(), k
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=small_specs(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_truncated_or_extended_checkpoint_is_usage_error(spec, seed, data):
+    _, raw = checkpoint_bytes(spec, seed)
+    cut = data.draw(st.integers(0, len(raw) - 1), label="cut")
+    with pytest.raises(UsageError):
+        load_bytes(raw[:cut])
+    extra = data.draw(st.binary(min_size=1, max_size=8), label="extra")
+    with pytest.raises(UsageError):
+        load_bytes(raw + extra)
+
+
+@pytest.mark.parametrize("old, new", [
+    ('"class_count":2', '"class_count":"2"'),
+    ("4", "-4"),
+    ('"relu"', '"gelu"'),
+    ('"blocks":', '"blockz":'),
+], ids=["string-class-count", "negative-width", "unknown-layer", "missing-key"])
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_malformed_architecture_text_is_usage_error(old, new):
+    spec = nc.NetSpec([[nc.Dense(3, 4), nc.ReLU()], [nc.Dense(4, 2)]], 2, (3,))
+    _, raw = checkpoint_bytes(spec.validate(), seed=3)
+    (length,) = struct.unpack_from("<I", raw, 4)
+    text = raw[8 : 8 + length].decode()
+    assert old in text
+    bad = text.replace(old, new).encode()
+    with pytest.raises(UsageError, match="malformed architecture"):
+        load_bytes(raw[:4] + struct.pack("<I", len(bad)) + bad + raw[8 + length :])
+
+
+def test_every_truncation_of_a_checkpoint_is_usage_error():
+    _, raw = checkpoint_bytes(small_spec(), seed=3)
+    for cut in range(len(raw)):
+        with pytest.raises(UsageError):
+            load_bytes(raw[:cut])
