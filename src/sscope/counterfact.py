@@ -28,7 +28,13 @@ equals a plain `evaluate(net, view)` byte for byte.
 
 Two degenerate equivalences hold bit-exactly and are used as oracles: A = {}
 reproduces the anchor, and A = [m] reproduces a direct training run on the
-opposite role with the same seed.
+opposite role with the same seed. A family relies on the second one: it
+trains the full-set partner once, as the opposite anchor, and returns a copy
+of that anchor for it, with that anchor's update count and evaluation
+reports. `train_pair` still trains it independently, and the tests compare
+that run with `train_single`. With `debug_sync`, a family trains its
+full-set partners for real as well, and they must end byte-equal to the
+opposite anchors.
 """
 
 from __future__ import annotations
@@ -290,9 +296,7 @@ def _lockstep(pd, plan, trainees, debug_sync=False, lr_scales=None, wd_scales=No
                     x = prefixes[key].entering(s)
                     _, grads = loss_and_grad(tr.net, x, batch.labels, start=s)
                 except NumericError as exc:
-                    raise TrainingDiverged(
-                        f"{tr.name}: {exc} at step {t}", step=t
-                    ) from exc
+                    raise _diverged(tr, exc, t) from exc
                 computed.append((tr, blocks, grads))
             if debug_sync:
                 partners = [c for c in computed if c[0].anchor is not None]
@@ -301,7 +305,10 @@ def _lockstep(pd, plan, trainees, debug_sync=False, lr_scales=None, wd_scales=No
                     _check_shared_path(tr, views[tr.data_role], batch.labels,
                                        blocks, grads, t)
             for tr, blocks, grads in computed:
-                tr.optimizer.step(tr.net, grads, blocks, t)
+                try:
+                    tr.optimizer.step(tr.net, grads, blocks, t)
+                except NumericError as exc:
+                    raise _diverged(tr, exc, t) from exc
                 tr.updates += 1
             if on_step_end is not None:
                 on_step_end(t, by_name)
@@ -314,13 +321,19 @@ def _lockstep(pd, plan, trainees, debug_sync=False, lr_scales=None, wd_scales=No
     return by_name
 
 
+def _diverged(tr, exc, t):
+    """The TrainingDiverged for trainee tr's NumericError at step t."""
+    return TrainingDiverged(f"{tr.name}: {exc} at step {t}", step=t,
+                            block=exc.block_index)
+
+
 def _check_shared_path(tr, view, labels, blocks, shared_grads, t):
     """Recompute a partner's gradients over its whole net from the raw view;
     they must equal the shared-prefix gradients byte for byte."""
     try:
         _, full = loss_and_grad(tr.net, view, labels)
     except NumericError as exc:
-        raise TrainingDiverged(f"{tr.name}: {exc} at step {t}", step=t) from exc
+        raise _diverged(tr, exc, t) from exc
     for b in blocks:
         for k in tr.net.block_keys(b):
             if full[k].tobytes() != shared_grads[k].tobytes():
@@ -379,7 +392,9 @@ def train_pair(spec: NetSpec, pd: PairedDataset, plan: TrainPlan,
 @dataclass(frozen=True)
 class FamilyOutcome:
     anchors: dict  # role -> BlockNet
-    intervened: dict  # (direction role, canonical set) -> BlockNet
+    # (direction role, canonical set) -> BlockNet; a full-set partner equals
+    # the opposite anchor byte for byte
+    intervened: dict
     sets: list
     steps: int
     update_counts: dict
@@ -389,7 +404,14 @@ def train_family(spec: NetSpec, pd: PairedDataset, plan_clean: TrainPlan,
                  plan_skewed: TrainPlan, sets, dtype=np.float32,
                  debug_sync=False, init_from=None) -> FamilyOutcome:
     """Both anchors plus one intervened model per (direction, set), trained in
-    a single lockstep pass so each anchor is trained exactly once."""
+    a single lockstep pass so each anchor is trained exactly once.
+
+    The partner of the full set A = [m] is not trained: it would retrain
+    every block from the shared init on the opposite role's batches, which
+    is what the opposite anchor does, so it gets its own copy of that
+    anchor's net and update count. With `debug_sync` it trains for real,
+    and an AssertionError names it unless it ends byte-equal to the
+    opposite anchor."""
     plan_clean.validate()
     plan_skewed.validate()
     if plan_clean.anchor_role != "clean" or plan_skewed.anchor_role != "skewed":
@@ -404,28 +426,40 @@ def train_family(spec: NetSpec, pd: PairedDataset, plan_clean: TrainPlan,
     init = _initial_net(spec, plan_clean, dtype, init_from)
     anchors = [_anchor(f"anchor:{role}", init.copy(), role) for role in ROLES]
     trainees = list(anchors)
+    full = InterventionSet.full(spec.m).canonical()
     seen = set()
     for A in sets:
         key = A.canonical()
         if key in seen:
             continue
         seen.add(key)
+        if key == full and not debug_sync:
+            continue  # the opposite anchor stands in for it, below
         for anchor in anchors:
             trainees.append(
                 _partner(f"intervened:{anchor.data_role}:{key}", anchor, A)
             )
     done = _lockstep(pd, plan_clean, trainees, debug_sync=debug_sync)
-    intervened = {}
-    for A in sets:
-        key = A.canonical()
+    nets = {name: tr.net for name, tr in done.items()}
+    update_counts = {name: tr.updates for name, tr in done.items()}
+    if full in seen:
         for role in ROLES:
-            intervened[(role, key)] = done[f"intervened:{role}:{key}"].net
+            name = f"intervened:{role}:{full}"
+            twin = done[f"anchor:{_other_role(role)}"]
+            if not debug_sync:
+                nets[name] = twin.net.copy()
+                update_counts[name] = twin.updates
+            elif nets[name].flat.tobytes() != twin.net.flat.tobytes():
+                raise AssertionError(
+                    f"{name} differs from {twin.name}, which it must reproduce"
+                )
     return FamilyOutcome(
-        anchors={role: done[f"anchor:{role}"].net for role in ROLES},
-        intervened=intervened,
+        anchors={role: nets[f"anchor:{role}"] for role in ROLES},
+        intervened={(role, A.canonical()): nets[f"intervened:{role}:{A.canonical()}"]
+                    for A in sets for role in ROLES},
         sets=sets,
         steps=plan_clean.steps,
-        update_counts={name: tr.updates for name, tr in done.items()},
+        update_counts=update_counts,
     )
 
 
@@ -438,13 +472,15 @@ def evaluate_family(fam: FamilyOutcome, views, batch_size=512) -> dict:
     one `_Prefix` runs the anchor's blocks once, in `evaluate`'s chunks, and
     every net is scored from the activation entering its start block: m - 1
     for the anchor, min(A) for a partner. The prefix holds each activation
-    it has computed until the view is done.
+    it has computed until the view is done. A full-set partner equals the
+    opposite anchor (see `train_family`), so it is not scored: its reports
+    are that anchor's.
     """
     reports = {}
     for role, anchor in fam.anchors.items():
         starts = {role: (anchor.m - 1, anchor)}
         for A in fam.sets:
-            if not A.is_empty:
+            if 0 < len(A.members) < A.m:
                 key = (role, A.canonical())
                 starts[key] = (min(A.members), fam.intervened[key])
         for view in views:
@@ -453,4 +489,8 @@ def evaluate_family(fam: FamilyOutcome, views, batch_size=512) -> dict:
                 reports.setdefault(name, []).append(
                     evaluate(net, prefix.entering(s), view.labels, batch_size, start=s)
                 )
+    for A in fam.sets:
+        if len(A.members) == A.m:
+            for role in fam.anchors:
+                reports[(role, A.canonical())] = list(reports[_other_role(role)])
     return reports

@@ -30,11 +30,13 @@ class NumericError(SscopeError):
 
 
 class TrainingDiverged(SscopeError):
-    """Loss or gradient became non-finite during training."""
+    """Loss or gradient became non-finite during training, at training step
+    `step` in block `block` (None where unknown)."""
 
-    def __init__(self, message, step=None):
+    def __init__(self, message, step=None, block=None):
         super().__init__(message)
         self.step = step
+        self.block = block
 
 
 class StoreError(SscopeError):

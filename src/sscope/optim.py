@@ -15,8 +15,10 @@ mitigation experiments.
 
 A step updates each maximal run of consecutive blocks that share a learning
 rate scale, weight decay scale and step count with one slice operation per
-arithmetic op, using the same Python-float scalars as a per-parameter loop
-would, so every byte equals that loop's.
+arithmetic op. Its scalars are a per-parameter loop's Python floats converted
+to the net's dtype, which is what an array op converts a Python float to
+(NEP 50), so every byte equals that loop's; a dtype scalar just skips the
+conversion inside each call.
 """
 
 from __future__ import annotations
@@ -161,6 +163,7 @@ class Optimizer:
             bad = next(b for b, lo, hi in spans if not np.isfinite(g_all[lo:hi]).all())
             raise NumericError(f"non-finite gradient in block {bad}", bad)
         base_lr = lr_at(t, self.schedule, self.config.peak_lr)
+        f = net.flat.dtype.type
         # Each in-place op below computes what `a op b` computes, elementwise
         # with the same operands and scalars, so the bytes match the plain
         # expressions in the comments. Once g is used up, its slice of the
@@ -175,37 +178,37 @@ class Optimizer:
                 # coupled decay g <- g + wd*p, then the velocity lookahead
                 # v <- mu*v + g; p <- p - lr*(g + mu*v)
                 if wd:
-                    np.multiply(p, wd, out=tmp)
+                    np.multiply(p, f(wd), out=tmp)
                     tmp += g
                     g, tmp = tmp, g
-                mu = self.config.momentum
+                mu = f(self.config.momentum)
                 v *= mu
                 v += g
                 np.multiply(v, mu, out=tmp)
                 tmp += g
-                tmp *= lr
+                tmp *= f(lr)
                 p -= tmp
             else:
                 # decoupled decay precedes the moment update:
                 # p *= 1 - lr*wd; m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g^2;
                 # p -= lr*mhat / (sqrt(vhat) + eps)
                 if wd:
-                    p *= 1.0 - lr * wd
+                    p *= f(1.0 - lr * wd)
                 b1, b2 = self.config.betas
                 steps = self.block_steps[first] + 1
                 m = self.m[lo:hi]
-                m *= b1
-                np.multiply(g, 1.0 - b1, out=tmp)
+                m *= f(b1)
+                np.multiply(g, f(1.0 - b1), out=tmp)
                 m += tmp
-                v *= b2
+                v *= f(b2)
                 np.square(g, out=tmp)
-                tmp *= 1.0 - b2
+                tmp *= f(1.0 - b2)
                 v += tmp
-                np.divide(m, 1.0 - b1 ** steps, out=tmp)  # mhat
-                tmp *= lr
-                np.divide(v, 1.0 - b2 ** steps, out=g)  # vhat
+                np.divide(m, f(1.0 - b1 ** steps), out=tmp)  # mhat
+                tmp *= f(lr)
+                np.divide(v, f(1.0 - b2 ** steps), out=g)  # vhat
                 np.sqrt(g, out=g)
-                g += self.config.epsilon
+                g += f(self.config.epsilon)
                 tmp /= g
                 p -= tmp
             for b in range(first, end):

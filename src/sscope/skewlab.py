@@ -435,8 +435,9 @@ def save_ssd1(ds: ImageDataset, path):
 
 
 def load_ssd1(path) -> ImageDataset:
-    """Read an SSD1 file; a truncated or overlong file, or a has-attributes
-    flag other than 0 or 1, is a UsageError."""
+    """Read an SSD1 file; a truncated or overlong file, a has-attributes
+    flag other than 0 or 1, a class count below 2 or a label at or above it
+    is a UsageError. Attributes are group ids with no bound in the format."""
     import struct
 
     with open(path, "rb") as fh:
@@ -453,6 +454,8 @@ def load_ssd1(path) -> ImageDataset:
         return raw[pos - size : pos]
 
     n, c, h, w, class_count = struct.unpack("<5I", take(20, "header"))
+    if class_count < 2:
+        raise UsageError(f"{path}: class count {class_count} is below 2")
     has_attr = take(1, "header")[0]
     if has_attr not in (0, 1):
         raise UsageError(f"{path}: has-attributes flag {has_attr} is not 0 or 1")
@@ -460,6 +463,9 @@ def load_ssd1(path) -> ImageDataset:
     pixels = np.frombuffer(take(count, "pixel payload"), dtype="<u1")
     pixels = (pixels.astype(np.float32) / 255.0).reshape(n, c, h, w)
     labels = np.frombuffer(take(2 * n, "labels"), dtype="<u2").astype(np.int64)
+    if (labels >= class_count).any():
+        raise UsageError(f"{path}: label {labels.max()} is not below the class "
+                         f"count {class_count}")
     attributes = None
     if has_attr:
         attributes = np.frombuffer(take(2 * n, "attributes"), dtype="<u2").astype(

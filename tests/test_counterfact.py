@@ -15,7 +15,7 @@ from sscope.counterfact import (
     train_pair,
     train_single,
 )
-from sscope.errors import UsageError
+from sscope.errors import TrainingDiverged, UsageError
 from sscope.expcli.presets import net_spec, task_spec
 from sscope.interventions import freeze_protocol
 from sscope.rng import subseed
@@ -139,22 +139,33 @@ def test_family_anchors_match_pair_and_counts(small_paired):
     assert fam.update_counts["intervened:clean:{}"] == 0
 
 
-def test_family_full_set_crosses_to_other_anchor(small_paired):
+def test_family_full_set_crosses_to_other_anchor(small_paired, monkeypatch):
+    # the full-set partner is not trained: it is a copy of the opposite anchor
     spec = mlp4_spec()
-    fam = train_family(
-        spec,
-        small_paired,
-        quick_plan("clean", steps=30, master_seed=11),
-        quick_plan("skewed", steps=30, master_seed=11),
-        [InterventionSet.full(spec.m)],
-    )
+    steps = 30
+    passes = []
+
+    def counted(net, x, labels, start=0):
+        passes.append(start)
+        return nc.loss_and_grad(net, x, labels, start=start)
+
+    monkeypatch.setattr(cf, "loss_and_grad", counted)
     key = InterventionSet.full(spec.m).canonical()
-    assert net_bytes(fam.intervened[("clean", key)]) == net_bytes(
-        fam.anchors["skewed"]
-    )
-    assert net_bytes(fam.intervened[("skewed", key)]) == net_bytes(
-        fam.anchors["clean"]
-    )
+    fam = train_family(spec, small_paired,
+                       quick_plan("clean", steps=steps, master_seed=11),
+                       quick_plan("skewed", steps=steps, master_seed=11),
+                       [InterventionSet.full(spec.m)])
+    assert len(passes) == 2 * steps  # the anchors' passes only
+    nets = [fam.intervened[(r, key)] for r in cf.ROLES] + list(fam.anchors.values())
+    for r in cf.ROLES:
+        got = fam.intervened[(r, key)]
+        other = cf._other_role(r)
+        assert net_bytes(got) == net_bytes(fam.anchors[other])
+        assert not any(np.shares_memory(got.flat, net.flat)
+                       for net in nets if net is not got)
+        assert all(np.shares_memory(v, got.flat) for v in got.params.values())
+        assert (fam.update_counts[f"intervened:{r}:{key}"]
+                == fam.update_counts[f"anchor:{other}"] == steps)
 
 
 def test_family_empty_set_returns_trivial_copies(small_paired):
@@ -300,7 +311,8 @@ def minicnn6_spec():
 
 def check_family_evaluation(pd, spec, sets, dtype, n, batch_size, monkeypatch):
     """evaluate_family must score each net once per view, from block m - 1
-    for an anchor and min(A) for a partner, and match a plain evaluate."""
+    for an anchor and min(A) for a partner, except a full-set partner, which
+    takes no call, and every report must match a plain evaluate."""
     fam = train_family(spec, pd, quick_plan("clean", steps=12),
                        quick_plan("skewed", steps=12), sets, dtype=dtype)
     test_clean = sl.gen_clean_synthetic(watermark_task(), n, seed=5)
@@ -319,7 +331,8 @@ def check_family_evaluation(pd, spec, sets, dtype, n, batch_size, monkeypatch):
         if not A.is_empty:
             for role in cf.ROLES:
                 nets[(role, A.canonical())] = fam.intervened[(role, A.canonical())]
-                want_starts.append(min(A.members))
+                if A != InterventionSet.full(spec.m):
+                    want_starts.append(min(A.members))
     assert reports.keys() == nets.keys()
     assert sorted(starts) == sorted(want_starts * len(views))
     for name, net in nets.items():
@@ -387,3 +400,46 @@ def test_debug_sync_catches_a_perturbed_prefix(small_paired, monkeypatch):
     served.clear()
     with pytest.raises(AssertionError, match="step 5"):
         train_pair(spec, small_paired, plan, A, debug_sync=True)
+
+
+def test_debug_sync_catches_a_perturbed_full_set_partner(small_paired, monkeypatch):
+    spec = mlp4_spec()
+    full = InterventionSet.full(spec.m)
+    partner = cf._partner
+
+    def perturbed(name, anchor, A):
+        tr = partner(name, anchor, A)
+        if A == full and anchor.data_role == "clean":
+            tr.net.flat[0] += 1.0
+        return tr
+
+    monkeypatch.setattr(cf, "_partner", perturbed)
+    plans = (quick_plan("clean", steps=6, master_seed=5),
+             quick_plan("skewed", steps=6, master_seed=5))
+    # unchecked, the partner is never built, so the change cannot show
+    fam = train_family(spec, small_paired, *plans, [full])
+    assert net_bytes(fam.intervened[("clean", full.canonical())]) == net_bytes(
+        fam.anchors["skewed"])
+    with pytest.raises(AssertionError, match="intervened:clean:0:4 differs"):
+        train_family(spec, small_paired, *plans, [full], debug_sync=True)
+
+
+def test_diverged_partner_reports_step_and_block(small_paired, monkeypatch):
+    spec = mlp4_spec()
+    calls = []
+
+    def poisoned(net, x, labels, start=0):
+        loss, grads = nc.loss_and_grad(net, x, labels, start=start)
+        if start == 2:  # a 2:4 partner; the clean direction's comes first
+            calls.append(start)
+            if len(calls) == 7:  # step 3
+                k = net.block_keys(3)[0]
+                grads[k] = np.full_like(grads[k], np.inf)
+        return loss, grads
+
+    monkeypatch.setattr(cf, "loss_and_grad", poisoned)
+    with pytest.raises(TrainingDiverged, match="intervened:clean:2:4") as exc:
+        train_family(spec, small_paired, quick_plan("clean", steps=10),
+                     quick_plan("skewed", steps=10),
+                     [InterventionSet.suffix(spec.m, 2)])
+    assert (exc.value.step, exc.value.block) == (3, 3)

@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sscope import skewlab as sl
 from sscope.errors import DataError, UsageError
@@ -225,6 +230,13 @@ def test_ssd1_rejects_truncation_trailing_bytes_and_bad_flag(tmp_path):
     bad.write_bytes(data[:24] + b"\2" + data[25:])
     with pytest.raises(UsageError, match="flag"):
         sl.load_ssd1(bad)
+    bad.write_bytes(data[:34] + bytes([data[34] | 0x80]) + data[35:])  # label 32769
+    with pytest.raises(UsageError, match="label 32769"):
+        sl.load_ssd1(bad)
+    for count in (0, 1):
+        bad.write_bytes(data[:20] + bytes([count]) + data[21:])
+        with pytest.raises(UsageError, match="class count"):
+            sl.load_ssd1(bad)
     loaded = sl.load_ssd1(path)
     assert (loaded.labels == ds.labels).all()
     assert (loaded.attributes == ds.attributes).all()
@@ -243,3 +255,73 @@ def test_ssd1_roundtrip(tmp_path):
     assert (loaded.attributes == ds.attributes).all()
     # u8 quantization: within half a step of the float pixels
     assert np.abs(loaded.pixels - ds.pixels).max() <= 0.5 / 255 + 1e-6
+
+
+@st.composite
+def small_datasets(draw):
+    """Datasets whose pixels are exact u8 levels, so SSD1 stores them exactly."""
+    n, c, h, w = (draw(st.integers(1, hi)) for hi in (4, 2, 3, 3))
+    classes = draw(st.integers(2, 300))
+    levels = draw(st.lists(st.integers(0, 255), min_size=n * c * h * w,
+                           max_size=n * c * h * w))
+    labels = draw(st.lists(st.integers(0, classes - 1), min_size=n, max_size=n))
+    attrs = draw(st.none() | st.lists(st.integers(0, 2**16 - 1), min_size=n,
+                                      max_size=n))
+    return sl.ImageDataset(
+        (np.array(levels, dtype=np.float32) / 255).reshape(n, c, h, w),
+        np.array(labels, dtype=np.int64), classes,
+        None if attrs is None else np.array(attrs, dtype=np.int64),
+    )
+
+
+def ssd1_bytes(ds):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.ssd1"
+        sl.save_ssd1(ds, path)
+        return path.read_bytes()
+
+
+def load_each(blobs):
+    """load_ssd1 on each byte string: the dataset, or the UsageError raised."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.ssd1"
+        for blob in blobs:
+            path.write_bytes(blob)
+            try:
+                yield sl.load_ssd1(path)
+            except UsageError as exc:
+                yield exc
+
+
+@settings(max_examples=40, deadline=None)
+@given(ds=small_datasets())
+def test_ssd1_roundtrip_of_any_small_dataset(ds):
+    (loaded,) = load_each([ssd1_bytes(ds)])
+    assert loaded.pixels.tobytes() == ds.pixels.tobytes()
+    assert loaded.labels.tolist() == ds.labels.tolist()
+    assert loaded.class_count == ds.class_count
+    if ds.attributes is None:
+        assert loaded.attributes is None
+    else:
+        assert loaded.attributes.tolist() == ds.attributes.tolist()
+
+
+@settings(max_examples=20, deadline=None)
+@given(ds=small_datasets())
+def test_every_ssd1_truncation_is_usage_error(ds):
+    raw = ssd1_bytes(ds)
+    for got in load_each(raw[:cut] for cut in range(len(raw))):
+        assert isinstance(got, UsageError)
+
+
+@settings(max_examples=10, deadline=None)
+@given(ds=small_datasets())
+def test_every_ssd1_bit_flip_loads_in_range_or_is_usage_error(ds):
+    raw = ssd1_bytes(ds)
+    flips = (raw[:i] + bytes([raw[i] ^ (1 << bit)]) + raw[i + 1:]
+             for i in range(len(raw)) for bit in range(8))
+    for got in load_each(flips):  # any other exception fails the test
+        if not isinstance(got, UsageError):
+            assert got.class_count >= 2
+            assert ((0 <= got.labels) & (got.labels < got.class_count)).all()
+            assert got.pixels.shape[0] == len(got.labels)
