@@ -35,11 +35,19 @@ reports. `train_pair` still trains it independently, and the tests compare
 that run with `train_single`. With `debug_sync`, a family trains its
 full-set partners for real as well, and they must end byte-equal to the
 opposite anchors.
+
+A family can also hold retrainings (`Retraining`): reruns of the skewed
+anchor's training from the shared init, each with its own per-block LR/WD
+scale factors and an optional phase schedule of update sets. They draw the
+same batches as the anchors, so a retraining with every factor 1 and no
+phases reproduces the skewed anchor byte for byte. When a phased trainee
+enters its last phase, the engine records the bytes of the blocks that phase
+leaves untouched, and they must be unchanged when training ends.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,6 +67,7 @@ from .skewlab import PairedDataset, paired_batches
 __all__ = [
     "InterventionSet",
     "TrainPlan",
+    "Retraining",
     "PairOutcome",
     "FamilyOutcome",
     "train_single",
@@ -182,6 +191,27 @@ def _other_role(role):
     return "skewed" if role == "clean" else "clean"
 
 
+@dataclass(frozen=True)
+class Retraining:
+    """A rerun of the skewed anchor's training from the shared init, with
+    per-block learning-rate and weight-decay scale factors (block -> factor)
+    and an optional phase schedule: (first step, blocks) pairs in step order,
+    each phase's blocks being the update set from its first step on."""
+
+    lr_scales: dict = field(default_factory=dict)
+    wd_scales: dict = field(default_factory=dict)
+    phases: tuple = ()
+
+    def blocks_at(self, t, update_blocks):
+        """The blocks updated at step t: the last phase begun by then, else
+        update_blocks."""
+        blocks = update_blocks
+        for first, phase in self.phases:
+            if first <= t:
+                blocks = phase
+        return blocks
+
+
 # --------------------------------------------------------------------------
 # trainees
 
@@ -192,6 +222,7 @@ class _Trainee:
     data_role: str
     update_blocks: list
     anchor: _Trainee | None = None  # a partner's blocks outside A alias this net
+    retraining: Retraining = Retraining()
     optimizer: Optimizer | None = None
     updates: int = 0
 
@@ -255,23 +286,18 @@ class _Prefix:
         return out
 
 
-def _lockstep(pd, plan, trainees, debug_sync=False, lr_scales=None, wd_scales=None,
-              phase_blocks=None, on_step_end=None):
+def _lockstep(pd, plan, trainees, debug_sync=False):
     """Run the shared training loop; trainees share one batch index stream.
 
-    phase_blocks: optional callable t -> {name: block list} overriding each
-    trainee's update set per step (used by the freezing protocol).
-    on_step_end: optional callable (t, {name: trainee}) invoked after the
-    step's updates.
+    As a phased trainee enters its last phase, the bytes of the blocks that
+    phase leaves untouched are recorded; an AssertionError names the trainee
+    and the block unless they are unchanged when training ends.
     """
-    by_name = {tr.name: tr for tr in trainees}
     for tr in trainees:
-        tr.optimizer = Optimizer(
-            plan.optimizer,
-            plan.schedule,
-            lr_block_scale=dict(lr_scales or {}) if tr.anchor is None else {},
-            wd_block_scale=dict(wd_scales or {}) if tr.anchor is None else {},
-        )
+        tr.optimizer = Optimizer(plan.optimizer, plan.schedule,
+                                 lr_block_scale=dict(tr.retraining.lr_scales),
+                                 wd_block_scale=dict(tr.retraining.wd_scales))
+    frozen = []  # (trainee, block, its bytes as the trainee's last phase began)
     t = 0
     epoch = 0
     while t < plan.steps:
@@ -280,11 +306,14 @@ def _lockstep(pd, plan, trainees, debug_sync=False, lr_scales=None, wd_scales=No
             if t >= plan.steps:
                 break
             views = {"clean": batch.clean_x, "skewed": batch.skew_x}
-            phase = phase_blocks(t) if phase_blocks is not None else {}
             prefixes = {}
             computed = []  # (trainee, update blocks, gradients by name)
             for tr in trainees:
-                blocks = phase.get(tr.name, tr.update_blocks)
+                phases = tr.retraining.phases
+                blocks = tr.retraining.blocks_at(t, tr.update_blocks)
+                if phases and t == phases[-1][0]:
+                    frozen += [(tr, b, tr.net.block_bytes(b))
+                               for b in range(tr.net.m) if b not in blocks]
                 if not blocks:
                     continue
                 s = min(blocks)
@@ -310,15 +339,17 @@ def _lockstep(pd, plan, trainees, debug_sync=False, lr_scales=None, wd_scales=No
                 except NumericError as exc:
                     raise _diverged(tr, exc, t) from exc
                 tr.updates += 1
-            if on_step_end is not None:
-                on_step_end(t, by_name)
             t += 1
         epoch += 1
+    for tr, b, before in frozen:
+        if tr.net.block_bytes(b) != before:
+            raise AssertionError(
+                f"{tr.name}: frozen block {b} changed during its last phase")
     for tr in trainees:
         if tr.anchor is not None:
             sync_blocks(tr.net, tr.anchor.net,
                         [b for b in range(tr.net.m) if b not in tr.update_blocks])
-    return by_name
+    return {tr.name: tr for tr in trainees}
 
 
 def _diverged(tr, exc, t):
@@ -347,14 +378,11 @@ def _check_shared_path(tr, view, labels, blocks, shared_grads, t):
 # public training entry points
 
 def train_single(spec: NetSpec, pd: PairedDataset, plan: TrainPlan,
-                 dtype=np.float32, init_from=None, lr_scales=None,
-                 wd_scales=None, phase_blocks=None, on_step_end=None) -> BlockNet:
+                 dtype=np.float32, init_from=None) -> BlockNet:
     """Direct training of one network on its plan's dataset role."""
     plan.validate()
     net = _initial_net(spec, plan, dtype, init_from)
-    anchor = _anchor("anchor", net, plan.anchor_role)
-    _lockstep(pd, plan, [anchor], lr_scales=lr_scales, wd_scales=wd_scales,
-              phase_blocks=phase_blocks, on_step_end=on_step_end)
+    _lockstep(pd, plan, [_anchor("anchor", net, plan.anchor_role)])
     return net
 
 
@@ -398,20 +426,27 @@ class FamilyOutcome:
     sets: list
     steps: int
     update_counts: dict
+    retrained: dict = field(default_factory=dict)  # retraining name -> BlockNet
 
 
 def train_family(spec: NetSpec, pd: PairedDataset, plan_clean: TrainPlan,
                  plan_skewed: TrainPlan, sets, dtype=np.float32,
-                 debug_sync=False, init_from=None) -> FamilyOutcome:
-    """Both anchors plus one intervened model per (direction, set), trained in
-    a single lockstep pass so each anchor is trained exactly once.
+                 debug_sync=False, init_from=None,
+                 retrainings=None) -> FamilyOutcome:
+    """Both anchors plus one intervened model per (direction, set), and one
+    skewed-role net per named `Retraining`, trained in a single lockstep
+    pass so each anchor is trained exactly once.
 
     The partner of the full set A = [m] is not trained: it would retrain
     every block from the shared init on the opposite role's batches, which
     is what the opposite anchor does, so it gets its own copy of that
     anchor's net and update count. With `debug_sync` it trains for real,
     and an AssertionError names it unless it ends byte-equal to the
-    opposite anchor."""
+    opposite anchor.
+
+    A retraining trains on the skewed role from the shared init; its net is
+    returned in `retrained` under its name, and its update count under
+    "retrained:<name>"."""
     plan_clean.validate()
     plan_skewed.validate()
     if plan_clean.anchor_role != "clean" or plan_skewed.anchor_role != "skewed":
@@ -439,6 +474,12 @@ def train_family(spec: NetSpec, pd: PairedDataset, plan_clean: TrainPlan,
             trainees.append(
                 _partner(f"intervened:{anchor.data_role}:{key}", anchor, A)
             )
+    retrainings = dict(retrainings or {})
+    for name, r in retrainings.items():
+        trainees.append(_Trainee(
+            name=f"retrained:{name}", net=init.copy(), data_role="skewed",
+            update_blocks=list(range(spec.m)), retraining=r,
+        ))
     done = _lockstep(pd, plan_clean, trainees, debug_sync=debug_sync)
     nets = {name: tr.net for name, tr in done.items()}
     update_counts = {name: tr.updates for name, tr in done.items()}
@@ -460,6 +501,7 @@ def train_family(spec: NetSpec, pd: PairedDataset, plan_clean: TrainPlan,
         sets=sets,
         steps=plan_clean.steps,
         update_counts=update_counts,
+        retrained={name: nets[f"retrained:{name}"] for name in retrainings},
     )
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -29,8 +30,8 @@ from ..interventions import (
     WD_DOWN,
     WD_UP,
     TargetBlocks,
-    freeze_phases,
     freeze_protocol,
+    mitigation_extent,
     retrain_with_intervention,
 )
 from ..metrics import contributions, detect_divergence, increase_rates
@@ -220,19 +221,29 @@ def _mitigation_runs(m: int):
 
 
 def run_mitigation_trial(config: ExperimentConfig, seed: int):
-    """Anchors plus one retraining per (intervention kind, target)."""
+    """Anchors plus one retraining per (intervention kind, target), trained
+    in one lockstep run. Every record carries the trial's wall time up to the
+    end of training, as a family's records do, since the retrainings no
+    longer run one by one."""
     started = time.monotonic()
     spec = config.net_spec()
     pd, test_clean, test_full = build_trial_data(config, seed)
     plan_c, plan_s = _plans(config, seed)
+    runs = _mitigation_runs(spec.m)
     fam = train_family(
         spec, pd, plan_c, plan_s, [], dtype=_dtype(config),
         init_from=_warmstart_net(config),
+        retrainings={
+            set_repr: freeze_protocol(spec.m, config.steps, target.blocks[0])
+            if kind.variant == "freeze"
+            else retrain_with_intervention(kind, target, spec.m)
+            for kind, target, set_repr in runs
+        },
     )
+    wall = time.monotonic() - started
     records = []
     nets = {}
     anchor_eval = evaluate_family(fam, (test_clean, test_full))
-    wall = time.monotonic() - started
     for role_name, role in (("clean_anchor", "clean"), ("skewed_anchor", "skewed")):
         ec, es = anchor_eval[role]
         rec = _record(config, seed, role_name, "", ec, es, wall_time=wall)
@@ -240,27 +251,17 @@ def run_mitigation_trial(config: ExperimentConfig, seed: int):
         nets[rec.run_id] = fam.anchors[role]
     err_c = anchor_eval["clean"][0].error_fraction
     err_s = anchor_eval["skewed"][0].error_fraction
-    for kind, target, set_repr in _mitigation_runs(spec.m):
-        t0 = time.monotonic()
-        if kind.variant == "freeze":
-            res = freeze_protocol(
-                spec, pd, plan_s, target.blocks[0], test_clean, err_c, err_s,
-                dtype=_dtype(config),
-            )
-        else:
-            res = retrain_with_intervention(
-                spec, pd, plan_s, kind, target, test_clean, err_c, err_s,
-                dtype=_dtype(config),
-            )
-        es_i = evaluate(res.network, test_full)
+    for kind, target, set_repr in runs:
+        net = fam.retrained[set_repr]
+        ec, es = evaluate(net, test_clean), evaluate(net, test_full)
+        extent = mitigation_extent(ec.error_fraction, err_c, err_s)
         records.append(
             _record(
-                config, seed, "mitigation", set_repr, res.clean_eval, es_i,
-                wall_time=time.monotonic() - t0,
+                config, seed, "mitigation", set_repr, ec, es, wall_time=wall,
                 interv_kind=kind.label(),
                 interv_factor="" if kind.variant == "freeze" else repr(kind.factor),
                 interv_targets=target.label(),
-                extent="" if res.extent is None else repr(res.extent),
+                extent="" if extent is None else repr(extent),
             )
         )
     return records, nets
@@ -293,7 +294,10 @@ def run_grid(config: ExperimentConfig, store: ResultsStore, kind="family",
     if kind not in ("family", "anchors", "mitigation"):
         raise UsageError(f"unknown grid kind {kind!r}")
     if kind == "mitigation":
-        freeze_phases(config.steps)  # a too-short run fails before any training
+        # a too-short run fails before any training
+        freeze_protocol(config.net_spec().m, config.steps, 0)
+        if config.mode == "warmstart":
+            _check_retrain_init(config, store)
     existing = store.existing_run_ids()
     cfg_dict = config.to_dict()
     pending = []
@@ -314,6 +318,21 @@ def run_grid(config: ExperimentConfig, store: ResultsStore, kind="family",
             finally:
                 pool.shutdown(cancel_futures=True)
     return _persist(config, store, existing, pending, map(_trial_worker, args), log)
+
+
+def _check_retrain_init(config, store):
+    """ConfigError if the store holds a retraining of this warm-start grid
+    whose manifest lacks the `retrain_init` marker: it was written when
+    retrainings started from a fresh init, not the checkpoint."""
+    trials = {trial_id(config, seed) for seed in config.seeds}
+    for rec in store.load():
+        path = Path(store.manifest_dir, f"{rec.run_id}.json")
+        if rec.role == "mitigation" and rec.trial_id in trials and not (
+                path.is_file() and '"retrain_init"' in path.read_text()):
+            raise ConfigError(f"{store.out_dir}: retraining {rec.run_id} has no "
+                              "retrain_init marker, so it may predate retraining "
+                              "from the warm-start checkpoint; rerun the grid "
+                              "into a fresh out directory")
 
 
 def _in_seed_order(pool, futures):
@@ -360,6 +379,8 @@ def _manifest(config: ExperimentConfig, rec: RunRecord) -> dict:
         "config": config.cell_dict(),
         "status": rec.status,
         "diverged": rec.diverged,
+        # retrainings start from the anchors' init; see _check_retrain_init
+        **({"retrain_init": "shared"} if rec.role == "mitigation" else {}),
     }
 
 

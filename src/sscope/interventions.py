@@ -7,9 +7,14 @@ kept block). Mitigation extent normalizes the clean-test recovery against
 the clean/skewed anchor gap, so 0 means "as bad as the skewed anchor" and 1
 means "fully recovered".
 
-Scaling applies over the full schedule. A factor of 1 must reproduce the
-skewed anchor bit-exactly, which pins the retraining loop to the anchor's
-exact arithmetic.
+`retrain_with_intervention` and `freeze_protocol` describe a retraining as a
+`counterfact.Retraining` value (block scale factors, or a phase schedule);
+`counterfact.train_family` trains any number of them alongside the anchors
+in one lockstep run, so a mitigation trial draws each batch once. Scaling
+applies over the full schedule. A factor of 1 must reproduce the skewed
+anchor bit-exactly, which pins the retraining loop to the anchor's exact
+arithmetic. The engine checks the freezing protocol's contract: the frozen
+blocks end with the bytes they held as the last phase began.
 """
 
 from __future__ import annotations
@@ -18,15 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counterfact import TrainPlan, train_single
+from .counterfact import Retraining
 from .errors import ConfigError, UsageError
 from .metrics import GAP_FLOOR, LocalizationProfile, _as_fraction
-from .netcore import BlockNet, EvalReport, NetSpec, evaluate
 
 __all__ = [
     "InterventionKind",
     "TargetBlocks",
-    "MitigationResult",
     "LR_UP",
     "LR_DOWN",
     "WD_UP",
@@ -34,7 +37,6 @@ __all__ = [
     "FREEZE",
     "mitigation_extent",
     "retrain_with_intervention",
-    "freeze_phases",
     "freeze_protocol",
     "build_mitigation_regression",
 ]
@@ -96,15 +98,6 @@ class TargetBlocks:
         return "+".join(map(str, self.blocks))
 
 
-@dataclass(frozen=True)
-class MitigationResult:
-    extent: float | None  # None when the anchor gap is below the floor
-    extent_defined: bool
-    network: BlockNet
-    clean_eval: EvalReport  # the network on clean_test
-    provenance: dict
-
-
 def mitigation_extent(err_intervened, err_c, err_s, gap_floor=GAP_FLOOR):
     """(err_s - err_i) / (err_s - err_c); None when the gap is below the floor.
 
@@ -120,43 +113,28 @@ def mitigation_extent(err_intervened, err_c, err_s, gap_floor=GAP_FLOOR):
     return float((err_s - err_i) / gap)
 
 
-def retrain_with_intervention(spec: NetSpec, pd, plan_skewed: TrainPlan,
-                              kind: InterventionKind, targets: TargetBlocks,
-                              clean_test, err_c, err_s,
-                              dtype=np.float32) -> MitigationResult:
-    """Rerun the skewed training with scaled LR or WD on the targeted blocks."""
+def retrain_with_intervention(kind: InterventionKind, targets: TargetBlocks,
+                              m: int) -> Retraining:
+    """The skewed retraining with the LR or WD of the targeted blocks scaled
+    by the kind's factor over the full schedule."""
     kind.validate()
-    targets.validate(spec.m)
-    if plan_skewed.anchor_role != "skewed":
-        raise UsageError("mitigation retraining expects the skewed plan")
+    targets.validate(m)
     if kind.variant == "freeze":
         raise UsageError("use freeze_protocol for the freezing intervention")
     scales = {b: kind.factor for b in targets.blocks}
-    lr_scales = scales if kind.variant == "lr_scale" else None
-    wd_scales = scales if kind.variant == "wd_scale" else None
-    net = train_single(
-        spec, pd, plan_skewed, dtype=dtype, lr_scales=lr_scales, wd_scales=wd_scales
-    )
-    report = evaluate(net, clean_test)
-    extent = mitigation_extent(report.error_fraction, err_c, err_s)
-    return MitigationResult(
-        extent=extent,
-        extent_defined=extent is not None,
-        network=net,
-        clean_eval=report,
-        provenance={
-            "kind": kind.label(),
-            "factor": kind.factor,
-            "targets": targets.label(),
-            "schedule_scope": "full run",
-        },
-    )
+    if kind.variant == "lr_scale":
+        return Retraining(lr_scales=scales)
+    return Retraining(wd_scales=scales)
 
 
-def freeze_phases(steps: int, t1=None, t2=None) -> tuple:
-    """(t1, t2) of the freezing protocol over `steps` steps: 5% of the steps
-    each unless given. ConfigError unless both phases are non-empty and
-    leave steps for the kept block."""
+def freeze_protocol(m: int, steps: int, keep_block: int, t1=None,
+                    t2=None) -> Retraining:
+    """Three-phase freezing over `steps` steps: the last block only for t1
+    steps, all blocks for t2 steps, then only keep_block for the remainder.
+    t1 and t2 are 5% of the steps each unless given. ConfigError unless both
+    phases are non-empty and leave steps for the kept block."""
+    if not 0 <= keep_block < m:
+        raise UsageError(f"keep_block {keep_block} outside [0, {m})")
     t1 = int(round(0.05 * steps)) if t1 is None else int(t1)
     t2 = int(round(0.05 * steps)) if t2 is None else int(t2)
     if t1 < 1 or t2 < 1:
@@ -166,59 +144,8 @@ def freeze_phases(steps: int, t1=None, t2=None) -> tuple:
         raise ConfigError(
             f"freeze phases t1+t2={t1 + t2} leave no fine-tuning steps of T={steps}"
         )
-    return t1, t2
-
-
-def freeze_protocol(spec: NetSpec, pd, plan_skewed: TrainPlan, keep_block: int,
-                    clean_test, err_c, err_s, t1=None, t2=None,
-                    dtype=np.float32) -> MitigationResult:
-    """Three-phase freezing: last block only for t1 steps, all blocks for t2
-    steps, then only keep_block for the remainder."""
-    if not 0 <= keep_block < spec.m:
-        raise UsageError(f"keep_block {keep_block} outside [0, {spec.m})")
-    t1, t2 = freeze_phases(plan_skewed.steps, t1, t2)
-    all_blocks = list(range(spec.m))
-    last_only = [spec.m - 1]
-    kept_only = [keep_block]
-
-    def phases(t):
-        if t < t1:
-            return {"anchor": last_only}
-        if t < t1 + t2:
-            return {"anchor": all_blocks}
-        return {"anchor": kept_only}
-
-    frozen = [b for b in all_blocks if b != keep_block]
-    snapshot = {}
-
-    def on_step_end(t, by_name):
-        if t == t1 + t2 - 1:  # end of phase 2 == start of the frozen phase
-            net = by_name["anchor"].net
-            snapshot.update({b: net.block_bytes(b) for b in frozen})
-
-    net = train_single(
-        spec, pd, plan_skewed, dtype=dtype, phase_blocks=phases,
-        on_step_end=on_step_end,
-    )
-    for b in frozen:
-        if net.block_bytes(b) != snapshot[b]:
-            raise AssertionError(f"frozen block {b} changed during phase 3")
-    report = evaluate(net, clean_test)
-    extent = mitigation_extent(report.error_fraction, err_c, err_s)
-    return MitigationResult(
-        extent=extent,
-        extent_defined=extent is not None,
-        network=net,
-        clean_eval=report,
-        provenance={
-            "kind": "freeze",
-            "keep_block": keep_block,
-            "t1": t1,
-            "t2": t2,
-            "targets": str(keep_block),
-            "frozen_blocks_verified": True,
-        },
-    )
+    return Retraining(phases=((0, (m - 1,)), (t1, tuple(range(m))),
+                              (t1 + t2, (keep_block,))))
 
 
 REGRESSION_COLUMNS = (

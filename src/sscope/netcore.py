@@ -20,6 +20,8 @@ step (see optim).
 at block 0, and a non-finite activation raises NumericError naming its block);
 `loss_and_grad` runs it keeping each layer's cache, and `evaluate` runs it
 chunk by chunk, so every path computes a net's activations the same way.
+Gradients are checked for non-finite values once, by the optimizer, over the
+blocks it updates.
 
 Image activations are NCHW-shaped but channels-last in memory: a conv
 writes its GEMM rows, ReLU and MaxPool keep their input's layout, and the
@@ -118,6 +120,8 @@ class Conv2d:
     def out_shape(self, in_shape):
         if len(in_shape) != 3 or in_shape[0] != self.in_ch:
             raise UsageError(f"{self} cannot consume shape {in_shape}")
+        if self.kernel < 1 or self.stride < 1 or self.pad < 0:
+            raise UsageError(f"{self} needs kernel, stride >= 1 and pad >= 0")
         _, h, w = in_shape
         oh = (h + 2 * self.pad - self.kernel) // self.stride + 1
         ow = (w + 2 * self.pad - self.kernel) // self.stride + 1
@@ -209,6 +213,8 @@ class MaxPool:
     def out_shape(self, in_shape):
         if len(in_shape) != 3:
             raise UsageError(f"MaxPool cannot consume shape {in_shape}")
+        if self.kernel < 1:
+            raise UsageError(f"MaxPool({self.kernel}) needs a kernel >= 1")
         c, h, w = in_shape
         if h % self.kernel or w % self.kernel:
             raise UsageError(
@@ -521,6 +527,9 @@ def loss_and_grad(net: BlockNet, x, labels, start=0):
     lowest parameterised layer of blocks >= start and never computes that
     layer's input gradient. Pure in (params, batch): caches live only for
     the duration of the call.
+
+    A non-finite activation or loss raises NumericError; gradients are
+    scanned only by `Optimizer.step`, over the blocks it updates.
     """
     if not 0 <= start < net.m:
         raise UsageError(f"start block {start} outside [0, {net.m})")
@@ -544,8 +553,6 @@ def loss_and_grad(net: BlockNet, x, labels, start=0):
             dy, cache, net._layer_params(bi, li), need_dx=i > lowest
         )
         for name, g in layer_grads.items():
-            if not np.isfinite(g).all():
-                raise NumericError(f"non-finite gradient in block {bi}", bi)
             grads[f"b{bi}.l{li}.{name}"] = g
     return loss, grads
 

@@ -21,8 +21,7 @@ from test_stats import (
     t_tail_oracle,
 )
 
-from sscope import skewlab as sl
-from sscope.counterfact import InterventionSet, train_pair, train_single
+from sscope.counterfact import InterventionSet, train_family, train_pair, train_single
 from sscope.expcli.config import ExperimentConfig
 from sscope.expcli.runner import (
     contribution_rows,
@@ -252,19 +251,19 @@ def test_criterion_09_intervention_noop_and_freeze():
     spec = mlp4_spec()
     task = watermark_task()
     pd = make_paired(task, n=512, seed=93)
-    test_clean = sl.gen_clean_synthetic(task, 256, seed=94)
     plan = quick_plan("skewed", steps=600, batch_size=32, master_seed=21)
+    noop = retrain_with_intervention(InterventionKind("lr_scale", 1.0),
+                                     TargetBlocks((1,)), spec.m)
+    # the engine raises unless the frozen blocks keep their phase-3 bytes
+    freeze = freeze_protocol(spec.m, plan.steps, keep_block=2, t1=30, t2=30)
+    fam = train_family(
+        spec, pd, quick_plan("clean", steps=600, batch_size=32, master_seed=21),
+        plan, [], retrainings={"noop": noop, "freeze": freeze},
+    )
     anchor = train_single(spec, pd, plan)
-    res = retrain_with_intervention(
-        spec, pd, plan, InterventionKind("lr_scale", 1.0), TargetBlocks((1,)),
-        test_clean, err_c=Fraction(1, 10), err_s=Fraction(4, 10),
-    )
-    assert net_bytes(res.network) == net_bytes(anchor)
-    frozen = freeze_protocol(
-        spec, pd, plan, keep_block=2, clean_test=test_clean,
-        err_c=Fraction(1, 10), err_s=Fraction(4, 10), t1=30, t2=30,
-    )
-    assert frozen.provenance["frozen_blocks_verified"]
+    assert net_bytes(fam.anchors["skewed"]) == net_bytes(anchor)
+    assert net_bytes(fam.retrained["noop"]) == net_bytes(anchor)
+    assert net_bytes(fam.retrained["freeze"]) != net_bytes(anchor)
     ok(9, "factor-1 retraining is byte-identical to the skewed anchor; "
           "freeze contract verified byte-wise")
 

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -17,7 +15,15 @@ from sscope.counterfact import (
 )
 from sscope.errors import TrainingDiverged, UsageError
 from sscope.expcli.presets import net_spec, task_spec
-from sscope.interventions import freeze_protocol
+from sscope.interventions import (
+    LR_UP,
+    WD_DOWN,
+    WD_UP,
+    InterventionKind,
+    TargetBlocks,
+    freeze_protocol,
+    retrain_with_intervention,
+)
 from sscope.rng import subseed
 from test_optim import PerKeyOptimizer
 
@@ -220,16 +226,22 @@ def test_warmstart_shares_initial_weights(small_paired):
 # --------------------------------------------------------------------------
 # the engine against a slow reference loop
 
-def reference_lockstep(pd, plan, init, members, phases=None):
+def reference_lockstep(pd, plan, init, members, knobs=None):
     """Lockstep training spelled out the slow way: every computing trainee
     runs a full forward and backward pass on its own net and steps the
     blocks it updates, then each partner copies all other blocks from its
     anchor. members maps a name to (data role, update blocks, anchor name
-    or None); phases(t), if given, replaces every update set at step t.
-    Updates go through the per-key reference optimizer.
+    or None); knobs maps a name to its Retraining, whose scale factors go
+    to its optimizer and whose phases replace its update set from each
+    phase's first step on. Updates go through the per-key reference
+    optimizer.
     """
+    knobs = {name: (knobs or {}).get(name, cf.Retraining()) for name in members}
     nets = {name: init.copy() for name in members}
-    opts = {name: PerKeyOptimizer(plan.optimizer, plan.schedule) for name in members}
+    opts = {name: PerKeyOptimizer(plan.optimizer, plan.schedule,
+                                  knobs[name].lr_scales, knobs[name].wd_scales)
+            for name in members}
+
     t = epoch = 0
     while t < plan.steps:
         eseed = subseed(plan.master_seed, "shuffle", epoch)
@@ -237,7 +249,7 @@ def reference_lockstep(pd, plan, init, members, phases=None):
             if t >= plan.steps:
                 break
             views = {"clean": batch.clean_x, "skewed": batch.skew_x}
-            blocks = {name: phases(t) if phases else upd
+            blocks = {name: knobs[name].blocks_at(t, upd)
                       for name, (_, upd, _) in members.items()}
             grads = {name: nc.loss_and_grad(nets[name], views[role], batch.labels)[1]
                      for name, (role, _, _) in members.items() if blocks[name]}
@@ -365,18 +377,40 @@ def test_family_evaluation_follows_evaluate_chunks(small_paired, monkeypatch):
 def test_freeze_protocol_matches_reference_loop(small_paired):
     spec = small_cnn_spec()
     plan = quick_plan("skewed", steps=14, master_seed=17)
-    test_clean = sl.gen_clean_synthetic(watermark_task(), 32, seed=3)
-    res = freeze_protocol(spec, small_paired, plan, keep_block=2,
-                          clean_test=test_clean, err_c=Fraction(1, 10),
-                          err_s=Fraction(4, 10), t1=3, t2=3)
-    m = spec.m
-
-    def phases(t):
-        return [m - 1] if t < 3 else list(range(m)) if t < 6 else [2]
-
+    freeze = freeze_protocol(spec.m, plan.steps, keep_block=2, t1=3, t2=3)
+    fam = train_family(spec, small_paired, quick_plan("clean", steps=14, master_seed=17),
+                       plan, [], retrainings={"freeze": freeze})
     ref = reference_lockstep(small_paired, plan, nc.build_net(spec, seed=17),
-                             {"anchor": ("skewed", None, None)}, phases)
-    assert net_bytes(res.network) == net_bytes(ref["anchor"])
+                             {"freeze": ("skewed", None, None)}, {"freeze": freeze})
+    assert net_bytes(fam.retrained["freeze"]) == net_bytes(ref["freeze"])
+
+
+def test_mitigation_family_matches_reference_loop(small_paired):
+    # anchors, LR/WD retrainings (a factor-1 one among them) and freeze
+    # retrainings in one lockstep run, against one slow run per net
+    spec = small_cnn_spec()
+    m, steps = spec.m, 12
+    retrainings = {
+        "lr_up@1": retrain_with_intervention(LR_UP, TargetBlocks((1,)), m),
+        "lr_1@0+1": retrain_with_intervention(InterventionKind("lr_scale", 1.0),
+                                              TargetBlocks((0, 1)), m),
+        "wd_down@2+3": retrain_with_intervention(WD_DOWN, TargetBlocks((2, 3)), m),
+        "wd_up@0": retrain_with_intervention(WD_UP, TargetBlocks((0,)), m),
+        "freeze@0": freeze_protocol(m, steps, 0, t1=2, t2=3),
+        "freeze@2": freeze_protocol(m, steps, 2, t1=2, t2=3),
+    }
+    plans = [quick_plan(r, steps=steps, master_seed=19) for r in cf.ROLES]
+    fam = train_family(spec, small_paired, *plans, [], retrainings=retrainings)
+    nets = {f"anchor:{r}": fam.anchors[r] for r in cf.ROLES} | fam.retrained
+    for name, net in nets.items():
+        role = name[len("anchor:"):] if name.startswith("anchor:") else "skewed"
+        ref = reference_lockstep(small_paired, plans[0], nc.build_net(spec, seed=19),
+                                 {name: (role, list(range(m)), None)}, retrainings)
+        assert net_bytes(net) == net_bytes(ref[name]), name
+    assert net_bytes(fam.retrained["lr_1@0+1"]) == net_bytes(fam.anchors["skewed"])
+    assert net_bytes(fam.retrained["lr_up@1"]) != net_bytes(fam.anchors["skewed"])
+    assert fam.update_counts == {**{f"anchor:{r}": steps for r in cf.ROLES},
+                                 **{f"retrained:{name}": steps for name in retrainings}}
 
 
 def test_debug_sync_catches_a_perturbed_prefix(small_paired, monkeypatch):

@@ -1,11 +1,17 @@
 import json
 import os
 import shutil
+import tempfile
 import time
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sscope import counterfact as cf
 from sscope.errors import ConfigError, StoreError, UsageError
 from sscope.expcli import runner
 from sscope.expcli.cli import main
@@ -19,6 +25,8 @@ from sscope.expcli.runner import (
     run_grid,
 )
 from sscope.expcli.store import SCHEMA_TAG, ResultsStore
+from sscope.interventions import mitigation_extent
+from sscope.netcore import build_net, save_checkpoint
 from sscope.skewlab import load_ssd1
 
 
@@ -127,6 +135,62 @@ def test_store_rejects_foreign_schema(tmp_path):
         fh.write("id,role\n1,x\n")
     with pytest.raises(StoreError, match="schema"):
         store.load()
+
+
+def test_mitigation_trial_is_one_lockstep_run(tmp_path, monkeypatch):
+    lockstep = cf._lockstep
+    runs = []
+
+    def counted(pd, plan, trainees, debug_sync=False):
+        runs.append([tr.name for tr in trainees])
+        return lockstep(pd, plan, trainees, debug_sync)
+
+    monkeypatch.setattr(cf, "_lockstep", counted)
+    config = tiny_config(tmp_path, seeds=[0])  # mlp4: m = 4
+    records, _ = runner.run_mitigation_trial(config, 0)
+    sets = [s for _, _, s in runner._mitigation_runs(4)]
+    assert len(sets) == 4 * (4 + 3) + 4  # LR/WD kinds on single and double targets
+    assert runs == [["anchor:clean", "anchor:skewed"]
+                    + [f"retrained:{s}" for s in sets]]
+    assert [r.set for r in records] == ["", ""] + sets
+    assert len({r.wall_time for r in records}) == 1  # the trial's wall time
+    # every extent is the record's own clean-test error against the anchors'
+    err_c, err_s = (Fraction(r.err_clean_num, r.err_clean_den) for r in records[:2])
+    assert [r.role for r in records[:2]] == ["clean_anchor", "skewed_anchor"]
+    extents = []
+    for rec, (kind, target, _) in zip(records[2:], runner._mitigation_runs(4)):
+        extent = mitigation_extent(
+            Fraction(rec.err_clean_num, rec.err_clean_den), err_c, err_s)
+        assert rec.extent == ("" if extent is None else repr(extent))
+        assert (rec.interv_kind, rec.interv_factor, rec.interv_targets) == (
+            kind.label(), "" if kind.variant == "freeze" else repr(kind.factor),
+            target.label())
+        extents.append(extent)
+    assert len(set(extents) - {None}) > 1  # the trial's gap is above the floor
+
+
+def test_warmstart_mitigation_refuses_unmarked_retrainings(tmp_path):
+    ckpt = tmp_path / "init.ssc1"
+    save_checkpoint(build_net(net_spec("mlp4", task_spec("bars16", None)), seed=5),
+                    ckpt)
+    config = tiny_config(tmp_path / "run", seeds=[0], mode="warmstart",
+                         warmstart_checkpoint=str(ckpt))
+    store = ResultsStore(config.out)
+    assert run_grid(config, store, kind="mitigation", log=lambda *_: None) > 0
+    two_seeds = tiny_config(tmp_path / "run", seeds=[0, 1], mode="warmstart",
+                            warmstart_checkpoint=str(ckpt))
+    before = store.load()
+    # a record written when warm-start retrainings started from a fresh init
+    path = Path(store.manifest_dir) / f"{before[-1].run_id}.json"
+    manifest = json.loads(path.read_text())
+    assert manifest.pop("retrain_init") == "shared"
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ConfigError, match="fresh out directory"):
+        run_grid(two_seeds, store, kind="mitigation", log=lambda *_: None)
+    assert store.load() == before
+    path.unlink()  # a missing manifest proves nothing either
+    with pytest.raises(ConfigError, match="fresh out directory"):
+        run_grid(two_seeds, store, kind="mitigation", log=lambda *_: None)
 
 
 @pytest.mark.parametrize("kind", ["anchors", "family", "mitigation"])
@@ -250,6 +314,31 @@ def test_torn_last_row_is_ignored_and_rewritten(anchors_cli_store, tmp_path, kee
     resumed = csv_path.read_bytes()
     assert resumed[:last] == data[:last]
     assert resumed.endswith(b"\r\n") and resumed.count(b"\n") == data.count(b"\n")
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_results_cut_at_any_offset_load_whole_rows_and_append_whole(
+        anchors_cli_store, data):
+    raw = (anchors_cli_store[1] / "results.csv").read_bytes()
+    cut = data.draw(st.integers(0, len(raw)), label="cut")
+    with tempfile.TemporaryDirectory() as tmp:
+        store = ResultsStore(tmp)
+        Path(store.csv_path).write_bytes(raw)
+        records = store.load()
+        Path(store.csv_path).write_bytes(raw[:cut])
+        try:
+            kept = store.load()
+        except StoreError:
+            return
+        # the header and each row end in "\r\n"; a row is whole once its "\n" is in
+        whole = max(raw[:cut].count(b"\n") - 1, 0)
+        assert kept == records[:whole]
+        store.append(records[-1])
+        torn_free = Path(store.csv_path).read_bytes()
+        assert torn_free.endswith(b"\r\n")
+        assert torn_free.count(b"\n") == whole + 2
+        assert store.load() == records[:whole] + [records[-1]]
 
 
 @pytest.mark.parametrize("corrupt", ["short", "bad-int", "cut"])

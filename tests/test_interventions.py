@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import make_paired, mlp4_spec, net_bytes, quick_plan, watermark_task
-from sscope import skewlab as sl
-from sscope.counterfact import train_single
+from sscope import netcore as nc
+from sscope.counterfact import Retraining, train_family, train_single
 from sscope.errors import ConfigError, UsageError
 from sscope.interventions import (
     LR_UP,
@@ -18,18 +18,23 @@ from sscope.interventions import (
     retrain_with_intervention,
 )
 from sscope.metrics import LocalizationProfile
-from sscope.netcore import evaluate
+from sscope.optim import Optimizer
 from sscope.stats import ols_fit
+from test_counterfact import reference_lockstep
 
 F = Fraction
 
 
 @pytest.fixture(scope="module")
-def setting():
-    task = watermark_task()
-    pd = make_paired(task, n=128, seed=33)
-    test = sl.gen_clean_synthetic(task, 64, seed=34)
-    return mlp4_spec(), pd, test
+def paired():
+    return make_paired(watermark_task(), n=128, seed=33)
+
+
+def retrain(spec, pd, steps, master_seed, **retrainings):
+    """A family of the two anchors and the named retrainings."""
+    return train_family(spec, pd, quick_plan("clean", steps, master_seed=master_seed),
+                        quick_plan("skewed", steps, master_seed=master_seed), [],
+                        retrainings=retrainings)
 
 
 def test_target_validation():
@@ -41,37 +46,35 @@ def test_target_validation():
         TargetBlocks((5,)).validate(4)
     with pytest.raises(UsageError):
         InterventionKind("momentum", 2.0).validate()
+    with pytest.raises(UsageError, match="freeze_protocol"):
+        retrain_with_intervention(InterventionKind("freeze"), TargetBlocks((1,)), 4)
 
 
-def test_identity_intervention_reproduces_anchor(setting):
-    spec, pd, test = setting
-    plan = quick_plan("skewed", steps=30, master_seed=12)
-    anchor = train_single(spec, pd, plan)
-    res = retrain_with_intervention(
-        spec, pd, plan, InterventionKind("lr_scale", 1.0), TargetBlocks((2,)),
-        test, err_c=F(1, 10), err_s=F(3, 10),
-    )
-    assert net_bytes(res.network) == net_bytes(anchor)
-    anchor_err = evaluate(anchor, test).error_fraction
-    assert res.extent == pytest.approx(
-        mitigation_extent(anchor_err, F(1, 10), F(3, 10))
-    )
+def test_identity_intervention_reproduces_anchor(paired):
+    spec = mlp4_spec()
+    noop = retrain_with_intervention(InterventionKind("lr_scale", 1.0),
+                                     TargetBlocks((2,)), spec.m)
+    assert noop == Retraining(lr_scales={2: 1.0})
+    fam = retrain(spec, paired, 30, 12, noop=noop)
+    direct = train_single(spec, paired, quick_plan("skewed", steps=30, master_seed=12))
+    assert net_bytes(fam.retrained["noop"]) == net_bytes(fam.anchors["skewed"])
+    assert net_bytes(fam.retrained["noop"]) == net_bytes(direct)
+    assert fam.update_counts["retrained:noop"] == 30
+    # a warm start is the shared init of the retrainings too
+    donor = nc.build_net(spec, seed=404)
+    warm = train_family(spec, paired, quick_plan("clean", 30, master_seed=12),
+                        quick_plan("skewed", 30, master_seed=12), [],
+                        init_from=donor, retrainings={"noop": noop})
+    assert net_bytes(warm.retrained["noop"]) == net_bytes(warm.anchors["skewed"])
+    assert net_bytes(warm.retrained["noop"]) != net_bytes(direct)
 
 
-def test_intervened_run_differs_and_is_deterministic(setting):
-    spec, pd, test = setting
-    plan = quick_plan("skewed", steps=30, master_seed=12)
-    anchor = train_single(spec, pd, plan)
-    runs = [
-        retrain_with_intervention(
-            spec, pd, plan, LR_UP, TargetBlocks((3,)),
-            test, err_c=F(1, 10), err_s=F(3, 10),
-        )
-        for _ in range(2)
-    ]
-    assert net_bytes(runs[0].network) != net_bytes(anchor)
-    assert net_bytes(runs[0].network) == net_bytes(runs[1].network)
-    assert round(runs[0].extent, 6) == round(runs[1].extent, 6)
+def test_intervened_run_differs_and_is_deterministic(paired):
+    spec = mlp4_spec()
+    up = retrain_with_intervention(LR_UP, TargetBlocks((3,)), spec.m)
+    runs = [retrain(spec, paired, 30, 12, up=up) for _ in range(2)]
+    assert net_bytes(runs[0].retrained["up"]) != net_bytes(runs[0].anchors["skewed"])
+    assert net_bytes(runs[0].retrained["up"]) == net_bytes(runs[1].retrained["up"])
 
 
 def test_extent_endpoints():
@@ -93,77 +96,82 @@ def test_extent_undefined_below_gap_floor():
     assert mitigation_extent(F(1, 10), F(1, 10), F(1, 10) + F(1, 1000)) is None
 
 
-def test_wd_intervention_runs(setting):
-    spec, pd, test = setting
-    plan = quick_plan("skewed", steps=20, master_seed=8)
-    res = retrain_with_intervention(
-        spec, pd, plan, WD_DOWN, TargetBlocks((0, 1)),
-        test, err_c=F(1, 10), err_s=F(3, 10),
-    )
-    assert res.extent_defined
-    assert res.provenance["targets"] == "0+1"
+def test_wd_intervention_runs(paired):
+    spec = mlp4_spec()
+    down = retrain_with_intervention(WD_DOWN, TargetBlocks((0, 1)), spec.m)
+    assert down == Retraining(wd_scales={0: 0.1, 1: 0.1})
+    fam = retrain(spec, paired, 20, 8, down=down)
+    assert net_bytes(fam.retrained["down"]) != net_bytes(fam.anchors["skewed"])
 
 
-def test_freeze_protocol_contract(setting):
-    # external oracle: rerun the same three phases, capture the frozen blocks'
-    # bytes at the start of phase 3, and require the protocol's final network
-    # to still hold exactly those bytes
-    spec, pd, test = setting
+def test_freeze_protocol_contract(paired):
+    # external oracle: capture the blocks' bytes as the optimizer is about to
+    # take the first phase-3 step, require the final network to still hold
+    # exactly those bytes outside the kept block, and replay the three phases
+    # with the slow reference loop
+    spec = mlp4_spec()
     plan = quick_plan("skewed", steps=40, master_seed=15)
     t1 = t2 = 4
     keep = spec.m - 1
-    res = freeze_protocol(
-        spec, pd, plan, keep_block=keep, clean_test=test,
-        err_c=F(1, 10), err_s=F(3, 10), t1=t1, t2=t2,
-    )
-    assert res.provenance["frozen_blocks_verified"]
-
-    def phases(t):
-        if t < t1:
-            return {"anchor": [spec.m - 1]}
-        if t < t1 + t2:
-            return {"anchor": list(range(spec.m))}
-        return {"anchor": [keep]}
-
+    freeze = freeze_protocol(spec.m, plan.steps, keep, t1=t1, t2=t2)
+    assert freeze.phases == ((0, (keep,)), (t1, (0, 1, 2, 3)), (t1 + t2, (keep,)))
     snapshot = {}
+    step = Optimizer.step
 
-    def capture(t, by_name):
-        if t == t1 + t2 - 1:
-            net = by_name["anchor"].net
-            snapshot.update(
-                {b: net.block_bytes(b) for b in range(spec.m) if b != keep}
-            )
+    def watched(self, net, grads, blocks, t):
+        if t == t1 + t2 and tuple(blocks) == (keep,):
+            snapshot.update({b: net.block_bytes(b) for b in range(spec.m)})
+        return step(self, net, grads, blocks, t)
 
-    replay = train_single(spec, pd, plan, phase_blocks=phases, on_step_end=capture)
-    assert net_bytes(replay) == net_bytes(res.network)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Optimizer, "step", watched)
+        fam = retrain(spec, paired, plan.steps, 15, freeze=freeze)
+    got = fam.retrained["freeze"]
     for b in range(spec.m):
         if b != keep:
-            assert res.network.block_bytes(b) == snapshot[b]
-    assert res.network.block_bytes(keep) != snapshot.get(keep, b"")
-    assert res.extent_defined
+            assert got.block_bytes(b) == snapshot[b]
+    assert got.block_bytes(keep) != snapshot[keep]
+    ref = reference_lockstep(paired, plan, nc.build_net(spec, seed=15),
+                             {"freeze": ("skewed", None, None)}, {"freeze": freeze})
+    assert net_bytes(ref["freeze"]) == net_bytes(got)
 
 
-def test_freeze_protocol_deterministic(setting):
-    spec, pd, test = setting
-    plan = quick_plan("skewed", steps=40, master_seed=16)
-    runs = [
-        freeze_protocol(
-            spec, pd, plan, keep_block=1, clean_test=test,
-            err_c=F(1, 10), err_s=F(3, 10), t1=3, t2=3,
-        )
-        for _ in range(2)
-    ]
-    assert net_bytes(runs[0].network) == net_bytes(runs[1].network)
-    assert runs[0].extent == runs[1].extent
+def test_frozen_block_write_in_last_phase_is_caught(paired):
+    spec = mlp4_spec()
+    freeze = freeze_protocol(spec.m, 20, keep_block=1, t1=2, t2=2)
+    step = Optimizer.step
+
+    def leaky(self, net, grads, blocks, t):
+        step(self, net, grads, blocks, t)
+        if t == 10 and tuple(blocks) == (1,):
+            net.params[net.block_keys(2)[0]].flat[0] += 1.0
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Optimizer, "step", leaky)
+        with pytest.raises(AssertionError,
+                           match="retrained:freeze: frozen block 2 changed"):
+            retrain(spec, paired, 20, 16, freeze=freeze)
+    retrain(spec, paired, 20, 16, freeze=freeze)  # unpatched, the contract holds
 
 
-def test_freeze_phase_validation(setting):
-    spec, pd, test = setting
-    plan = quick_plan("skewed", steps=40, master_seed=16)
+def test_freeze_protocol_deterministic(paired):
+    spec = mlp4_spec()
+    freeze = freeze_protocol(spec.m, 40, keep_block=1, t1=3, t2=3)
+    runs = [retrain(spec, paired, 40, 16, a=freeze, b=freeze) for _ in range(2)]
+    assert net_bytes(runs[0].retrained["a"]) == net_bytes(runs[1].retrained["a"])
+    assert net_bytes(runs[0].retrained["a"]) == net_bytes(runs[0].retrained["b"])
+
+
+def test_freeze_phase_validation():
     with pytest.raises(ConfigError):
-        freeze_protocol(spec, pd, plan, 0, test, F(1, 10), F(3, 10), t1=0, t2=0)
+        freeze_protocol(4, 40, 0, t1=0, t2=0)
     with pytest.raises(ConfigError):
-        freeze_protocol(spec, pd, plan, 0, test, F(1, 10), F(3, 10), t1=30, t2=30)
+        freeze_protocol(4, 40, 0, t1=30, t2=30)
+    with pytest.raises(ConfigError, match="non-empty"):
+        freeze_protocol(4, 10, 0)  # 5% of 10 steps rounds to 0
+    with pytest.raises(UsageError, match="keep_block"):
+        freeze_protocol(4, 40, 4)
+    assert freeze_protocol(4, 40, 2).phases == ((0, (3,)), (2, (0, 1, 2, 3)), (4, (2,)))
 
 
 def test_regression_dummy_coding():

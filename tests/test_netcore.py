@@ -252,6 +252,36 @@ def test_malformed_architecture_text_is_usage_error(old, new):
         load_bytes(raw[:4] + struct.pack("<I", len(bad)) + bad + raw[8 + length :])
 
 
+@settings(max_examples=100, deadline=None)
+@given(spec=small_specs(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_any_checkpoint_bit_flip_loads_or_is_usage_error(spec, seed, data):
+    _, raw = checkpoint_bytes(spec, seed)
+    (length,) = struct.unpack_from("<I", raw, 4)
+    # half the flips land in the header and architecture text
+    at = data.draw(st.integers(0, 8 + length - 1) | st.integers(0, len(raw) - 1),
+                   label="byte")
+    bit = data.draw(st.integers(0, 7), label="bit")
+    try:
+        net = load_bytes(raw[:at] + bytes([raw[at] ^ 1 << bit]) + raw[at + 1:])
+    except UsageError:
+        return
+    assert isinstance(net, nc.BlockNet)
+
+
+@pytest.mark.parametrize("old, new", [
+    ('["conv2d",1,2,3,1,1]', '["conv2d",1,2,3,0,1]'),
+    ('["maxpool",2]', '["maxpool",0]'),
+], ids=["zero-stride", "zero-pool"])
+def test_zero_conv_stride_or_pool_is_usage_error(old, new):
+    # one bit flip away from the saved text; the shape arithmetic divides by it
+    spec = nc.NetSpec([[nc.Conv2d(1, 2, 3, pad=1), nc.ReLU(), nc.MaxPool(2)],
+                       [nc.GlobalAvgPool(), nc.Dense(2, 3)]], 3, (1, 4, 4)).validate()
+    _, raw = checkpoint_bytes(spec, seed=3)
+    assert old.encode() in raw
+    with pytest.raises(UsageError, match=">= 1"):
+        load_bytes(raw.replace(old.encode(), new.encode()))
+
+
 def test_every_truncation_of_a_checkpoint_is_usage_error():
     _, raw = checkpoint_bytes(small_spec(), seed=3)
     for cut in range(len(raw)):

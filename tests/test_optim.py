@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sscope.errors import NumericError, UsageError
-from sscope.netcore import Dense, Flatten, NetSpec, ReLU, build_net
+from sscope.netcore import Dense, Flatten, NetSpec, ReLU, build_net, loss_and_grad
 from sscope.optim import ADAMW, SGD_NESTEROV, Optimizer, OptimizerConfig, ScheduleConfig, lr_at
 
 
@@ -179,6 +179,32 @@ def test_nonfinite_gradient_names_block_and_updates_nothing():
     g["b1.l0.b"][1] = np.nan
     with pytest.raises(NumericError) as exc:
         opt.step(net, g, [0, 1, 2], t=0)
+    assert exc.value.block_index == 1
+    assert net.flat.tobytes() == before
+
+
+def test_nonfinite_gradient_outside_the_update_set_does_not_abort(monkeypatch):
+    # loss_and_grad leaves the scan to the optimizer, which scans only the
+    # blocks it updates, as blocks below min(A) are not computed at all
+    net = dense_net(widths=(3, 4, 4, 2), dtype=np.float32)
+    backward = Dense.backward
+
+    def poisoned(self, dy, cache, params, need_dx=True):
+        dx, grads = backward(self, dy, cache, params, need_dx)
+        if (self.in_dim, self.out_dim) == (4, 4):  # block 1
+            grads["w"] = np.full_like(grads["w"], np.inf)
+        return dx, grads
+
+    monkeypatch.setattr(Dense, "backward", poisoned)
+    _, grads = loss_and_grad(net, np.ones((5, 3), np.float32), [0, 1, 0, 1, 0])
+    assert np.isinf(grads["b1.l0.w"]).all()
+    cfg = OptimizerConfig(ADAMW, peak_lr=0.1, weight_decay=0.01)
+    opt = Optimizer(cfg, flat_schedule(cfg.peak_lr))
+    opt.step(net, grads, [0, 2], t=0)
+    assert np.isfinite(net.flat).all()
+    before = net.flat.tobytes()
+    with pytest.raises(NumericError) as exc:
+        opt.step(net, grads, [1, 2], t=1)
     assert exc.value.block_index == 1
     assert net.flat.tobytes() == before
 
