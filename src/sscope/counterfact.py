@@ -293,10 +293,14 @@ def _lockstep(pd, plan, trainees, debug_sync=False):
     phase leaves untouched are recorded; an AssertionError names the trainee
     and the block unless they are unchanged when training ends.
     """
+    # steps run one at a time, so every optimizer shares one scratch buffer
+    net = trainees[0].net
+    work = np.empty((2, net.flat.size), net.dtype)
     for tr in trainees:
         tr.optimizer = Optimizer(plan.optimizer, plan.schedule,
                                  lr_block_scale=dict(tr.retraining.lr_scales),
-                                 wd_block_scale=dict(tr.retraining.wd_scales))
+                                 wd_block_scale=dict(tr.retraining.wd_scales),
+                                 work=work)
     frozen = []  # (trainee, block, its bytes as the trainee's last phase began)
     t = 0
     epoch = 0

@@ -20,6 +20,9 @@ step (see optim).
 at block 0, and a non-finite activation raises NumericError naming its block);
 `loss_and_grad` runs it keeping each layer's cache, and `evaluate` runs it
 chunk by chunk, so every path computes a net's activations the same way.
+The loop reads a plan of each layer's parameter names that the net builds
+once, and looks the names up in `params` on every call, so a rebound name
+is read at the next pass; the gradients are keyed from the same plan.
 Gradients are checked for non-finite values once, by the optimizer, over the
 blocks it updates.
 
@@ -38,6 +41,7 @@ maximum (lowest offset), whatever the window holds.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -87,7 +91,9 @@ class Dense:
         return {"w": w, "b": np.zeros(self.out_dim)}
 
     def forward(self, x, params):
-        return x @ params["w"] + params["b"], x
+        y = x @ params["w"]
+        y += params["b"]
+        return y, x
 
     def backward(self, dy, cache, params, need_dx=True):
         x = cache
@@ -197,10 +203,12 @@ class ReLU:
         return {}
 
     def forward(self, x, params):
-        return np.maximum(x, 0), x > 0
+        # the output is the cache: y > 0 exactly where x > 0
+        y = np.maximum(x, 0)
+        return y, y
 
     def backward(self, dy, cache, params, need_dx=True):
-        return dy * cache, {}
+        return dy * (cache > 0), {}
 
     def encode(self):
         return ["relu"]
@@ -321,8 +329,7 @@ _LAYER_DECODERS = {
     "flatten": lambda a: Flatten(),
 }
 
-_PARAMETERIZED = (Dense, Conv2d)
-_PARAM_NAMES = ("w", "b")  # the keys of every parameterised layer's init_params
+_PARAMETERIZED = (Dense, Conv2d)  # layers whose init_params has keys "w", "b"
 
 
 # --------------------------------------------------------------------------
@@ -405,17 +412,26 @@ class BlockNet:
     the forward and backward passes read it. While a lockstep partner
     trains, its shared blocks are views into its anchor's buffer instead,
     until `sync_blocks` copies them into its own (see counterfact).
+
+    The parameter names of each layer are worked out once, at construction:
+    `_plan[bi]` lists block bi's layers as (layer, weight name, bias name),
+    with None for the names of a layer without parameters. The passes look
+    those names up in `params` on every call, so rebinding a name (partner
+    aliasing, `sync_blocks`) takes effect at the next pass.
     """
 
     def __init__(self, spec: NetSpec, params: dict, dtype=np.float32):
         self.spec = spec
         self.dtype = np.dtype(dtype)
-        keys = [
-            f"b{bi}.l{li}.{name}"
+        self._plan = [
+            [(layer, f"b{bi}.l{li}.w", f"b{bi}.l{li}.b")
+             if isinstance(layer, _PARAMETERIZED) else (layer, None, None)
+             for li, layer in enumerate(block)]
             for bi, block in enumerate(spec.blocks)
-            for li, layer in enumerate(block) if isinstance(layer, _PARAMETERIZED)
-            for name in _PARAM_NAMES
         ]
+        self._block_keys = [[k for _, w, b in row if w for k in (w, b)]
+                            for row in self._plan]
+        keys = [k for names in self._block_keys for k in names]
         if sorted(keys) != sorted(params):
             raise UsageError(f"parameters {sorted(params)} do not match the spec's {keys}")
         arrays = [np.asarray(params[k]) for k in keys]
@@ -425,8 +441,6 @@ class BlockNet:
         for k, a in zip(keys, arrays):
             self._slots[k] = (lo, lo + a.size, a.shape)
             lo += a.size
-        self._block_keys = [[k for k in keys if k.startswith(f"b{i}.")]
-                            for i in range(spec.m)]
         self.block_offsets = [0]
         for names in self._block_keys:
             self.block_offsets.append(
@@ -466,24 +480,21 @@ class BlockNet:
         return self._forward(x, lo, hi)[0]
 
     def _forward(self, x, lo=0, hi=None, caches=None):
-        """`forward`, appending each layer's (bi, li, layer, cache) to
-        `caches` when a list is given (the backward pass reads them)."""
+        """`forward`, appending each layer's (layer, weight name, bias name,
+        parameters, cache) to `caches` when a list is given (the backward
+        pass reads them)."""
         if lo == 0:
             x = self._ingest(x)
+        params = self.params
         for bi in range(lo, self.m if hi is None else hi):
-            for li, layer in enumerate(self.spec.blocks[bi]):
-                x, cache = layer.forward(x, self._layer_params(bi, li))
+            for layer, w, b in self._plan[bi]:
+                p = {"w": params[w], "b": params[b]} if w else {}
+                x, cache = layer.forward(x, p)
                 if caches is not None:
-                    caches.append((bi, li, layer, cache))
+                    caches.append((layer, w, b, p, cache))
             if not np.isfinite(x).all():
                 raise NumericError(f"non-finite activation in block {bi}", bi)
         return x, caches
-
-    def _layer_params(self, bi, li):
-        """The live arrays of layer li of block bi, by parameter name."""
-        if not isinstance(self.spec.blocks[bi][li], _PARAMETERIZED):
-            return {}
-        return {name: self.params[f"b{bi}.l{li}.{name}"] for name in _PARAM_NAMES}
 
 
 def build_net(spec: NetSpec, seed: int, dtype=np.float32) -> BlockNet:
@@ -508,15 +519,16 @@ def build_net(spec: NetSpec, seed: int, dtype=np.float32) -> BlockNet:
 def softmax_xent(logits, labels):
     """Mean softmax cross-entropy and its logit gradient."""
     n = logits.shape[0]
+    rows = np.arange(n)
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     denom = exp.sum(axis=1, keepdims=True)
     log_probs = shifted - np.log(denom)
-    loss = -log_probs[np.arange(n), labels].mean()
-    dlogits = exp / denom
-    dlogits[np.arange(n), labels] -= 1.0
+    loss = -log_probs[rows, labels].mean()
+    dlogits = exp / denom  # logits' dtype, and stays so in place
+    dlogits[rows, labels] -= 1.0
     dlogits /= n
-    return float(loss), dlogits.astype(logits.dtype)
+    return float(loss), dlogits
 
 
 def loss_and_grad(net: BlockNet, x, labels, start=0):
@@ -540,20 +552,16 @@ def loss_and_grad(net: BlockNet, x, labels, start=0):
         raise UsageError("label out of range")
     logits, caches = net._forward(x, start, caches=[])
     loss, dy = softmax_xent(logits, labels)
-    if not np.isfinite(loss):
+    if not math.isfinite(loss):
         raise NumericError("non-finite loss", net.m - 1)
-    lowest = next(
-        i for i, (_, _, layer, _) in enumerate(caches)
-        if isinstance(layer, _PARAMETERIZED)
-    )
+    lowest = next(i for i, (_, w, _, _, _) in enumerate(caches) if w)
     grads = {}
     for i in range(len(caches) - 1, lowest - 1, -1):
-        bi, li, layer, cache = caches[i]
-        dy, layer_grads = layer.backward(
-            dy, cache, net._layer_params(bi, li), need_dx=i > lowest
-        )
-        for name, g in layer_grads.items():
-            grads[f"b{bi}.l{li}.{name}"] = g
+        layer, w, b, p, cache = caches[i]
+        dy, layer_grads = layer.backward(dy, cache, p, need_dx=i > lowest)
+        if w:
+            grads[w] = layer_grads["w"]
+            grads[b] = layer_grads["b"]
     return loss, grads
 
 

@@ -13,12 +13,14 @@ is never stepped keeps zero moments and a count of 0. Per-block
 learning-rate and weight-decay scale factors support the layer-wise
 mitigation experiments.
 
-A step updates each maximal run of consecutive blocks that share a learning
-rate scale, weight decay scale and step count with one slice operation per
-arithmetic op. Its scalars are a per-parameter loop's Python floats converted
-to the net's dtype, which is what an array op converts a Python float to
-(NEP 50), so every byte equals that loop's; a dtype scalar just skips the
-conversion inside each call.
+A step gathers the gradient into a scratch buffer, which optimizers that
+step one at a time (those of one lockstep run) share, and updates each
+maximal run of consecutive blocks that share a learning rate scale, weight
+decay scale and step count with one slice operation per arithmetic op. Its
+scalars are a per-parameter loop's Python floats converted to the net's
+dtype, which is what an array op converts a Python float to (NEP 50), so
+every byte equals that loop's; a dtype scalar just skips the conversion
+inside each call.
 """
 
 from __future__ import annotations
@@ -104,6 +106,11 @@ class Optimizer:
     schedule: ScheduleConfig
     lr_block_scale: dict = field(default_factory=dict)
     wd_block_scale: dict = field(default_factory=dict)
+    # scratch of shape (2, net.flat.size) in the net's dtype: the gathered
+    # gradient and a temporary, used only inside `step`, so optimizers that
+    # never step at the same time may share one (made at the first step
+    # when not given)
+    work: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.config.validate()
@@ -111,7 +118,6 @@ class Optimizer:
         self.m = None  # AdamW's first moment, flat; created at the first step
         self.v = None  # AdamW's second moment, or SGD's velocity
         self.block_steps = None  # updates applied to each block so far
-        self._work = None  # the gathered gradient and a temporary, flat
         self._layouts = {}  # update set -> (parameter names, its blocks' spans)
 
     def _layout(self, net, blocks):
@@ -154,11 +160,15 @@ class Optimizer:
             if self.config.kind == ADAMW:
                 self.m = np.zeros_like(net.flat)
             self.block_steps = [0] * net.m
-            self._work = np.empty((2, net.flat.size), net.flat.dtype)
+            if self.work is None:
+                self.work = np.empty((2, net.flat.size), net.flat.dtype)
+            elif self.work.dtype != net.dtype or self.work.shape != (2, net.flat.size):
+                raise UsageError(f"work buffer {self.work.shape} {self.work.dtype} "
+                                 f"does not fit a net of {net.flat.size} {net.dtype}")
         if not names:
             return  # the listed blocks hold no parameters
         g_all = np.concatenate([grads[k] for k in names], axis=None,
-                               out=self._work[0, : spans[-1][2]])
+                               out=self.work[0, : spans[-1][2]])
         if not np.isfinite(g_all).all():
             bad = next(b for b, lo, hi in spans if not np.isfinite(g_all[lo:hi]).all())
             raise NumericError(f"non-finite gradient in block {bad}", bad)
@@ -173,7 +183,7 @@ class Optimizer:
             lr = base_lr * self.lr_block_scale.get(first, 1.0)
             wd = self.config.weight_decay * self.wd_block_scale.get(first, 1.0)
             p, g, v = net.flat[lo:hi], g_all[glo:ghi], self.v[lo:hi]
-            tmp = self._work[1, lo:hi]
+            tmp = self.work[1, lo:hi]
             if self.config.kind == SGD_NESTEROV:
                 # coupled decay g <- g + wd*p, then the velocity lookahead
                 # v <- mu*v + g; p <- p - lr*(g + mu*v)

@@ -225,17 +225,17 @@ def _render_base(task, labels, rng):
     jitter = rng.integers(-1, 2, size=n)
     amp = np.float32(task.feature_contrast)
     if task.kind == "bars":
+        # class k < len(verts) draws the vertical bar verts[k], any other
+        # class the horizontal bar horiz[k - len(verts)]: one band of
+        # bar_width rows or columns per image, each pixel in it raised once
         verts, horiz = _bar_positions(task)
-        n_vert = len(verts)
         w = task.bar_width
-        for i in range(n):
-            k = labels[i]
-            if k < n_vert:
-                c = int(np.clip(verts[k] + jitter[i], 0, s - w))
-                img[i, :, :, c : c + w] += amp
-            else:
-                r = int(np.clip(horiz[k - n_vert] + jitter[i], 0, s - w))
-                img[i, :, r : r + w, :] += amp
+        start = np.clip(np.concatenate([verts, horiz])[labels] + jitter, 0, s - w)
+        at = np.arange(s) - start[:, None]
+        band = (at >= 0) & (at < w)  # (n, s): the image's bar rows or columns
+        vertical = (labels < len(verts))[:, None, None]
+        mask = np.where(vertical, band[:, None, :], band[:, :, None])
+        np.add(img, amp, out=img, where=mask[:, None])
     else:
         centers = _blob_centers(task)
         ys, xs = np.mgrid[0:s, 0:s]

@@ -56,5 +56,14 @@ def small_paired():
     return make_paired(watermark_task(), n=128, seed=21)
 
 
+def plan_layers(net, lo=0, hi=None):
+    """(block index, layer index, layer, its live parameters by name) for
+    every layer of blocks lo..hi-1, read through the net's plan of
+    parameter names."""
+    for bi in range(lo, net.m if hi is None else hi):
+        for li, (layer, w, b) in enumerate(net._plan[bi]):
+            yield bi, li, layer, ({"w": net.params[w], "b": net.params[b]} if w else {})
+
+
 def net_bytes(net):
     return b"".join(net.block_bytes(i) for i in range(net.m))

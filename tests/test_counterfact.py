@@ -95,6 +95,36 @@ def test_suffix_set_sync_contract(small_paired):
     )
 
 
+def test_partner_reads_anchor_arrays_until_sync(small_paired):
+    # the plan binds parameter names, not arrays: a partner's forward pass
+    # sees its anchor's in-place updates to the shared blocks, and after
+    # sync_blocks only its own copies
+    spec = mlp4_spec()
+    anchor = cf._anchor("anchor", nc.build_net(spec, seed=3), "clean")
+    partner = cf._partner("partner", anchor, InterventionSet.suffix(spec.m, 2))
+    x = small_paired.clean.pixels[:8]
+    before = partner.net.forward(x)
+    anchor.net.flat[: anchor.net.block_offsets[2]] *= 0.5  # shared blocks 0, 1
+    shared = partner.net.forward(x)
+    assert shared.tobytes() != before.tobytes()
+    assert partner.net.forward(x, 0, 2).tobytes() == anchor.net.forward(x, 0, 2).tobytes()
+    nc.sync_blocks(partner.net, anchor.net, [0, 1])
+    assert partner.net.forward(x).tobytes() == shared.tobytes()
+    anchor.net.flat[:] = 0.0
+    assert partner.net.forward(x).tobytes() == shared.tobytes()
+    for b in range(spec.m):
+        assert all(np.shares_memory(partner.net.params[k], partner.net.flat)
+                   for k in partner.net.block_keys(b))
+
+
+def test_lockstep_optimizers_share_one_work_buffer(small_paired):
+    spec = mlp4_spec()
+    anchor = cf._anchor("anchor", nc.build_net(spec, seed=3), "clean")
+    partner = cf._partner("partner", anchor, InterventionSet.suffix(spec.m, 2))
+    done = cf._lockstep(small_paired, quick_plan("clean", steps=3), [anchor, partner])
+    assert done["anchor"].optimizer.work is done["partner"].optimizer.work
+
+
 def test_pair_outcome_deterministic(small_paired):
     spec = mlp4_spec()
     A = InterventionSet.single_complement(spec.m, 1)

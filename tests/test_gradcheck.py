@@ -7,6 +7,7 @@ batch whose perturbed passes cross a ReLU or pooling kink is redrawn.
 
 import numpy as np
 import pytest
+from conftest import plan_layers
 
 from sscope import netcore as nc
 from sscope.rng import stream
@@ -85,20 +86,19 @@ def loss_and_pattern(net, x, labels):
     pooling argmax on the way (argmax ties break to the lowest offset)."""
     x = net._ingest(x)
     pattern = []
-    for bi, block in enumerate(net.spec.blocks):
-        for li, layer in enumerate(block):
-            if isinstance(layer, nc.ReLU):
-                pattern.append((x > 0).tobytes())
-            elif isinstance(layer, nc.MaxPool):
-                k = layer.kernel
-                n, c, h, w = x.shape
-                win = (
-                    x.reshape(n, c, h // k, k, w // k, k)
-                    .transpose(0, 1, 2, 4, 3, 5)
-                    .reshape(n, c, h // k, w // k, k * k)
-                )
-                pattern.append(win.argmax(axis=-1).tobytes())
-            x, _ = layer.forward(x, net._layer_params(bi, li))
+    for _, _, layer, params in plan_layers(net):
+        if isinstance(layer, nc.ReLU):
+            pattern.append((x > 0).tobytes())
+        elif isinstance(layer, nc.MaxPool):
+            k = layer.kernel
+            n, c, h, w = x.shape
+            win = (
+                x.reshape(n, c, h // k, k, w // k, k)
+                .transpose(0, 1, 2, 4, 3, 5)
+                .reshape(n, c, h // k, w // k, k * k)
+            )
+            pattern.append(win.argmax(axis=-1).tobytes())
+        x, _ = layer.forward(x, params)
     loss, _ = nc.softmax_xent(x, labels)
     return loss, b"".join(pattern)
 

@@ -1,7 +1,8 @@
 """The netcore layer kernels against reference copies of their earlier,
 plainer implementations: im2col through one 6-D gather, a k*k scatter loop
-for col2im, and MaxPool through argmax over a transposed copy. Every
-output, gradient and input gradient must match byte for byte.
+for col2im, MaxPool through argmax over a transposed copy, a Dense that adds
+its bias out of place and a ReLU that caches its mask. Every output,
+gradient and input gradient must match byte for byte.
 
 The reference kernels always saw C-contiguous gradients, so they get those
 here, while the current kernels get the layout (channels-last or NCHW)
@@ -10,6 +11,7 @@ named by each test.
 
 import numpy as np
 import pytest
+from conftest import plan_layers
 
 from sscope import netcore as nc
 from sscope.expcli.presets import net_spec, task_spec
@@ -81,6 +83,17 @@ class RefConv2d:
         return dxp, grads
 
 
+class RefDense:
+    def __init__(self, layer):
+        self.layer = layer
+
+    def forward(self, x, params):
+        return x @ params["w"] + params["b"], x
+
+    def backward(self, dy, cache, params, need_dx=True):
+        return self.layer.backward(dy, cache, params, need_dx)
+
+
 class RefReLU:
     def forward(self, x, params):
         return np.maximum(x, 0), x > 0
@@ -140,7 +153,9 @@ def reference(layer):
         return RefReLU()
     if isinstance(layer, nc.GlobalAvgPool):
         return RefGlobalAvgPool()
-    return layer  # Dense and Flatten are unchanged
+    if isinstance(layer, nc.Dense):
+        return RefDense(layer)
+    return layer  # Flatten is unchanged
 
 
 # --------------------------------------------------------------------------
@@ -301,28 +316,24 @@ def reference_loss_and_grad(net, x, labels, start=0):
     if start == 0:
         x = net._ingest(x)
     caches = []
-    for bi in range(start, net.m):
-        for li, layer in enumerate(net.spec.blocks[bi]):
-            impl = reference(layer)
-            x, cache = impl.forward(x, net._layer_params(bi, li))
-            caches.append((bi, li, layer, impl, cache))
+    for bi, li, layer, params in plan_layers(net, start):
+        impl = reference(layer)
+        x, cache = impl.forward(x, params)
+        caches.append((bi, li, layer, impl, params, cache))
     loss, dy = nc.softmax_xent(x, labels)
     lowest = next(i for i, c in enumerate(caches) if isinstance(c[2], (nc.Conv2d, nc.Dense)))
     grads = {}
     for i in range(len(caches) - 1, lowest - 1, -1):
-        bi, li, _, impl, cache = caches[i]
-        dy, layer_grads = impl.backward(
-            dy, cache, net._layer_params(bi, li), need_dx=i > lowest
-        )
+        bi, li, _, impl, params, cache = caches[i]
+        dy, layer_grads = impl.backward(dy, cache, params, need_dx=i > lowest)
         grads.update({f"b{bi}.l{li}.{n}": g for n, g in layer_grads.items()})
     return loss, grads
 
 
 def reference_forward(net, x, hi):
     x = net._ingest(x)
-    for bi in range(hi):
-        for li, layer in enumerate(net.spec.blocks[bi]):
-            x, _ = reference(layer).forward(x, net._layer_params(bi, li))
+    for _, _, layer, params in plan_layers(net, 0, hi):
+        x, _ = reference(layer).forward(x, params)
     return x
 
 
@@ -341,6 +352,7 @@ def small_spec():
 NETS = {
     "minicnn6-bars16": lambda: net_spec("minicnn6", task_spec("bars16", None)),
     "minicnn6-bars32": lambda: net_spec("minicnn6", task_spec("bars32", None)),
+    "mlp4-tint2": lambda: net_spec("mlp4", task_spec("tint2", None)),
     "small": small_spec,
 }
 

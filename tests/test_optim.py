@@ -223,6 +223,33 @@ def test_deterministic_trajectories():
     assert run() == run()
 
 
+@pytest.mark.parametrize("kind", [ADAMW, SGD_NESTEROV])
+def test_optimizers_sharing_a_work_buffer_match_their_own(kind):
+    # steps run one at a time, so interleaved optimizers may share scratch
+    cfg = OptimizerConfig(kind, peak_lr=0.05, weight_decay=0.01)
+    sch = ScheduleConfig(total_steps=20, warmup_share=0.1, min_lr=1e-4)
+    size = dense_net((3, 4, 2), np.float32).flat.size
+    work = np.empty((2, size), np.float32)
+    shared = [Optimizer(cfg, sch, lr_block_scale={1: 2.0}, work=work) for _ in range(2)]
+    own = [Optimizer(cfg, sch, lr_block_scale={1: 2.0}) for _ in range(2)]
+    nets = {id(o): dense_net((3, 4, 2), np.float32) for o in shared + own}
+    for t in range(20):
+        for i in range(2):
+            for opt in (shared[i], own[i]):
+                net = nets[id(opt)]
+                g = {k: np.sin(v * (i + 2) + t).astype(np.float32)
+                     for k, v in net.params.items()}
+                opt.step(net, g, [0, 1] if t % 3 else [1], t)
+    assert all(o.work is work for o in shared)
+    for a, b in zip(shared, own):
+        assert nets[id(a)].flat.tobytes() == nets[id(b)].flat.tobytes()
+        assert b.work is not work
+    for bad in (np.empty((2, size), np.float64), np.empty((2, size + 1), np.float32)):
+        net = dense_net((3, 4, 2), np.float32)
+        with pytest.raises(UsageError):
+            Optimizer(cfg, sch, work=bad).step(net, grads_of(net, [0], 1.0), [0], 0)
+
+
 # --------------------------------------------------------------------------
 # the flat optimizer against the per-key reference
 

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from sscope import skewlab as sl
 from sscope.errors import DataError, UsageError
+from sscope.expcli.presets import TASK_PRESETS
+from sscope.rng import stream
 
 
 def watermark_task(**kw):
@@ -56,6 +58,60 @@ def test_clean_glyph_label_uncorrelated():
 def test_zero_n_rejected():
     with pytest.raises(UsageError):
         sl.gen_clean_synthetic(watermark_task(), 0, seed=1)
+
+
+def render_base_loop(task, labels, rng):
+    """`_render_base` drawing one image at a time: the byte reference for
+    its batched bar drawing."""
+    n = len(labels)
+    s = task.size
+    img = (rng.random((n, task.channels, s, s)) * task.noise).astype(np.float32)
+    jitter = rng.integers(-1, 2, size=n)
+    amp = np.float32(task.feature_contrast)
+    if task.kind == "bars":
+        verts, horiz = sl._bar_positions(task)
+        n_vert = len(verts)
+        w = task.bar_width
+        for i in range(n):
+            k = labels[i]
+            if k < n_vert:
+                c = int(np.clip(verts[k] + jitter[i], 0, s - w))
+                img[i, :, :, c : c + w] += amp
+            else:
+                r = int(np.clip(horiz[k - n_vert] + jitter[i], 0, s - w))
+                img[i, :, r : r + w, :] += amp
+    else:
+        centers = sl._blob_centers(task)
+        ys, xs = np.mgrid[0:s, 0:s]
+        for i in range(n):
+            by, bx = centers[labels[i]]
+            bump = np.exp(
+                -((ys - by - jitter[i]) ** 2 + (xs - bx - jitter[i]) ** 2)
+                / (2 * 1.6**2)
+            )
+            img[i] += 2.0 * amp * bump.astype(np.float32)[None]
+    np.clip(img, 0.0, 1.0, out=img)
+    return img
+
+
+RENDER_TASKS = {
+    **{name: sl.SyntheticTaskSpec(**kw) for name, kw in TASK_PRESETS.items()},
+    "bars16-width2": sl.SyntheticTaskSpec(bar_width=2),
+    "bars32-width3-rgb": sl.SyntheticTaskSpec(size=32, bar_width=3, channels=3),
+    "bars16-one-class": sl.SyntheticTaskSpec(class_count=1),  # no horizontal bar
+    "bars16-three-classes": sl.SyntheticTaskSpec(class_count=3, channels=2),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("name", sorted(RENDER_TASKS))
+def test_render_base_matches_per_image_loop(name, seed):
+    task = RENDER_TASKS[name].validate()
+    labels = stream(seed, "labels").integers(0, task.class_count, size=300)
+    got = sl._render_base(task, labels, stream(seed, "render"))
+    want = render_base_loop(task, labels, stream(seed, "render"))
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_blend_identity_and_full_replacement():
