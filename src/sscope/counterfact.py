@@ -42,7 +42,9 @@ scale factors and an optional phase schedule of update sets. They draw the
 same batches as the anchors, so a retraining with every factor 1 and no
 phases reproduces the skewed anchor byte for byte. When a phased trainee
 enters its last phase, the engine records the bytes of the blocks that phase
-leaves untouched, and they must be unchanged when training ends.
+leaves untouched, and they must be unchanged when training ends. A
+retraining shares no block with an anchor, so `evaluate_family` scores it
+with a plain `evaluate` from block 0, once per view.
 """
 
 from __future__ import annotations
@@ -510,9 +512,10 @@ def train_family(spec: NetSpec, pd: PairedDataset, plan_clean: TrainPlan,
 
 
 def evaluate_family(fam: FamilyOutcome, views, batch_size=512) -> dict:
-    """One EvalReport per view for both anchors and every partner of a
-    non-empty set, keyed by anchor role or (direction role, canonical set);
-    each equals `evaluate(net, view, batch_size=batch_size)` byte for byte.
+    """One EvalReport per view for both anchors, every partner of a
+    non-empty set and every retraining, keyed by anchor role, (direction
+    role, canonical set) or ("retrained", name); each equals
+    `evaluate(net, view, batch_size=batch_size)` byte for byte.
 
     A partner holds its anchor's bytes below min(A), so per (anchor, view)
     one `_Prefix` runs the anchor's blocks once, in `evaluate`'s chunks, and
@@ -520,9 +523,17 @@ def evaluate_family(fam: FamilyOutcome, views, batch_size=512) -> dict:
     for the anchor, min(A) for a partner. The prefix holds each activation
     it has computed until the view is done. A full-set partner equals the
     opposite anchor (see `train_family`), so it is not scored: its reports
-    are that anchor's.
+    are that anchor's. A retraining shares no blocks with an anchor, so it
+    is scored from block 0.
     """
-    reports = {}
+    # before any prefix exists, so none is held while a retraining is scored
+    reports = {
+        ("retrained", name): [
+            evaluate(net, view.pixels, view.labels, batch_size, start=0)
+            for view in views
+        ]
+        for name, net in fam.retrained.items()
+    }
     for role, anchor in fam.anchors.items():
         starts = {role: (anchor.m - 1, anchor)}
         for A in fam.sets:

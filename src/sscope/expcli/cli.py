@@ -93,7 +93,7 @@ def build_parser():
 
 def cmd_gen_data(args) -> int:
     config = _load_config(args)
-    if args.n:
+    if args.n is not None:
         config = ExperimentConfig.from_dict({**config.to_dict(), "train_n": args.n})
     pd, test_clean, test_full = build_trial_data(config, config.seeds[0])
     os.makedirs(config.out, exist_ok=True)

@@ -11,19 +11,21 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import asdict, dataclass, field
 
 from ..counterfact import InterventionSet
 from ..errors import ConfigError, UsageError
 from ..rng import subseed
-from ..skewlab import SkewFrequency, WatermarkSkewSpec
+from ..skewlab import COMMON, RARE, STRONG, SkewFrequency, WatermarkSkewSpec
 from . import presets
 
 __all__ = ["ExperimentConfig", "run_id", "trial_seed"]
 
 _FAMILIES = ("single", "suffix", "explicit")
 _MODES = ("scratch", "warmstart")
-_FREQ_NAMES = {"common": (127, 128), "rare": (15, 16)}
+_FREQ_NAMES = {name: (f.numerator, f.denominator)
+               for name, f in (("common", COMMON), ("rare", RARE))}
 _SKEW_KEYS = ("kind", "strength", "frequency", "patch_size")
 # the type of every field but skew_frequency (parsed on its own); see _is_json
 _FIELD_TYPES = dict(
@@ -39,8 +41,8 @@ _FIELD_TYPES = dict(
 class ExperimentConfig:
     task: str = "bars16"
     skew_kind: str = "watermark"
-    skew_strength: float = 0.75
-    skew_frequency: tuple = (127, 128)
+    skew_strength: float = STRONG
+    skew_frequency: tuple = _FREQ_NAMES["common"]
     patch_size: int = 10
     net: str = "minicnn6"
     optimizer: str = "adamw"
@@ -118,14 +120,22 @@ class ExperimentConfig:
             raise ConfigError("explicit family needs explicit_sets")
         if self.steps <= 0 or self.batch_size <= 0:
             raise ConfigError("steps and batch_size must be positive")
+        if self.train_n < 1 or self.test_n < 1:
+            raise ConfigError(
+                f"train_n and test_n must be at least 1, got {self.train_n} "
+                f"and {self.test_n}")
         if self.precision not in (32, 64):
             raise ConfigError("precision must be 32 or 64")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        freq = self.skew_frequency
+        if not (isinstance(freq, (list, tuple)) and len(freq) == 2
+                and all(_is_json(p, int) for p in freq)):
+            raise ConfigError(f"skew_frequency must be two integers, got {freq!r}")
         try:
             self.frequency()
-        except (TypeError, UsageError):
-            raise ConfigError(f"bad skew_frequency {self.skew_frequency!r}") from None
+        except UsageError:
+            raise ConfigError(f"bad skew_frequency {freq!r}") from None
         # resolve presets and set strings now so bad ones fail at config time
         task = self.task_spec()
         if self.skew_kind == "sampling" and not task.attribute_groups:
@@ -187,15 +197,16 @@ def _is_json(value, want):
 
 
 def _parse_frequency(value):
-    """A preset name, "num/den" or a [num, den] pair -> (num, den)."""
-    if isinstance(value, str) and value in _FREQ_NAMES:
+    """A preset name or "num/den" -> (num, den); any other value is returned
+    as it is, for `validate` to check as skew_frequency."""
+    if not isinstance(value, str):
+        return value
+    if value in _FREQ_NAMES:
         return _FREQ_NAMES[value]
-    parts = value.split("/") if isinstance(value, str) else value
-    try:
-        num, den = (int(p) for p in parts)
-    except (TypeError, ValueError):
-        raise ConfigError(f"cannot parse frequency {value!r}") from None
-    return (num, den)
+    match = re.fullmatch(r"([0-9]+)/([0-9]+)", value)
+    if match is None:
+        raise ConfigError(f"cannot parse frequency {value!r}")
+    return (int(match[1]), int(match[2]))
 
 
 def _canonical(obj) -> str:

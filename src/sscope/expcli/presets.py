@@ -17,7 +17,7 @@ from __future__ import annotations
 from .. import netcore as nc
 from ..errors import ConfigError
 from ..optim import ADAMW, SGD_NESTEROV, OptimizerConfig, ScheduleConfig
-from ..skewlab import SyntheticTaskSpec, WatermarkSkewSpec
+from ..skewlab import STRONG, WEAK, SyntheticTaskSpec, WatermarkSkewSpec
 
 __all__ = [
     "net_spec",
@@ -77,7 +77,7 @@ OPTIMIZER_PRESETS = {
     "sgd": dict(kind=SGD_NESTEROV, peak_lr=3e-2, weight_decay=1e-4, momentum=0.9),
 }
 
-_STRENGTH_NAMES = {"strong": 0.75, "weak": 0.25}
+_STRENGTH_NAMES = {"strong": STRONG, "weak": WEAK}
 
 
 def task_spec(name: str, watermark: WatermarkSkewSpec | None) -> SyntheticTaskSpec:

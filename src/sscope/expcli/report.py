@@ -41,6 +41,24 @@ def _fmt(agg):
     return f"{agg['mean'] * 100:.1f}% ({agg['se'] * 100:.1f}%)"
 
 
+def _table(title, cells, fmt, columns, run_ids, footer="") -> Table:
+    """Mean (SE) of cells, (setting, column key) -> [(value, diverged)]:
+    one row per setting, in sorted order, and one column per (key, header)
+    of columns, with "-" where a setting has no values for a key."""
+    agg = aggregate(cells)
+    rows = [
+        [setting] + [fmt(agg[(setting, key)]) if (setting, key) in agg else "-"
+                     for key, _ in columns]
+        for setting in sorted({setting for setting, _ in cells})
+    ]
+    return Table(title=title, header=["setting"] + [h for _, h in columns],
+                 rows=rows, footer=footer, run_ids=sorted(set(run_ids)))
+
+
+def _block_columns(cells):
+    return [(b, f"bl.{b}") for b in sorted({b for _, b in cells})]
+
+
 def error_table(records) -> Table:
     """Clean vs skewed anchor error rates on the clean test set."""
     cells = {}
@@ -56,19 +74,8 @@ def error_table(records) -> Table:
         ids.append(rec.run_id)
     if not cells:
         raise UsageError("store holds no anchor records")
-    agg = aggregate(cells)
-    rows = []
-    for key in sorted({k for k, _ in cells}):
-        row = [key]
-        for col in ("clean", "skewed"):
-            row.append(_fmt(agg[(key, col)]) if (key, col) in agg else "-")
-        rows.append(row)
-    return Table(
-        title="Clean-test error rates of clean and skewed anchors, mean (SE)",
-        header=["setting", "clean", "skewed"],
-        rows=rows,
-        run_ids=sorted(set(ids)),
-    )
+    return _table("Clean-test error rates of clean and skewed anchors, mean (SE)",
+                  cells, _fmt, [("clean", "clean"), ("skewed", "skewed")], ids)
 
 
 def _trial_run_ids(records):
@@ -76,6 +83,9 @@ def _trial_run_ids(records):
     for rec in records:
         ids.setdefault(rec.trial_id, []).append(rec.run_id)
     return ids
+
+
+_METRICS = (("enc", "encoding"), ("fgt", "forgetting"))
 
 
 def single_block_tables(records):
@@ -89,7 +99,7 @@ def single_block_tables(records):
         return []
     trial_ids = _trial_run_ids(records)
     tables = []
-    for metric in ("enc", "fgt"):
+    for metric, name in _METRICS:
         cells = {}
         ids = []
         excluded = 0
@@ -104,35 +114,18 @@ def single_block_tables(records):
                 below_floor += 1
                 continue
             block = rec.A.complement.sorted()[0]
-            value = rel.enc_pct if metric == "enc" else rel.fgt_pct
-            cells.setdefault((_cell_label(anchor), block), []).append((value, False))
+            cells.setdefault((_cell_label(anchor), block), []).append(
+                (getattr(rel, f"{metric}_pct"), False))
             ids.extend(trial_ids[tid])
         if not cells:
             continue
-        agg = aggregate(cells)
-        settings = sorted({k for k, _ in cells})
-        blocks = sorted({b for _, b in cells})
-        rows = []
-        for setting in settings:
-            row = [setting]
-            for b in blocks:
-                row.append(
-                    _fmt_pct(agg[(setting, b)]) if (setting, b) in agg else "-"
-                )
-            rows.append(row)
-        name = "encoding" if metric == "enc" else "forgetting"
         footer = f"diverged runs excluded: {excluded}"
         if below_floor:
             footer += f"; records below the gap floor: {below_floor}"
-        tables.append(
-            Table(
-                title=f"Relative single-block contributions to {name}, mean (SE)",
-                header=["setting"] + [f"bl.{b}" for b in blocks],
-                rows=rows,
-                footer=footer,
-                run_ids=sorted(set(ids)),
-            )
-        )
+        tables.append(_table(
+            f"Relative single-block contributions to {name}, mean (SE)",
+            cells, _fmt_pct, _block_columns(cells), ids, footer,
+        ))
     return tables
 
 
@@ -149,34 +142,19 @@ def localization_tables(records):
         return []
     trial_ids = _trial_run_ids(records)
     tables = []
-    for metric in ("enc", "fgt"):
+    for metric, name in _METRICS:
         cells = {}
         ids = []
         for tid, (anchor, prof) in profiles.items():
-            rates = prof.enc_rates if metric == "enc" else prof.fgt_rates
-            for b, rate in enumerate(rates):
+            for b, rate in enumerate(getattr(prof, f"{metric}_rates")):
                 cells.setdefault((_cell_label(anchor), b), []).append(
                     (float(rate) * 100, False)
                 )
             ids.extend(trial_ids[tid])
-        agg = aggregate(cells)
-        settings = sorted({k for k, _ in cells})
-        blocks = sorted({b for _, b in cells})
-        rows = []
-        for setting in settings:
-            row = [setting]
-            for b in blocks:
-                row.append(_fmt_pct(agg[(setting, b)]))
-            rows.append(row)
-        name = "encoding" if metric == "enc" else "forgetting"
-        tables.append(
-            Table(
-                title=f"Increase rate of relative {name} by initial blocks, mean (SE)",
-                header=["setting"] + [f"bl.{b}" for b in blocks],
-                rows=rows,
-                run_ids=sorted(set(ids)),
-            )
-        )
+        tables.append(_table(
+            f"Increase rate of relative {name} by initial blocks, mean (SE)",
+            cells, _fmt_pct, _block_columns(cells), ids,
+        ))
     return tables
 
 

@@ -1,15 +1,17 @@
 """Grid execution: dataset construction, training, evaluation, persistence.
 
-A trial is one (config cell, seed label): it builds its own train/test data
-from a trial-split seed, trains whatever the subcommand asks for (anchors
-only, a counterfactual family, or mitigation retrainings), evaluates every
-model on the clean and fully-skewed test views, flags divergence, and emits
-RunRecords. A family is evaluated through `counterfact.evaluate_family`:
-per (anchor, test view) the anchor's blocks run once, and each partner is
-scored from the activation entering block min(A), which it shares with its
-anchor. Trials are independent, so they can run in a process pool; records
-are appended by the parent only, each trial's as soon as it returns, so a
-crash keeps every trial finished before it.
+A trial is one (config cell, seed label), and every grid kind runs it
+through one `run_trial`: it builds its own train/test data from a
+trial-split seed, trains both anchors plus whatever the subcommand adds (a
+counterfactual family's partners, or the mitigation retrainings) in one
+`train_family` call, scores every model on the clean and fully-skewed test
+views with one `counterfact.evaluate_family` call, flags divergence, and
+emits RunRecords. There, per (anchor, test view) the anchor's blocks run
+once, each partner is scored from the activation entering block min(A),
+which it shares with its anchor, and each retraining is scored from block
+0. Trials are independent, so they can run in a process pool; records are
+appended by the parent only, each trial's as soon as it returns, so a crash
+keeps every trial finished before it.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from ..interventions import (
     retrain_with_intervention,
 )
 from ..metrics import contributions, detect_divergence, increase_rates
-from ..netcore import evaluate, load_checkpoint, save_checkpoint
+from ..netcore import load_checkpoint, save_checkpoint
 from ..rng import subseed
 from ..skewlab import SamplingSkewSpec, apply_frequency, gen_clean_synthetic, make_fully_skewed
 from ..stats import mean_se
@@ -46,8 +48,7 @@ from .store import ResultsStore, RunRecord
 __all__ = [
     "intervention_sets",
     "build_trial_data",
-    "run_counterfactual_trial",
-    "run_mitigation_trial",
+    "run_trial",
     "run_grid",
     "aggregate",
     "contribution_rows",
@@ -155,53 +156,6 @@ def _record(config, seed, role, set_repr, err_clean, err_skew, diverged=False,
     )
 
 
-def run_counterfactual_trial(config: ExperimentConfig, seed: int,
-                             anchors_only=False):
-    """Train the family for one seed; returns (records, nets by run id)."""
-    started = time.monotonic()
-    spec = config.net_spec()
-    pd, test_clean, test_full = build_trial_data(config, seed)
-    plan_c, plan_s = _plans(config, seed)
-    sets = [] if anchors_only else intervention_sets(config, spec.m)
-    fam = train_family(
-        spec, pd, plan_c, plan_s, sets,
-        dtype=_dtype(config),
-        debug_sync=config.debug_sync,
-        init_from=_warmstart_net(config),
-    )
-    wall = time.monotonic() - started
-    evals = evaluate_family(fam, (test_clean, test_full))
-    records = []
-    nets = {}
-    for role_name, role in (("clean_anchor", "clean"), ("skewed_anchor", "skewed")):
-        ec, es = evals[role]
-        rec = _record(config, seed, role_name, "", ec, es, wall_time=wall)
-        records.append(rec)
-        nets[rec.run_id] = fam.anchors[role]
-    err_clean_of_skewed = evals["skewed"][0].error_fraction
-    err_skewfull_of_clean = evals["clean"][1].error_fraction
-    for A in sets:
-        if A.is_empty:
-            continue  # the anchor record already covers the degenerate set
-        key = A.canonical()
-        for direction, role_name in (
-            ("clean", "intervened_c"), ("skewed", "intervened_s")
-        ):
-            net = fam.intervened[(direction, key)]
-            ec, es = evals[(direction, key)]
-            flag = detect_divergence(
-                ec.error_fraction, es.error_fraction,
-                err_clean_of_skewed, err_skewfull_of_clean,
-            )
-            rec = _record(
-                config, seed, role_name, key, ec, es, diverged=flag.diverged,
-                wall_time=wall,
-            )
-            records.append(rec)
-            nets[rec.run_id] = net
-    return records, nets
-
-
 def mitigation_targets(m: int):
     singles = [TargetBlocks((i,)) for i in range(m)]
     doubles = [TargetBlocks((i, i + 1)) for i in range(m - 1)]
@@ -220,50 +174,66 @@ def _mitigation_runs(m: int):
     ]
 
 
-def run_mitigation_trial(config: ExperimentConfig, seed: int):
-    """Anchors plus one retraining per (intervention kind, target), trained
-    in one lockstep run. Every record carries the trial's wall time up to the
-    end of training, as a family's records do, since the retrainings no
-    longer run one by one."""
+def run_trial(config: ExperimentConfig, seed: int, kind: str):
+    """One trial of a grid of this kind: both anchors, plus the family's
+    partners ("family") or one retraining per (intervention kind, target)
+    ("mitigation"), trained in one lockstep run and scored by one
+    `evaluate_family`. Returns (records, anchor nets by run id). Every record
+    carries the trial's wall time up to the end of training."""
     started = time.monotonic()
     spec = config.net_spec()
     pd, test_clean, test_full = build_trial_data(config, seed)
     plan_c, plan_s = _plans(config, seed)
-    runs = _mitigation_runs(spec.m)
+    sets = intervention_sets(config, spec.m) if kind == "family" else []
+    runs = _mitigation_runs(spec.m) if kind == "mitigation" else []
     fam = train_family(
-        spec, pd, plan_c, plan_s, [], dtype=_dtype(config),
+        spec, pd, plan_c, plan_s, sets,
+        dtype=_dtype(config),
+        debug_sync=config.debug_sync,
         init_from=_warmstart_net(config),
         retrainings={
             set_repr: freeze_protocol(spec.m, config.steps, target.blocks[0])
-            if kind.variant == "freeze"
-            else retrain_with_intervention(kind, target, spec.m)
-            for kind, target, set_repr in runs
+            if iv.variant == "freeze"
+            else retrain_with_intervention(iv, target, spec.m)
+            for iv, target, set_repr in runs
         },
     )
     wall = time.monotonic() - started
+    evals = evaluate_family(fam, (test_clean, test_full))
     records = []
     nets = {}
-    anchor_eval = evaluate_family(fam, (test_clean, test_full))
     for role_name, role in (("clean_anchor", "clean"), ("skewed_anchor", "skewed")):
-        ec, es = anchor_eval[role]
-        rec = _record(config, seed, role_name, "", ec, es, wall_time=wall)
+        rec = _record(config, seed, role_name, "", *evals[role], wall_time=wall)
         records.append(rec)
         nets[rec.run_id] = fam.anchors[role]
-    err_c = anchor_eval["clean"][0].error_fraction
-    err_s = anchor_eval["skewed"][0].error_fraction
-    for kind, target, set_repr in runs:
-        net = fam.retrained[set_repr]
-        ec, es = evaluate(net, test_clean), evaluate(net, test_full)
-        extent = mitigation_extent(ec.error_fraction, err_c, err_s)
-        records.append(
-            _record(
-                config, seed, "mitigation", set_repr, ec, es, wall_time=wall,
-                interv_kind=kind.label(),
-                interv_factor="" if kind.variant == "freeze" else repr(kind.factor),
-                interv_targets=target.label(),
-                extent="" if extent is None else repr(extent),
+    err_c = evals["clean"][0].error_fraction
+    err_s = evals["skewed"][0].error_fraction
+    err_skewfull_of_clean = evals["clean"][1].error_fraction
+    for A in sets:
+        if A.is_empty:
+            continue  # the anchor record already covers the degenerate set
+        key = A.canonical()
+        for direction, role_name in (
+            ("clean", "intervened_c"), ("skewed", "intervened_s")
+        ):
+            ec, es = evals[(direction, key)]
+            flag = detect_divergence(
+                ec.error_fraction, es.error_fraction, err_s, err_skewfull_of_clean
             )
-        )
+            records.append(_record(
+                config, seed, role_name, key, ec, es, diverged=flag.diverged,
+                wall_time=wall,
+            ))
+    for iv, target, set_repr in runs:
+        ec, es = evals[("retrained", set_repr)]
+        extent = mitigation_extent(ec.error_fraction, err_c, err_s)
+        records.append(_record(
+            config, seed, "mitigation", set_repr, ec, es, wall_time=wall,
+            interv_kind=iv.label(),
+            interv_factor="" if iv.variant == "freeze" else repr(iv.factor),
+            interv_targets=target.label(),
+            extent="" if extent is None else repr(extent),
+        ))
     return records, nets
 
 
@@ -282,10 +252,7 @@ def _probe_run_id(config: ExperimentConfig, seed: int, kind: str) -> str:
 
 def _trial_worker(args):
     kind, config_dict, seed = args
-    config = ExperimentConfig.from_dict(config_dict)
-    if kind == "mitigation":
-        return run_mitigation_trial(config, seed)
-    return run_counterfactual_trial(config, seed, anchors_only=(kind == "anchors"))
+    return run_trial(ExperimentConfig.from_dict(config_dict), seed, kind)
 
 
 def run_grid(config: ExperimentConfig, store: ResultsStore, kind="family",
@@ -360,7 +327,7 @@ def _persist(config, store, existing, pending, outs, log) -> int:
         for rec in records:
             if rec.run_id in existing:
                 continue
-            if rec.role.endswith("_anchor") and rec.run_id in nets:
+            if rec.run_id in nets:
                 save_checkpoint(nets[rec.run_id], store.checkpoint_path(rec.run_id))
             store.append(rec, manifest=_manifest(config, rec))
             existing.add(rec.run_id)

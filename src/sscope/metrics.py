@@ -28,7 +28,6 @@ __all__ = [
     "LocalizationProfile",
     "DivergenceFlag",
     "contributions",
-    "mirrored",
     "relative",
     "increase_rates",
     "detect_divergence",
@@ -82,20 +81,6 @@ def contributions(err_c, err_s, err_cA, err_sA, A: InterventionSet) -> Contribut
         if not 0 <= v <= 1:
             raise UsageError(f"error rate {v} outside [0, 1]")
     return ContributionRecord(A, *vals)
-
-
-def mirrored(record: ContributionRecord) -> ContributionRecord:
-    """Swap the two intervened models and flip A to its complement.
-
-    This exchanges enc with amp and uut with fgt while preserving the gap.
-    """
-    return ContributionRecord(
-        A=record.A.complement,
-        err_c=record.err_c,
-        err_s=record.err_s,
-        err_cA=record.err_sA,
-        err_sA=record.err_cA,
-    )
 
 
 @dataclass(frozen=True)

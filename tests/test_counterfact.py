@@ -351,30 +351,36 @@ def minicnn6_spec():
     return net_spec("minicnn6", task_spec("bars16", None))
 
 
-def check_family_evaluation(pd, spec, sets, dtype, n, batch_size, monkeypatch):
+def check_family_evaluation(pd, spec, sets, dtype, n, batch_size, monkeypatch,
+                            retrainings=None):
     """evaluate_family must score each net once per view, from block m - 1
-    for an anchor and min(A) for a partner, except a full-set partner, which
-    takes no call, and every report must match a plain evaluate."""
+    for an anchor, min(A) for a partner and 0 for a retraining, except a
+    full-set partner, which takes no call, and every report must match a
+    plain evaluate."""
     fam = train_family(spec, pd, quick_plan("clean", steps=12),
-                       quick_plan("skewed", steps=12), sets, dtype=dtype)
+                       quick_plan("skewed", steps=12), sets, dtype=dtype,
+                       retrainings=retrainings)
     test_clean = sl.gen_clean_synthetic(watermark_task(), n, seed=5)
     views = (test_clean, sl.make_fully_skewed(test_clean, watermark_task().watermark))
-    starts = []
+    starts = []  # (net, start block) per call
 
     def counted(net, pixels, labels, batch_size, start):
-        starts.append(start)
+        starts.append((id(net), start))
         return nc.evaluate(net, pixels, labels, batch_size, start=start)
 
     monkeypatch.setattr(cf, "evaluate", counted)
     reports = cf.evaluate_family(fam, views, batch_size)
     nets = dict(fam.anchors)
-    want_starts = [spec.m - 1] * 2
+    want_starts = [(id(net), spec.m - 1) for net in fam.anchors.values()]
     for A in sets:
         if not A.is_empty:
             for role in cf.ROLES:
-                nets[(role, A.canonical())] = fam.intervened[(role, A.canonical())]
+                net = nets[(role, A.canonical())] = fam.intervened[(role, A.canonical())]
                 if A != InterventionSet.full(spec.m):
-                    want_starts.append(min(A.members))
+                    want_starts.append((id(net), min(A.members)))
+    for name, net in fam.retrained.items():
+        nets[("retrained", name)] = net
+        want_starts.append((id(net), 0))
     assert reports.keys() == nets.keys()
     assert sorted(starts) == sorted(want_starts * len(views))
     for name, net in nets.items():
@@ -402,6 +408,18 @@ def test_family_evaluation_follows_evaluate_chunks(small_paired, monkeypatch):
     check_family_evaluation(small_paired, spec, FAMILIES["suffix"](spec.m),
                             np.float32, n=200, batch_size=16,
                             monkeypatch=monkeypatch)
+
+
+@pytest.mark.parametrize("spec_fn", [small_cnn_spec, mlp4_spec])
+def test_family_evaluation_scores_retrainings(small_paired, spec_fn, monkeypatch):
+    spec = spec_fn()
+    retrainings = {
+        "lr_up@1": retrain_with_intervention(LR_UP, TargetBlocks((1,)), spec.m),
+        "freeze@0": freeze_protocol(spec.m, 12, keep_block=0, t1=2, t2=2),
+    }
+    check_family_evaluation(small_paired, spec, FAMILIES["suffix"](spec.m),
+                            np.float32, n=700, batch_size=512,
+                            monkeypatch=monkeypatch, retrainings=retrainings)
 
 
 def test_freeze_protocol_matches_reference_loop(small_paired):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -24,7 +25,7 @@ from sscope.expcli.runner import (
     localization_profiles,
     run_grid,
 )
-from sscope.expcli.store import SCHEMA_TAG, ResultsStore
+from sscope.expcli.store import SCHEMA_TAG, ResultsStore, RunRecord
 from sscope.interventions import mitigation_extent
 from sscope.netcore import build_net, save_checkpoint
 from sscope.skewlab import load_ssd1
@@ -147,7 +148,7 @@ def test_mitigation_trial_is_one_lockstep_run(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cf, "_lockstep", counted)
     config = tiny_config(tmp_path, seeds=[0])  # mlp4: m = 4
-    records, _ = runner.run_mitigation_trial(config, 0)
+    records, _ = runner.run_trial(config, 0, "mitigation")
     sets = [s for _, _, s in runner._mitigation_runs(4)]
     assert len(sets) == 4 * (4 + 3) + 4  # LR/WD kinds on single and double targets
     assert runs == [["anchor:clean", "anchor:skewed"]
@@ -431,6 +432,197 @@ def test_report_full_store_has_tables(family_store):
         assert set(ids) <= all_ids
 
 
+_STRONG = dict(task="bars16", skew_kind="watermark", skew_strength=0.75,
+               skew_frequency="127/128", net="mlp4", optimizer="adamw",
+               mode="scratch", steps=30, batch_size=16, train_n=256, test_n=128,
+               master_seed=0)
+_WEAK = dict(_STRONG, skew_strength=0.25, skew_frequency="15/16", optimizer="sgd")
+# (trial, seed, family, cell, anchors' clean-test errors (of 200), pairs),
+# a pair being (set, intervened_c error, intervened_s error, diverged)
+# (a single family's set for block 0 is the suffix 1:4, as the runner writes it)
+_GOLDEN_TRIALS = [
+    ("suf0", 0, "suffix", _STRONG, (20, 60), [
+        ("0:4", 60, 20, False), ("1:4", 50, 28, False), ("2:4", 40, 35, False),
+        ("3:4", 30, 45, False)]),
+    ("suf1", 1, "suffix", _STRONG, (22, 58), [
+        ("0:4", 58, 22, False), ("1:4", 49, 30, False), ("2:4", 37, 39, False),
+        ("3:4", 29, 47, False)]),
+    ("sgl2", 2, "single", _STRONG, (18, 62), [
+        ("1:4", 27, 55, False), ("-{1}", 41, 40, False), ("-{2}", 70, 12, True),
+        ("-{3}", 52, 24, False)]),
+    # a zero gap: every set is below the gap floor
+    ("sgl3", 3, "single", _STRONG, (40, 40), [
+        ("1:4", 41, 39, False), ("-{1}", 40, 42, False), ("-{2}", 38, 40, False),
+        ("-{3}", 40, 40, False)]),
+    ("mit4", 4, "suffix", _STRONG, (21, 59), []),
+    # the only seed of its setting
+    ("sgl5", 0, "single", _WEAK, (30, 45), [("-{2}", 38, 36, False)]),
+]
+# mit4's retrainings: (set, clean-test error, kind, factor, targets, extent)
+_GOLDEN_MITIGATIONS = [
+    ("lr_up@0", 30, "lr_up", "2.0", "0", repr(29 / 38)),
+    ("freeze@1", 59, "freeze", "", "1", "0.0"),
+]
+
+
+def _golden_records():
+    """A store built by hand, with no training, so that its report reads the
+    same on every platform."""
+    records = []
+
+    def add(trial, seed, family, cell, role, set_repr, err_clean, **kw):
+        records.append(RunRecord(
+            run_id=f"{trial}-{len(records):02d}", trial_id=trial, role=role,
+            set=set_repr, seed=seed, family=family, err_clean_num=err_clean,
+            err_clean_den=200, err_skewfull_num=100, err_skewfull_den=200,
+            **cell, **kw))
+
+    for trial, seed, family, cell, (err_c, err_s), pairs in _GOLDEN_TRIALS:
+        head = (trial, seed, family, cell)
+        add(*head, "clean_anchor", "", err_c)
+        add(*head, "skewed_anchor", "", err_s)
+        for set_repr, err_cA, err_sA, diverged in pairs:
+            add(*head, "intervened_c", set_repr, err_cA)
+            add(*head, "intervened_s", set_repr, err_sA, diverged=diverged)
+    for set_repr, err, kind, factor, targets, extent in _GOLDEN_MITIGATIONS:
+        add("mit4", 4, "suffix", _STRONG, "mitigation", set_repr, err,
+            interv_kind=kind, interv_factor=factor, interv_targets=targets,
+            extent=extent)
+    return records
+
+
+# report.txt pads every cell to its column width, trailing spaces included
+_GOLDEN_TXT = "\n".join([
+    'Clean-test error rates of clean and skewed anchors, mean (SE)',
+    '',
+    'setting                                     clean               skewed            ',
+    '------------------------------------------  ------------------  ------------------',
+    'bars16 a=0.25 f=15/16 mlp4 sgd scratch      insufficient (n=1)  insufficient (n=1)',
+    'bars16 a=0.75 f=127/128 mlp4 adamw scratch  12.1% (2.0%)        27.9% (2.0%)      ',
+    '',
+    'Relative single-block contributions to encoding, mean (SE)',
+    '',
+    'setting                                     bl.0           bl.1                bl.2                bl.3              ',
+    '------------------------------------------  -------------  ------------------  ------------------  ------------------',
+    'bars16 a=0.25 f=15/16 mlp4 sgd scratch      -              -                   insufficient (n=1)  -                 ',
+    'bars16 a=0.75 f=127/128 mlp4 adamw scratch  43.2% (18.2%)  insufficient (n=1)  -                   insufficient (n=1)',
+    '[diverged runs excluded: 1; records below the gap floor: 4]',
+    '',
+    'Relative single-block contributions to forgetting, mean (SE)',
+    '',
+    'setting                                     bl.0           bl.1                bl.2                bl.3              ',
+    '------------------------------------------  -------------  ------------------  ------------------  ------------------',
+    'bars16 a=0.25 f=15/16 mlp4 sgd scratch      -              -                   insufficient (n=1)  -                 ',
+    'bars16 a=0.75 f=127/128 mlp4 adamw scratch  42.1% (21.0%)  insufficient (n=1)  -                   insufficient (n=1)',
+    '[diverged runs excluded: 1; records below the gap floor: 4]',
+    '',
+    'Increase rate of relative encoding by initial blocks, mean (SE)',
+    '',
+    'setting                                     bl.0          bl.1          bl.2          bl.3        ',
+    '------------------------------------------  ------------  ------------  ------------  ------------',
+    'bars16 a=0.75 f=127/128 mlp4 adamw scratch  25.0% (0.0%)  29.2% (4.2%)  23.6% (1.4%)  22.2% (2.8%)',
+    '',
+    'Increase rate of relative forgetting by initial blocks, mean (SE)',
+    '',
+    'setting                                     bl.0          bl.1          bl.2          bl.3        ',
+    '------------------------------------------  ------------  ------------  ------------  ------------',
+    'bars16 a=0.75 f=127/128 mlp4 adamw scratch  21.1% (1.1%)  21.2% (3.8%)  23.6% (1.4%)  34.0% (3.5%)',
+]) + "\n"
+
+_GOLDEN_MD = """\
+### Clean-test error rates of clean and skewed anchors, mean (SE)
+
+| setting | clean | skewed |
+| --- | --- | --- |
+| bars16 a=0.25 f=15/16 mlp4 sgd scratch | insufficient (n=1) | insufficient (n=1) |
+| bars16 a=0.75 f=127/128 mlp4 adamw scratch | 12.1% (2.0%) | 27.9% (2.0%) |
+
+### Relative single-block contributions to encoding, mean (SE)
+
+| setting | bl.0 | bl.1 | bl.2 | bl.3 |
+| --- | --- | --- | --- | --- |
+| bars16 a=0.25 f=15/16 mlp4 sgd scratch | - | - | insufficient (n=1) | - |
+| bars16 a=0.75 f=127/128 mlp4 adamw scratch | 43.2% (18.2%) | insufficient (n=1) | - | insufficient (n=1) |
+
+_diverged runs excluded: 1; records below the gap floor: 4_
+
+### Relative single-block contributions to forgetting, mean (SE)
+
+| setting | bl.0 | bl.1 | bl.2 | bl.3 |
+| --- | --- | --- | --- | --- |
+| bars16 a=0.25 f=15/16 mlp4 sgd scratch | - | - | insufficient (n=1) | - |
+| bars16 a=0.75 f=127/128 mlp4 adamw scratch | 42.1% (21.0%) | insufficient (n=1) | - | insufficient (n=1) |
+
+_diverged runs excluded: 1; records below the gap floor: 4_
+
+### Increase rate of relative encoding by initial blocks, mean (SE)
+
+| setting | bl.0 | bl.1 | bl.2 | bl.3 |
+| --- | --- | --- | --- | --- |
+| bars16 a=0.75 f=127/128 mlp4 adamw scratch | 25.0% (0.0%) | 29.2% (4.2%) | 23.6% (1.4%) | 22.2% (2.8%) |
+
+### Increase rate of relative forgetting by initial blocks, mean (SE)
+
+| setting | bl.0 | bl.1 | bl.2 | bl.3 |
+| --- | --- | --- | --- | --- |
+| bars16 a=0.75 f=127/128 mlp4 adamw scratch | 21.1% (1.1%) | 21.2% (3.8%) | 23.6% (1.4%) | 34.0% (3.5%) |
+"""
+
+
+def _ids(trial, lo, hi):
+    return [f"{trial}-{i:02d}" for i in range(lo, hi)]
+
+
+_SINGLE_IDS = _ids("sgl2", 20, 30) + _ids("sgl5", 42, 46) + _ids("suf0", 0, 10) \
+    + _ids("suf1", 10, 20)
+_GOLDEN_MANIFEST = {
+    "Clean-test error rates of clean and skewed anchors, mean (SE)":
+        _ids("mit4", 40, 42) + _ids("sgl2", 20, 22) + _ids("sgl3", 30, 32)
+        + _ids("sgl5", 42, 44) + _ids("suf0", 0, 2) + _ids("suf1", 10, 12),
+    "Increase rate of relative encoding by initial blocks, mean (SE)":
+        _ids("suf0", 0, 10) + _ids("suf1", 10, 20),
+    "Increase rate of relative forgetting by initial blocks, mean (SE)":
+        _ids("suf0", 0, 10) + _ids("suf1", 10, 20),
+    "Relative single-block contributions to encoding, mean (SE)": _SINGLE_IDS,
+    "Relative single-block contributions to forgetting, mean (SE)": _SINGLE_IDS,
+}
+
+
+def test_report_of_hand_built_store_is_golden(tmp_path):
+    log = []
+    text = write_report(_golden_records(), tmp_path, log=log.append)
+    assert text == _GOLDEN_TXT
+    assert (tmp_path / "report.txt").read_text() == _GOLDEN_TXT
+    assert (tmp_path / "report.md").read_text() == _GOLDEN_MD
+    assert (tmp_path / "report_manifest.json").read_text() == json.dumps(
+        _GOLDEN_MANIFEST, sort_keys=True, indent=2)
+    assert log == []
+
+
+def test_report_mixes_nets_of_different_depth(tmp_path):
+    # suffix families of a 6-block net next to the 4-block ones: the mlp4
+    # rows have no bl.4 and bl.5 cells
+    records = _golden_records()
+    for trial in ("suf0", "suf1"):
+        anchors = [dataclasses.replace(r, net="minicnn6", trial_id=f"{trial}c",
+                                       run_id=f"{r.run_id}c")
+                   for r in records if r.trial_id == trial and r.set == ""]
+        err_c, err_s = (r.err_clean_num for r in anchors)
+        records += anchors + [
+            dataclasses.replace(anchors[0], role=role, set=f"{i}:6",
+                                run_id=f"{trial}c-{role}-{i}", err_clean_num=err)
+            for i in range(6)
+            for role, err in (("intervened_c", err_s - 5 * i),
+                              ("intervened_s", err_c + 5 * i))
+        ]
+    text = write_report(records, tmp_path, log=lambda *_: None)
+    table = text.split("Increase rate of relative encoding")[1].split("\n\n")[1]
+    header, _, cnn_row, mlp_row = table.splitlines()
+    assert header.split()[-2:] == ["bl.4", "bl.5"]
+    assert "minicnn6" in cnn_row and "-" not in cnn_row.split()
+    assert "mlp4" in mlp_row and mlp_row.split()[-2:] == ["-", "-"]
+
+
 def test_error_table_requires_anchors():
     with pytest.raises(UsageError):
         error_table([])
@@ -439,9 +631,12 @@ def test_error_table_requires_anchors():
 # --------------------------------------------------------------------------
 # CLI surface
 
-def test_cli_gen_data(tmp_path):
+def test_cli_gen_data(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(tiny_config(tmp_path / "data").to_dict()))
+    assert main(["gen-data", "--config", str(cfg_path), "--n", "0"]) == 1
+    assert "train_n" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "data")
     rc = main(["gen-data", "--config", str(cfg_path), "--n", "64"])
     assert rc == 0
     ds = load_ssd1(tmp_path / "data" / "dataset_clean.ssd1")
@@ -469,7 +664,8 @@ def test_bad_explicit_set_fails_before_training(tmp_path, capsys, text):
     assert not os.path.exists(tmp_path / "run" / "results.csv")
 
 
-@pytest.mark.parametrize("frequency", ["a/b", "1/2/3", "1/0", "3/2", [1], [1, 0], 5])
+@pytest.mark.parametrize("frequency", ["a/b", "1/2/3", "1/0", "3/2", [1], [1, 0], 5,
+                                       [0.5, 1], [True, 2], ["3", "4"], " 3/4"])
 def test_bad_frequency_fails_before_training(tmp_path, capsys, frequency):
     raw = tiny_config(tmp_path / "run").to_dict()
     del raw["skew_frequency"]
@@ -494,9 +690,15 @@ def test_bad_frequency_fails_before_training(tmp_path, capsys, frequency):
     {"skew": {"patch_size": "abc"}},
     {"skew": {"frequncy": "rare"}},
     {"optimizer_overrides": {"peak_lr": "x"}},
+    {"skew_frequency": [1.5, 2]},
+    {"skew_frequency": [1, 2.0]},
+    {"skew_frequency": [True, 2]},
+    {"train_n": 0},
+    {"test_n": 0},
 ], ids=["seeds-int", "seeds-str-item", "steps-str", "task-list", "debug-sync-int",
         "skew-list", "strength-list", "patch-size-str", "skew-unknown-key",
-        "override-str"])
+        "override-str", "frequency-float", "frequency-float-den", "frequency-bool",
+        "train-n-zero", "test-n-zero"])
 def test_malformed_config_fails_before_training(tmp_path, capsys, bad):
     raw = tiny_config(tmp_path / "run").to_dict()
     raw.update(bad)

@@ -10,7 +10,6 @@ from sscope.metrics import (
     contributions,
     detect_divergence,
     increase_rates,
-    mirrored,
     relative,
 )
 
@@ -63,17 +62,6 @@ def test_negative_contributions_are_valid():
 def test_out_of_range_rejected():
     with pytest.raises(UsageError):
         rec(F(11, 10), F(1, 2), F(1, 2), F(1, 2))
-
-
-def test_mirror_swaps_enc_amp_and_uut_fgt():
-    r = rec(F(10, 100), F(30, 100), F(25, 100), F(12, 100))
-    mr = mirrored(r)
-    assert mr.enc_complement == r.amp
-    assert mr.uut == r.fgt_complement
-    assert mr.fgt_complement == r.uut
-    assert mr.amp == r.enc_complement
-    assert mr.gap == r.gap
-    assert mr.A == r.A.complement
 
 
 def test_relative_percentages():
