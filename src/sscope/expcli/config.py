@@ -116,6 +116,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown skew kind {self.skew_kind!r}")
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
+        repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
+        if repeated:
+            raise ConfigError(f"seeds must be distinct, but {repeated} repeat")
         if self.family == "explicit" and not self.explicit_sets:
             raise ConfigError("explicit family needs explicit_sets")
         if self.steps <= 0 or self.batch_size <= 0:

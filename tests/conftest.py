@@ -1,4 +1,12 @@
-import pytest
+import os
+
+# One BLAS thread per process, as CI runs the suite: the acceptance grid's
+# two worker processes then share two cores, where two OpenBLAS threads
+# each oversubscribed them and doubled the grid's time. numpy reads this
+# when it loads, so it is set before the first import of numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import pytest  # noqa: E402
 
 from sscope import netcore as nc
 from sscope import skewlab as sl

@@ -73,6 +73,7 @@ def family_store(tmp_path_factory):
             test_n=1024,
             master_seed=0,
             out=str(out),
+            workers=2,
         )
     )
     store = ResultsStore(config.out)

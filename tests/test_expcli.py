@@ -695,10 +695,11 @@ def test_bad_frequency_fails_before_training(tmp_path, capsys, frequency):
     {"skew_frequency": [True, 2]},
     {"train_n": 0},
     {"test_n": 0},
+    {"seeds": [3, 3]},
 ], ids=["seeds-int", "seeds-str-item", "steps-str", "task-list", "debug-sync-int",
         "skew-list", "strength-list", "patch-size-str", "skew-unknown-key",
         "override-str", "frequency-float", "frequency-float-den", "frequency-bool",
-        "train-n-zero", "test-n-zero"])
+        "train-n-zero", "test-n-zero", "seeds-repeated"])
 def test_malformed_config_fails_before_training(tmp_path, capsys, bad):
     raw = tiny_config(tmp_path / "run").to_dict()
     raw.update(bad)

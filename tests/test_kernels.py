@@ -215,7 +215,13 @@ CONVS = [
     (16, 3, 3, 1, 2, 6),
     (3, 1, 2, 2, 2, 7),
     (16, 16, 3, 1, 1, 2),
+    (4, 8, 3, 1, 1, 7),  # 49 rows per image: an odd batch has odd rows
+    (8, 16, 3, 1, 1, 16),  # MiniCNN-6's widest im2col input per image
 ]
+
+# 1 image; an odd batch, so a 49-row geometry's bias add takes r = 1; 64
+# images, which the old chunked im2col filled in several passes at 16x16x8
+BATCHES = (1, 5, 64)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -226,23 +232,47 @@ def test_conv2d_matches_reference(cfg, dtype):
     ref = RefConv2d(layer)
     rng = np.random.default_rng(sum(cfg))
     params = conv_params(rng, layer, dtype)
-    for make in (quantised, lambda r, s, d: r.standard_normal(s).astype(d)):
-        x = make(rng, (5, in_ch, size, size), dtype)
-        y_ref, cache_ref = ref.forward(x, params)
-        dy = make(rng, y_ref.shape, dtype)
-        dx_ref, g_ref = ref.backward(dy, cache_ref, params)
-        _, g_ref_nodx = ref.backward(dy, cache_ref, params, need_dx=False)
-        for xin in layouts(x):
-            y, cache = layer.forward(xin, params)
-            assert same(y, y_ref)
-            for dyin in layouts(dy):
-                dx, g = layer.backward(dyin, cache, params)
-                assert same(dx, dx_ref)
-                assert g.keys() == g_ref.keys()
-                assert all(same(g[n], g_ref[n]) for n in g)
-                none, g = layer.backward(dyin, cache, params, need_dx=False)
-                assert none is None
-                assert all(same(g[n], g_ref_nodx[n]) for n in g)
+    for batch in BATCHES:
+        for make in (quantised, lambda r, s, d: r.standard_normal(s).astype(d)):
+            x = make(rng, (batch, in_ch, size, size), dtype)
+            y_ref, cache_ref = ref.forward(x, params)
+            dy = make(rng, y_ref.shape, dtype)
+            dx_ref, g_ref = ref.backward(dy, cache_ref, params)
+            _, g_ref_nodx = ref.backward(dy, cache_ref, params, need_dx=False)
+            for xin in layouts(x):
+                y, cache = layer.forward(xin, params)
+                assert same(y, y_ref)
+                assert same(cache[0], cache_ref[0])  # the column matrix
+                for dyin in layouts(dy):
+                    dx, g = layer.backward(dyin, cache, params)
+                    assert same(dx, dx_ref)
+                    assert g.keys() == g_ref.keys()
+                    assert all(same(g[n], g_ref[n]) for n in g)
+                    none, g = layer.backward(dyin, cache, params, need_dx=False)
+                    assert none is None
+                    assert all(same(g[n], g_ref_nodx[n]) for n in g)
+
+
+def test_conv_index_is_shared_and_read_only(monkeypatch):
+    built = []
+    col_index = nc._col_index
+
+    def spy(*geometry):
+        built.append(col_index(*geometry))
+        return built[-1]
+
+    monkeypatch.setattr(nc, "_col_index", spy)
+    spec = net_spec("minicnn6", task_spec("bars16", None))
+    x = np.zeros((2, *spec.input_shape), np.float32)
+    for seed in (0, 1):
+        nc.build_net(spec, seed=seed).forward(x)
+    convs = len(built) // 2
+    assert convs == 5
+    assert all(a is b for a, b in zip(built[:convs], built[convs:]))
+    for idx in built:
+        assert not idx.flags.writeable
+        with pytest.raises(ValueError):
+            idx[0] = 0
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -337,6 +367,13 @@ def reference_forward(net, x, hi):
     return x
 
 
+def with_random_biases(net, rng):
+    for key, arr in net.params.items():
+        if key.endswith(".b"):
+            arr += rng.uniform(-0.05, 0.05, size=arr.shape).astype(net.dtype)
+    return net
+
+
 def small_spec():
     return nc.NetSpec(
         [
@@ -361,11 +398,8 @@ NETS = {
 @pytest.mark.parametrize("name", sorted(NETS))
 def test_network_gradients_match_reference(name, dtype):
     spec = NETS[name]()
-    net = nc.build_net(spec, seed=4, dtype=dtype)
     rng = np.random.default_rng(len(name))
-    for key, arr in net.params.items():
-        if key.endswith(".b"):
-            arr += rng.uniform(-0.05, 0.05, size=arr.shape).astype(dtype)
+    net = with_random_biases(nc.build_net(spec, seed=4, dtype=dtype), rng)
     batch = 6
     raw = rng.random((batch, *spec.input_shape))
     labels = rng.integers(0, spec.class_count, size=batch)
@@ -383,3 +417,30 @@ def test_network_gradients_match_reference(name, dtype):
                 assert same(g[key], g_ref[key]), (start, key)
         logits = reference_forward(net, x, spec.m)
         assert same(net.forward(x), logits)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_minicnn6_matches_reference_at_training_and_evaluation_sizes(dtype):
+    spec = NETS["minicnn6-bars16"]()
+    rng = np.random.default_rng(32)
+    net = with_random_biases(nc.build_net(spec, seed=5, dtype=dtype), rng)
+    # one training batch: logits, loss and every gradient
+    x = rng.random((32, *spec.input_shape)).astype(dtype)
+    labels = rng.integers(0, spec.class_count, size=32)
+    assert same(net.forward(x), reference_forward(net, x, spec.m))
+    loss_ref, g_ref = reference_loss_and_grad(net, x, labels)
+    loss, g = nc.loss_and_grad(net, x, labels)
+    assert loss == loss_ref
+    assert g.keys() == g_ref.keys()
+    assert all(same(g[key], g_ref[key]) for key in g)
+    # one evaluate call of two chunks, 512 + 88 images
+    x = rng.random((600, *spec.input_shape)).astype(dtype)
+    labels = rng.integers(0, spec.class_count, size=600)
+    for lo, hi in ((0, 512), (512, 600)):
+        assert same(net.forward(x[lo:hi]), reference_forward(net, x[lo:hi], spec.m))
+    ref_net = net.copy()
+    ref_net.forward = lambda chunk, start=0: reference_forward(net, chunk, spec.m)
+    report = nc.evaluate(net, x, labels)
+    ref_report = nc.evaluate(ref_net, x, labels)
+    assert report.mispredictions == ref_report.mispredictions
+    assert same(np.float64(report.loss_mean), np.float64(ref_report.loss_mean))
