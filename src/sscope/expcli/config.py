@@ -127,6 +127,9 @@ class ExperimentConfig:
             raise ConfigError(
                 f"train_n and test_n must be at least 1, got {self.train_n} "
                 f"and {self.test_n}")
+        if self.batch_size > self.train_n:
+            raise ConfigError(
+                f"batch_size {self.batch_size} exceeds train_n {self.train_n}")
         if self.precision not in (32, 64):
             raise ConfigError("precision must be 32 or 64")
         if self.workers < 1:
@@ -147,13 +150,19 @@ class ExperimentConfig:
         presets.optimizer_config(self.optimizer, self.optimizer_overrides)
         if self.explicit_sets:
             m = self.net_spec().m
+            spellings = {}
             for text in self.explicit_sets:
                 if not isinstance(text, str):
                     raise ConfigError(f"explicit_sets entry {text!r} is not a string")
                 try:
-                    InterventionSet.parse(text, m)
+                    canon = InterventionSet.parse(text, m).canonical()
                 except UsageError as exc:
                     raise ConfigError(f"explicit_sets: {exc}") from None
+                spellings.setdefault(canon, []).append(text)
+            repeated = [v for v in spellings.values() if len(v) > 1]
+            if repeated:
+                raise ConfigError(
+                    f"explicit_sets must be distinct, but these name one set: {repeated}")
         return self
 
     # ---- resolution -------------------------------------------------------

@@ -17,7 +17,7 @@ import io
 import json
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import astuple, dataclass, fields
 
 from ..errors import StoreError
 
@@ -25,42 +25,12 @@ __all__ = ["RunRecord", "ResultsStore", "SCHEMA_TAG"]
 
 SCHEMA_TAG = "sscsv1"
 
-_COLUMNS = (
-    SCHEMA_TAG,  # run_id column, titled with the schema tag
-    "trial_id",
-    "role",
-    "set",
-    "seed",
-    "task",
-    "skew_kind",
-    "skew_strength",
-    "skew_frequency",
-    "net",
-    "optimizer",
-    "mode",
-    "family",
-    "steps",
-    "batch_size",
-    "train_n",
-    "test_n",
-    "master_seed",
-    "err_clean_num",
-    "err_clean_den",
-    "err_skewfull_num",
-    "err_skewfull_den",
-    "diverged",
-    "status",
-    "interv_kind",
-    "interv_factor",
-    "interv_targets",
-    "extent",
-    "wall_time",
-)
-
 
 @dataclass(frozen=True)
 class RunRecord:
-    run_id: str
+    """One results.csv row; its fields, in order, are the file's columns."""
+
+    run_id: str  # the first column, titled with the schema tag
     trial_id: str
     role: str  # clean_anchor | skewed_anchor | intervened_c | intervened_s | mitigation
     set: str
@@ -91,44 +61,16 @@ class RunRecord:
     wall_time: float = 0.0
 
     def row(self):
-        d = asdict(self)
-        d[SCHEMA_TAG] = d.pop("run_id")
-        d["diverged"] = int(self.diverged)
-        return [d[c] for c in _COLUMNS]
+        return [int(v) if isinstance(v, bool) else v for v in astuple(self)]
 
-    @classmethod
-    def from_row(cls, row: dict) -> "RunRecord":
-        return cls(
-            run_id=row[SCHEMA_TAG],
-            trial_id=row["trial_id"],
-            role=row["role"],
-            set=row["set"],
-            seed=int(row["seed"]),
-            task=row["task"],
-            skew_kind=row["skew_kind"],
-            skew_strength=float(row["skew_strength"]),
-            skew_frequency=row["skew_frequency"],
-            net=row["net"],
-            optimizer=row["optimizer"],
-            mode=row["mode"],
-            family=row["family"],
-            steps=int(row["steps"]),
-            batch_size=int(row["batch_size"]),
-            train_n=int(row["train_n"]),
-            test_n=int(row["test_n"]),
-            master_seed=int(row["master_seed"]),
-            err_clean_num=int(row["err_clean_num"]),
-            err_clean_den=int(row["err_clean_den"]),
-            err_skewfull_num=int(row["err_skewfull_num"]),
-            err_skewfull_den=int(row["err_skewfull_den"]),
-            diverged=bool(int(row["diverged"])),
-            status=row["status"],
-            interv_kind=row["interv_kind"],
-            interv_factor=row["interv_factor"],
-            interv_targets=row["interv_targets"],
-            extent=row["extent"],
-            wall_time=float(row["wall_time"]),
-        )
+
+_COLUMNS = (SCHEMA_TAG,) + tuple(f.name for f in fields(RunRecord)[1:])
+
+# one parser per column, from the field's declared type (a string under
+# postponed annotations); a bool is stored as 0 or 1
+_PARSE_BY_TYPE = {"str": str, "int": int, "float": float,
+                  "bool": lambda s: bool(int(s))}
+_PARSERS = tuple(_PARSE_BY_TYPE[f.type] for f in fields(RunRecord))
 
 
 class ResultsStore:
@@ -192,7 +134,7 @@ class ResultsStore:
                 f"expected {len(_COLUMNS)}"
             )
         try:
-            return RunRecord.from_row(dict(zip(_COLUMNS, row)))
+            return RunRecord(*(parse(v) for parse, v in zip(_PARSERS, row)))
         except ValueError as exc:
             raise StoreError(f"{self.csv_path}: line {line}: {exc}") from None
 

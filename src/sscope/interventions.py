@@ -98,7 +98,7 @@ class TargetBlocks:
         return "+".join(map(str, self.blocks))
 
 
-def mitigation_extent(err_intervened, err_c, err_s, gap_floor=GAP_FLOOR):
+def mitigation_extent(err_intervened, err_c, err_s):
     """(err_s - err_i) / (err_s - err_c); None when the gap is below the floor.
 
     Equivalent to the accuracy-difference form, so the definition is invariant
@@ -108,7 +108,7 @@ def mitigation_extent(err_intervened, err_c, err_s, gap_floor=GAP_FLOOR):
     err_c = _as_fraction(err_c)
     err_s = _as_fraction(err_s)
     gap = err_s - err_c
-    if abs(gap) < gap_floor:
+    if abs(gap) < GAP_FLOOR:
         return None
     return float((err_s - err_i) / gap)
 

@@ -93,13 +93,12 @@ class RelativeContributions:
     gap: Fraction
 
 
-def relative(record: ContributionRecord, gap=None,
-             gap_floor: Fraction = GAP_FLOOR) -> RelativeContributions:
+def relative(record: ContributionRecord) -> RelativeContributions:
     """Normalize by the clean/skewed gap and express in percent."""
-    gap = record.gap if gap is None else _as_fraction(gap)
-    if abs(gap) < gap_floor:
+    gap = record.gap
+    if abs(gap) < GAP_FLOOR:
         raise UsageError(
-            f"gap {float(gap):.5f} too small to normalize (floor {float(gap_floor)})"
+            f"gap {float(gap):.5f} too small to normalize (floor {float(GAP_FLOOR)})"
         )
     return RelativeContributions(
         A=record.A,

@@ -25,7 +25,7 @@ from sscope.expcli.runner import (
     localization_profiles,
     run_grid,
 )
-from sscope.expcli.store import SCHEMA_TAG, ResultsStore, RunRecord
+from sscope.expcli.store import ResultsStore, RunRecord
 from sscope.interventions import mitigation_extent
 from sscope.netcore import build_net, save_checkpoint
 from sscope.skewlab import load_ssd1
@@ -123,11 +123,18 @@ def test_family_grid_record_count(family_store):
     assert roles == {"clean_anchor", "skewed_anchor", "intervened_c", "intervened_s"}
 
 
+_HEADER = (
+    "sscsv1,trial_id,role,set,seed,task,skew_kind,skew_strength,skew_frequency,"
+    "net,optimizer,mode,family,steps,batch_size,train_n,test_n,master_seed,"
+    "err_clean_num,err_clean_den,err_skewfull_num,err_skewfull_den,diverged,"
+    "status,interv_kind,interv_factor,interv_targets,extent,wall_time")
+
+
 def test_store_schema_header(family_store):
     _, store, _ = family_store
-    with open(store.csv_path) as fh:
-        header = fh.readline().strip().split(",")
-    assert header[0] == SCHEMA_TAG
+    with open(store.csv_path, "rb") as fh:
+        header = fh.readline()
+    assert header == _HEADER.encode() + b"\r\n"
 
 
 def test_store_rejects_foreign_schema(tmp_path):
@@ -491,6 +498,37 @@ def _golden_records():
     return records
 
 
+# one row per role, as results.csv holds it (csv's \r\n line ends)
+_GOLDEN_ROWS = [
+    b"suf0-00,suf0,clean_anchor,,0,bars16,watermark,0.75,127/128,mlp4,adamw,"
+    b"scratch,suffix,30,16,256,128,0,20,200,100,200,0,ok,,,,,0.0\r\n",
+    b"suf0-02,suf0,intervened_c,0:4,0,bars16,watermark,0.75,127/128,mlp4,adamw,"
+    b"scratch,suffix,30,16,256,128,0,60,200,100,200,0,ok,,,,,0.0\r\n",
+    b"mit4-46,mit4,mitigation,lr_up@0,4,bars16,watermark,0.75,127/128,mlp4,adamw,"
+    b"scratch,suffix,30,16,256,128,0,30,200,100,200,0,ok,lr_up,2.0,0,"
+    b"0.7631578947368421,0.0\r\n",
+    b'quoted,sgl5,intervened_s,"{0,2}",0,bars16,watermark,0.25,15/16,mlp4,sgd,'
+    b"scratch,single,30,16,256,128,0,36,200,100,200,1,ok,,,,,12.375\r\n",
+]
+
+
+def test_store_round_trips_records_byte_for_byte(tmp_path):
+    records = _golden_records()
+    # a diverged run whose set CSV must quote, with a wall time that is not 0
+    records.append(dataclasses.replace(
+        records[-3], run_id="quoted", set="{0,2}", diverged=True, wall_time=12.375))
+    store = ResultsStore(tmp_path)
+    for rec in records:
+        store.append(rec)
+    assert store.load() == records
+    with open(store.csv_path, "rb") as fh:
+        lines = fh.readlines()
+    assert lines[0] == _HEADER.encode() + b"\r\n"
+    assert len(lines) == 1 + len(records)
+    for row in _GOLDEN_ROWS:
+        assert row in lines
+
+
 # report.txt pads every cell to its column width, trailing spaces included
 _GOLDEN_TXT = "\n".join([
     'Clean-test error rates of clean and skewed anchors, mean (SE)',
@@ -696,10 +734,13 @@ def test_bad_frequency_fails_before_training(tmp_path, capsys, frequency):
     {"train_n": 0},
     {"test_n": 0},
     {"seeds": [3, 3]},
+    {"family": "explicit", "explicit_sets": ["2:4", "{2,3}"]},
+    {"batch_size": 512},
 ], ids=["seeds-int", "seeds-str-item", "steps-str", "task-list", "debug-sync-int",
         "skew-list", "strength-list", "patch-size-str", "skew-unknown-key",
         "override-str", "frequency-float", "frequency-float-den", "frequency-bool",
-        "train-n-zero", "test-n-zero", "seeds-repeated"])
+        "train-n-zero", "test-n-zero", "seeds-repeated", "explicit-sets-repeated",
+        "batch-size-over-train-n"])
 def test_malformed_config_fails_before_training(tmp_path, capsys, bad):
     raw = tiny_config(tmp_path / "run").to_dict()
     raw.update(bad)
