@@ -8,6 +8,13 @@ in-place anchor update is the partner's update too. Everything draws
 batches from one shared index stream, so every model gets equal exposure
 and the whole procedure is a pure function of (spec, data, plan, A).
 
+Every net of a run follows one `TrainPlan`; nets differ only in the role
+whose batches they see. Each net has one key, its evaluation key: its role
+for an anchor, (anchor role, canonical set) for a partner, ("retrained",
+name) for a retraining. `FamilyOutcome` and `evaluate_family` are keyed by
+it, and messages print it as "anchor:clean", "intervened:clean:2:4" or
+"retrained:freeze@0".
+
 Each step computes every gradient before any update is applied. Below
 s = min(A) a partner holds exactly its anchor's weights and reads the same
 view as every other partner of that direction, so the anchor's forward pass
@@ -70,7 +77,6 @@ __all__ = [
     "InterventionSet",
     "TrainPlan",
     "Retraining",
-    "PairOutcome",
     "FamilyOutcome",
     "train_single",
     "train_pair",
@@ -170,20 +176,20 @@ def _block_index(part, text):
 
 @dataclass(frozen=True)
 class TrainPlan:
-    anchor_role: str
-    steps: int
+    """The recipe every net of a run follows, whatever role it trains on."""
+
     batch_size: int
     master_seed: int
     optimizer: OptimizerConfig
     schedule: ScheduleConfig
 
+    @property
+    def steps(self):
+        return self.schedule.total_steps
+
     def validate(self):
-        if self.anchor_role not in ROLES:
-            raise UsageError(f"anchor_role must be one of {ROLES}")
         if self.steps <= 0 or self.batch_size <= 0:
             raise UsageError("steps and batch_size must be positive")
-        if self.schedule.total_steps != self.steps:
-            raise UsageError("schedule.total_steps must equal plan steps")
         self.optimizer.validate()
         self.schedule.validate(self.optimizer.peak_lr)
         return self
@@ -191,6 +197,17 @@ class TrainPlan:
 
 def _other_role(role):
     return "skewed" if role == "clean" else "clean"
+
+
+def _check_role(role):
+    if role not in ROLES:
+        raise UsageError(f"role must be one of {ROLES}, got {role!r}")
+
+
+def _check_sets(spec, sets):
+    for A in sets:
+        if A.m != spec.m:
+            raise UsageError(f"intervention set has m={A.m}, spec has m={spec.m}")
 
 
 @dataclass(frozen=True)
@@ -219,7 +236,7 @@ class Retraining:
 
 @dataclass
 class _Trainee:
-    name: str
+    key: object  # its evaluation key (see the module docstring)
     net: BlockNet
     data_role: str
     update_blocks: list
@@ -229,11 +246,20 @@ class _Trainee:
     updates: int = 0
 
 
-def _anchor(name, net, role):
-    return _Trainee(name=name, net=net, data_role=role, update_blocks=list(range(net.m)))
+def _label(key):
+    """A trainee's key as messages print it: "anchor:clean",
+    "intervened:clean:2:4" or "retrained:freeze@0"."""
+    if isinstance(key, str):
+        return f"anchor:{key}"
+    return ":".join(key if key[0] == "retrained" else ("intervened", *key))
 
 
-def _partner(name, anchor, A):
+def _anchor(net, role):
+    return _Trainee(key=role, net=net, data_role=role,
+                    update_blocks=list(range(net.m)))
+
+
+def _partner(anchor, A):
     """A partner of `anchor` with its own copy of the anchor's buffer, whose
     blocks outside A read the anchor's arrays until training ends."""
     net = anchor.net.copy()
@@ -243,7 +269,7 @@ def _partner(name, anchor, A):
         for k in net.block_keys(b)
     )
     return _Trainee(
-        name=name,
+        key=(anchor.key, A.canonical()),
         net=net,
         data_role=_other_role(anchor.data_role),
         update_blocks=A.sorted(),
@@ -324,7 +350,7 @@ def _lockstep(pd, plan, trainees, debug_sync=False):
                     continue
                 s = min(blocks)
                 source = tr.anchor or tr
-                key = (source.name, tr.data_role)
+                key = (source.key, tr.data_role)
                 try:
                     if key not in prefixes:
                         prefixes[key] = _Prefix(source.net, views[tr.data_role])
@@ -350,17 +376,17 @@ def _lockstep(pd, plan, trainees, debug_sync=False):
     for tr, b, before in frozen:
         if tr.net.block_bytes(b) != before:
             raise AssertionError(
-                f"{tr.name}: frozen block {b} changed during its last phase")
+                f"{_label(tr.key)}: frozen block {b} changed during its last phase")
     for tr in trainees:
         if tr.anchor is not None:
             sync_blocks(tr.net, tr.anchor.net,
                         [b for b in range(tr.net.m) if b not in tr.update_blocks])
-    return {tr.name: tr for tr in trainees}
+    return {tr.key: tr for tr in trainees}
 
 
 def _diverged(tr, exc, t):
     """The TrainingDiverged for trainee tr's NumericError at step t."""
-    return TrainingDiverged(f"{tr.name}: {exc} at step {t}", step=t,
+    return TrainingDiverged(f"{_label(tr.key)}: {exc} at step {t}", step=t,
                             block=exc.block_index)
 
 
@@ -375,69 +401,53 @@ def _check_shared_path(tr, view, labels, blocks, shared_grads, t):
         for k in tr.net.block_keys(b):
             if full[k].tobytes() != shared_grads[k].tobytes():
                 raise AssertionError(
-                    f"shared-prefix gradient of {tr.name} at {k} differs from "
-                    f"its full pass at step {t}"
+                    f"shared-prefix gradient of {_label(tr.key)} at {k} differs "
+                    f"from its full pass at step {t}"
                 )
 
 
 # --------------------------------------------------------------------------
 # public training entry points
 
-def train_single(spec: NetSpec, pd: PairedDataset, plan: TrainPlan,
+def train_single(spec: NetSpec, pd: PairedDataset, plan: TrainPlan, role: str,
                  dtype=np.float32, init_from=None) -> BlockNet:
-    """Direct training of one network on its plan's dataset role."""
+    """Direct training of one network on dataset role `role`."""
+    _check_role(role)
     plan.validate()
     net = _initial_net(spec, plan, dtype, init_from)
-    _lockstep(pd, plan, [_anchor("anchor", net, plan.anchor_role)])
+    _lockstep(pd, plan, [_anchor(net, role)])
     return net
 
 
 @dataclass(frozen=True)
-class PairOutcome:
-    anchor: BlockNet
-    intervened: BlockNet
-    A: InterventionSet
-    steps: int
-    master_seed: int
-    update_counts: dict
-
-
-def train_pair(spec: NetSpec, pd: PairedDataset, plan: TrainPlan,
-               A: InterventionSet, dtype=np.float32, debug_sync=False,
-               init_from=None) -> PairOutcome:
-    """Train an anchor and one counterfactually intervened partner in lockstep."""
-    plan.validate()
-    if A.m != spec.m:
-        raise UsageError(f"intervention set has m={A.m}, spec has m={spec.m}")
-    anchor = _anchor("anchor", _initial_net(spec, plan, dtype, init_from),
-                     plan.anchor_role)
-    partner = _partner("intervened", anchor, A)  # shared initial weights
-    done = _lockstep(pd, plan, [anchor, partner], debug_sync=debug_sync)
-    return PairOutcome(
-        anchor=anchor.net,
-        intervened=partner.net,
-        A=A,
-        steps=plan.steps,
-        master_seed=plan.master_seed,
-        update_counts={name: tr.updates for name, tr in done.items()},
-    )
-
-
-@dataclass(frozen=True)
 class FamilyOutcome:
-    anchors: dict  # role -> BlockNet
-    # (direction role, canonical set) -> BlockNet; a full-set partner equals
-    # the opposite anchor byte for byte
-    intervened: dict
+    nets: dict  # evaluation key -> BlockNet
+    updates: dict  # evaluation key -> update count
     sets: list
-    steps: int
-    update_counts: dict
-    retrained: dict = field(default_factory=dict)  # retraining name -> BlockNet
 
 
-def train_family(spec: NetSpec, pd: PairedDataset, plan_clean: TrainPlan,
-                 plan_skewed: TrainPlan, sets, dtype=np.float32,
-                 debug_sync=False, init_from=None,
+def _outcome(done, sets):
+    return FamilyOutcome(nets={key: tr.net for key, tr in done.items()},
+                         updates={key: tr.updates for key, tr in done.items()},
+                         sets=sets)
+
+
+def train_pair(spec: NetSpec, pd: PairedDataset, plan: TrainPlan, role: str,
+               A: InterventionSet, dtype=np.float32, debug_sync=False,
+               init_from=None) -> FamilyOutcome:
+    """Train an anchor on `role` and one counterfactually intervened partner
+    in lockstep; the partner is trained even for the full set."""
+    _check_role(role)
+    plan.validate()
+    _check_sets(spec, [A])
+    anchor = _anchor(_initial_net(spec, plan, dtype, init_from), role)
+    partner = _partner(anchor, A)  # shared initial weights
+    return _outcome(_lockstep(pd, plan, [anchor, partner], debug_sync=debug_sync),
+                    [A])
+
+
+def train_family(spec: NetSpec, pd: PairedDataset, plan: TrainPlan, sets,
+                 dtype=np.float32, debug_sync=False, init_from=None,
                  retrainings=None) -> FamilyOutcome:
     """Both anchors plus one intervened model per (direction, set), and one
     skewed-role net per named `Retraining`, trained in a single lockstep
@@ -450,72 +460,39 @@ def train_family(spec: NetSpec, pd: PairedDataset, plan_clean: TrainPlan,
     and an AssertionError names it unless it ends byte-equal to the
     opposite anchor.
 
-    A retraining trains on the skewed role from the shared init; its net is
-    returned in `retrained` under its name, and its update count under
-    "retrained:<name>"."""
-    plan_clean.validate()
-    plan_skewed.validate()
-    if plan_clean.anchor_role != "clean" or plan_skewed.anchor_role != "skewed":
-        raise UsageError("plans must carry their own anchor roles")
-    for attr in ("steps", "batch_size", "master_seed", "optimizer", "schedule"):
-        if getattr(plan_clean, attr) != getattr(plan_skewed, attr):
-            raise UsageError(f"mirror-image plans must share {attr}")
+    A retraining trains on the skewed role from the shared init."""
+    plan.validate()
     sets = list(sets)
-    for A in sets:
-        if A.m != spec.m:
-            raise UsageError(f"intervention set has m={A.m}, spec has m={spec.m}")
-    init = _initial_net(spec, plan_clean, dtype, init_from)
-    anchors = [_anchor(f"anchor:{role}", init.copy(), role) for role in ROLES]
+    _check_sets(spec, sets)
+    init = _initial_net(spec, plan, dtype, init_from)
+    anchors = [_anchor(init.copy(), role) for role in ROLES]
     trainees = list(anchors)
-    full = InterventionSet.full(spec.m).canonical()
-    seen = set()
-    for A in sets:
-        key = A.canonical()
-        if key in seen:
-            continue
-        seen.add(key)
-        if key == full and not debug_sync:
-            continue  # the opposite anchor stands in for it, below
-        for anchor in anchors:
-            trainees.append(
-                _partner(f"intervened:{anchor.data_role}:{key}", anchor, A)
-            )
-    retrainings = dict(retrainings or {})
-    for name, r in retrainings.items():
-        trainees.append(_Trainee(
-            name=f"retrained:{name}", net=init.copy(), data_role="skewed",
-            update_blocks=list(range(spec.m)), retraining=r,
-        ))
-    done = _lockstep(pd, plan_clean, trainees, debug_sync=debug_sync)
-    nets = {name: tr.net for name, tr in done.items()}
-    update_counts = {name: tr.updates for name, tr in done.items()}
-    if full in seen:
+    full = InterventionSet.full(spec.m)
+    for A in {A.canonical(): A for A in sets}.values():
+        if A != full or debug_sync:  # else the opposite anchor stands in, below
+            trainees += [_partner(anchor, A) for anchor in anchors]
+    trainees += [
+        _Trainee(key=("retrained", name), net=init.copy(), data_role="skewed",
+                 update_blocks=list(range(spec.m)), retraining=r)
+        for name, r in (retrainings or {}).items()
+    ]
+    out = _outcome(_lockstep(pd, plan, trainees, debug_sync=debug_sync), sets)
+    if full in sets:
         for role in ROLES:
-            name = f"intervened:{role}:{full}"
-            twin = done[f"anchor:{_other_role(role)}"]
+            key, twin = (role, full.canonical()), _other_role(role)
             if not debug_sync:
-                nets[name] = twin.net.copy()
-                update_counts[name] = twin.updates
-            elif nets[name].flat.tobytes() != twin.net.flat.tobytes():
-                raise AssertionError(
-                    f"{name} differs from {twin.name}, which it must reproduce"
-                )
-    return FamilyOutcome(
-        anchors={role: nets[f"anchor:{role}"] for role in ROLES},
-        intervened={(role, A.canonical()): nets[f"intervened:{role}:{A.canonical()}"]
-                    for A in sets for role in ROLES},
-        sets=sets,
-        steps=plan_clean.steps,
-        update_counts=update_counts,
-        retrained={name: nets[f"retrained:{name}"] for name in retrainings},
-    )
+                out.nets[key] = out.nets[twin].copy()
+                out.updates[key] = out.updates[twin]
+            elif out.nets[key].flat.tobytes() != out.nets[twin].flat.tobytes():
+                raise AssertionError(f"{_label(key)} differs from {_label(twin)}, "
+                                     "which it must reproduce")
+    return out
 
 
 def evaluate_family(fam: FamilyOutcome, views, batch_size=512) -> dict:
     """One EvalReport per view for both anchors, every partner of a
-    non-empty set and every retraining, keyed by anchor role, (direction
-    role, canonical set) or ("retrained", name); each equals
-    `evaluate(net, view, batch_size=batch_size)` byte for byte.
+    non-empty set and every retraining, under the net's key in `fam.nets`;
+    each equals `evaluate(net, view, batch_size=batch_size)` byte for byte.
 
     A partner holds its anchor's bytes below min(A), so per (anchor, view)
     one `_Prefix` runs the anchor's blocks once, in `evaluate`'s chunks, and
@@ -526,28 +503,30 @@ def evaluate_family(fam: FamilyOutcome, views, batch_size=512) -> dict:
     are that anchor's. A retraining shares no blocks with an anchor, so it
     is scored from block 0.
     """
+    if not fam.nets.keys() >= set(ROLES):
+        raise UsageError("evaluate_family needs both anchors, as train_family gives")
     # before any prefix exists, so none is held while a retraining is scored
     reports = {
-        ("retrained", name): [
-            evaluate(net, view.pixels, view.labels, batch_size, start=0)
-            for view in views
-        ]
-        for name, net in fam.retrained.items()
+        key: [evaluate(net, view.pixels, view.labels, batch_size, start=0)
+              for view in views]
+        for key, net in fam.nets.items()
+        if isinstance(key, tuple) and key[0] == "retrained"
     }
-    for role, anchor in fam.anchors.items():
+    for role in ROLES:
+        anchor = fam.nets[role]
         starts = {role: (anchor.m - 1, anchor)}
         for A in fam.sets:
             if 0 < len(A.members) < A.m:
                 key = (role, A.canonical())
-                starts[key] = (min(A.members), fam.intervened[key])
+                starts[key] = (min(A.members), fam.nets[key])
         for view in views:
             prefix = _Prefix(anchor, view.pixels, batch_size)
-            for name, (s, net) in starts.items():
-                reports.setdefault(name, []).append(
+            for key, (s, net) in starts.items():
+                reports.setdefault(key, []).append(
                     evaluate(net, prefix.entering(s), view.labels, batch_size, start=s)
                 )
     for A in fam.sets:
         if len(A.members) == A.m:
-            for role in fam.anchors:
+            for role in ROLES:
                 reports[(role, A.canonical())] = list(reports[_other_role(role)])
     return reports

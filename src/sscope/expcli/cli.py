@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Subcommands: gen-data, train, counterfactual, metrics, stats, intervene,
-report. Exit codes: 0 ok, 1 usage/config error or corrupt results store,
-2 runtime failure. The SSCOPE_OUT environment variable overrides the output
-directory from both the config file and the --out flag.
+report. Exit codes: 0 ok, 1 usage/config error (a bad command-line argument
+included) or corrupt results store, 2 runtime failure. The SSCOPE_OUT
+environment variable overrides the output directory from both the config
+file and the --out flag.
 """
 
 from __future__ import annotations
@@ -25,33 +26,35 @@ from .store import ResultsStore
 __all__ = ["main"]
 
 
-def _common_flags(sub):
-    sub.add_argument("--config", help="JSON experiment config")
-    sub.add_argument("--seed", type=int, help="override master_seed")
-    sub.add_argument("--workers", type=int, help="parallel trial workers")
-    sub.add_argument("--out", help="output directory")
-    sub.add_argument("--precision", type=int, choices=(32, 64))
-    sub.add_argument("--family", choices=("single", "suffix"))
-    sub.add_argument("--debug-sync", action="store_true", default=None,
-                     help="check one partner's shared-prefix gradients "
-                          "against a full pass at every step")
+# the grid kind each training command runs
+_GRIDS = {"train": "anchors", "counterfactual": "family", "intervene": "mitigation"}
+_COMMANDS = {
+    "gen-data": "write clean/fully-skewed SSD1 files",
+    "train": "train clean and skewed anchors over the seed grid",
+    "counterfactual": "train the intervention-set family over the grid",
+    "intervene": "run layer-wise mitigation retrainings",
+    "metrics": "compute contribution metrics and increase rates",
+    "stats": "variance-explained decomposition of the increase rates",
+    "report": "render mean (SE) tables from the store",
+}
+# config field -> the flag that overrides it, for the flags a command has
+_OVERRIDES = {"master_seed": "seed", "workers": "workers", "out": "out",
+              "precision": "precision", "family": "family",
+              "debug_sync": "debug_sync"}
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose bad argument is a UsageError (exit 1), not
+    argparse's exit 2; subparsers are of this class too."""
+
+    def error(self, message):
+        raise UsageError(f"{message}\n{self.format_usage().rstrip()}")
 
 
 def _load_config(args) -> ExperimentConfig:
     base = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.out is not None:
-        overrides["out"] = args.out
-    if args.precision is not None:
-        overrides["precision"] = args.precision
-    if getattr(args, "family", None) is not None:
-        overrides["family"] = args.family
-    if getattr(args, "debug_sync", None):
-        overrides["debug_sync"] = True
+    overrides = {name: getattr(args, flag) for name, flag in _OVERRIDES.items()
+                 if getattr(args, flag, None) is not None}
     env_out = os.environ.get("SSCOPE_OUT")
     if env_out:
         overrides["out"] = env_out
@@ -61,33 +64,29 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    """Every command takes --config and --out; gen-data and the grid
+    commands take --seed, and only the grid commands take the rest."""
+    parser = _Parser(
         prog="sscope",
         description="Desk-scale laboratory for layer-wise shortcut localization",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    gen = subs.add_parser("gen-data", help="write clean/fully-skewed SSD1 files")
-    _common_flags(gen)
+    for name, help_text in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        sub.add_argument("--config", help="JSON experiment config")
+        sub.add_argument("--out", help="output directory")
+        if name == "gen-data" or name in _GRIDS:
+            sub.add_argument("--seed", type=int, help="override master_seed")
+        if name in _GRIDS:
+            sub.add_argument("--workers", type=int, help="parallel trial workers")
+            sub.add_argument("--precision", type=int, choices=(32, 64))
+            sub.add_argument("--family", choices=("single", "suffix"))
+            sub.add_argument("--debug-sync", action="store_true", default=None,
+                             help="check one partner's shared-prefix gradients "
+                                  "against a full pass at every step")
+    gen = subs.choices["gen-data"]
     gen.add_argument("--n", type=int, help="override train_n for the export")
     gen.add_argument("--prefix", default="dataset", help="output file prefix")
-
-    for name, help_text in (
-        ("train", "train clean and skewed anchors over the seed grid"),
-        ("counterfactual", "train the intervention-set family over the grid"),
-        ("intervene", "run layer-wise mitigation retrainings"),
-    ):
-        sub = subs.add_parser(name, help=help_text)
-        _common_flags(sub)
-
-    for name, help_text in (
-        ("metrics", "compute contribution metrics and increase rates"),
-        ("stats", "variance-explained decomposition of the increase rates"),
-        ("report", "render mean (SE) tables from the store"),
-    ):
-        sub = subs.add_parser(name, help=help_text)
-        _common_flags(sub)
-
     return parser
 
 
@@ -110,10 +109,10 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _run(args, kind) -> int:
+def cmd_grid(args) -> int:
     config = _load_config(args)
     store = ResultsStore(config.out)
-    written = run_grid(config, store, kind=kind)
+    written = run_grid(config, store, kind=_GRIDS[args.command])
     print(f"{written} new records in {store.csv_path}")
     return 0
 
@@ -219,17 +218,15 @@ def cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     handlers = {
         "gen-data": cmd_gen_data,
-        "train": lambda a: _run(a, "anchors"),
-        "counterfactual": lambda a: _run(a, "family"),
-        "intervene": lambda a: _run(a, "mitigation"),
+        **dict.fromkeys(_GRIDS, cmd_grid),
         "metrics": cmd_metrics,
         "stats": cmd_stats,
         "report": cmd_report,
     }
     try:
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
     except (UsageError, StoreError) as exc:
         print(f"error: {exc}", file=sys.stderr)

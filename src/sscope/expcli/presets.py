@@ -15,7 +15,7 @@ warm-started, min_lr = peak / 100).
 from __future__ import annotations
 
 from .. import netcore as nc
-from ..errors import ConfigError
+from ..errors import ConfigError, UsageError
 from ..optim import ADAMW, SGD_NESTEROV, OptimizerConfig, ScheduleConfig
 from ..skewlab import STRONG, WEAK, SyntheticTaskSpec, WatermarkSkewSpec
 
@@ -102,7 +102,10 @@ def optimizer_config(name: str, overrides: dict | None = None) -> OptimizerConfi
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             raise ConfigError(f"optimizer override {key} must be a number, got {val!r}")
         kw[key] = val
-    return OptimizerConfig(**kw).validate()
+    try:
+        return OptimizerConfig(**kw).validate()
+    except UsageError as exc:
+        raise ConfigError(f"optimizer_overrides {overrides}: {exc}") from None
 
 
 def schedule_config(steps: int, mode: str, peak_lr: float) -> ScheduleConfig:

@@ -84,22 +84,14 @@ def build_trial_data(config: ExperimentConfig, seed: int):
     return pd, test_clean, test_full
 
 
-def _plans(config: ExperimentConfig, seed: int):
+def _plan(config: ExperimentConfig, seed: int):
     opt = presets.optimizer_config(config.optimizer, config.optimizer_overrides)
-    schedule = presets.schedule_config(config.steps, config.mode, opt.peak_lr)
-    tseed = trial_seed(config, seed)
-
-    def mk(role):
-        return TrainPlan(
-            anchor_role=role,
-            steps=config.steps,
-            batch_size=config.batch_size,
-            master_seed=tseed,
-            optimizer=opt,
-            schedule=schedule,
-        ).validate()
-
-    return mk("clean"), mk("skewed")
+    return TrainPlan(
+        batch_size=config.batch_size,
+        master_seed=trial_seed(config, seed),
+        optimizer=opt,
+        schedule=presets.schedule_config(config.steps, config.mode, opt.peak_lr),
+    ).validate()
 
 
 def _dtype(config):
@@ -183,11 +175,10 @@ def run_trial(config: ExperimentConfig, seed: int, kind: str):
     started = time.monotonic()
     spec = config.net_spec()
     pd, test_clean, test_full = build_trial_data(config, seed)
-    plan_c, plan_s = _plans(config, seed)
     sets = intervention_sets(config, spec.m) if kind == "family" else []
     runs = _mitigation_runs(spec.m) if kind == "mitigation" else []
     fam = train_family(
-        spec, pd, plan_c, plan_s, sets,
+        spec, pd, _plan(config, seed), sets,
         dtype=_dtype(config),
         debug_sync=config.debug_sync,
         init_from=_warmstart_net(config),
@@ -205,7 +196,7 @@ def run_trial(config: ExperimentConfig, seed: int, kind: str):
     for role_name, role in (("clean_anchor", "clean"), ("skewed_anchor", "skewed")):
         rec = _record(config, seed, role_name, "", *evals[role], wall_time=wall)
         records.append(rec)
-        nets[rec.run_id] = fam.anchors[role]
+        nets[rec.run_id] = fam.nets[role]
     err_c = evals["clean"][0].error_fraction
     err_s = evals["skewed"][0].error_fraction
     err_skewfull_of_clean = evals["clean"][1].error_fraction

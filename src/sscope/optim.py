@@ -50,6 +50,11 @@ class OptimizerConfig:
     def validate(self):
         if self.kind not in (SGD_NESTEROV, ADAMW):
             raise UsageError(f"unknown optimizer kind {self.kind!r}")
+        values = (self.peak_lr, self.weight_decay, self.momentum, *self.betas,
+                  self.epsilon)
+        if not all(math.isfinite(v) for v in values):
+            raise UsageError(
+                "peak_lr, weight_decay, momentum, betas and epsilon must be finite")
         if self.peak_lr <= 0:
             raise UsageError("peak_lr must be positive")
         if self.weight_decay < 0:
@@ -59,6 +64,8 @@ class OptimizerConfig:
         b1, b2 = self.betas
         if not (0 < b1 < 1 and 0 < b2 < 1):
             raise UsageError("betas must be in (0, 1)")
+        if self.epsilon <= 0:
+            raise UsageError("epsilon must be positive")
         return self
 
 

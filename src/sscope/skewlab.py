@@ -25,7 +25,6 @@ features stay learnable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -132,10 +131,6 @@ class SkewFrequency:
     @property
     def value(self) -> float:
         return self.numerator / self.denominator
-
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
 
 
 COMMON = SkewFrequency(127, 128)

@@ -46,10 +46,8 @@ def make_paired(task, n, seed, freq=sl.COMMON):
     return sl.apply_frequency(clean, fully, freq, seed=seed + 1)
 
 
-def quick_plan(role, steps=60, batch_size=16, master_seed=0, peak_lr=3e-3):
+def quick_plan(steps=60, batch_size=16, master_seed=0, peak_lr=3e-3):
     return TrainPlan(
-        anchor_role=role,
-        steps=steps,
         batch_size=batch_size,
         master_seed=master_seed,
         optimizer=OptimizerConfig(ADAMW, peak_lr=peak_lr, weight_decay=0.01),

@@ -100,26 +100,26 @@ def test_criterion_01_decomposition_identities(family_store):
 def test_criterion_02_degenerate_equivalences():
     spec = mlp4_spec()
     pd = make_paired(watermark_task(), n=512, seed=91)
-    plan = quick_plan("clean", steps=2000, batch_size=32, master_seed=7)
-    empty = train_pair(spec, pd, plan, InterventionSet.empty(spec.m))
-    assert net_bytes(empty.intervened) == net_bytes(empty.anchor)
-    full = train_pair(spec, pd, plan, InterventionSet.full(spec.m))
-    direct = train_single(
-        spec, pd, quick_plan("skewed", steps=2000, batch_size=32, master_seed=7)
-    )
-    assert net_bytes(full.intervened) == net_bytes(direct)
+    plan = quick_plan(steps=2000, batch_size=32, master_seed=7)
+    empty = train_pair(spec, pd, plan, "clean", InterventionSet.empty(spec.m))
+    assert net_bytes(empty.nets["clean", "{}"]) == net_bytes(empty.nets["clean"])
+    full = InterventionSet.full(spec.m)
+    pair = train_pair(spec, pd, plan, "clean", full)
+    direct = train_single(spec, pd, plan, "skewed")
+    assert net_bytes(pair.nets["clean", full.canonical()]) == net_bytes(direct)
     ok(2, "A={} matches anchor and A=[m] matches a direct skewed run, bit-exact")
 
 
 def test_criterion_03_sync_invariant_debug_mode():
     spec = mlp4_spec()
     pd = make_paired(watermark_task(), n=256, seed=92)
-    plan = quick_plan("clean", steps=500, batch_size=16, master_seed=9)
+    plan = quick_plan(steps=500, batch_size=16, master_seed=9)
     out = train_pair(
-        spec, pd, plan, InterventionSet.suffix(spec.m, 2), debug_sync=True
+        spec, pd, plan, "clean", InterventionSet.suffix(spec.m, 2), debug_sync=True
     )
     for b in (0, 1):
-        assert out.intervened.block_bytes(b) == out.anchor.block_bytes(b)
+        assert (out.nets["clean", "2:4"].block_bytes(b)
+                == out.nets["clean"].block_bytes(b))
     ok(3, "500-step debug-sync run: zero shared-block violations")
 
 
@@ -252,19 +252,18 @@ def test_criterion_09_intervention_noop_and_freeze():
     spec = mlp4_spec()
     task = watermark_task()
     pd = make_paired(task, n=512, seed=93)
-    plan = quick_plan("skewed", steps=600, batch_size=32, master_seed=21)
+    plan = quick_plan(steps=600, batch_size=32, master_seed=21)
     noop = retrain_with_intervention(InterventionKind("lr_scale", 1.0),
                                      TargetBlocks((1,)), spec.m)
     # the engine raises unless the frozen blocks keep their phase-3 bytes
     freeze = freeze_protocol(spec.m, plan.steps, keep_block=2, t1=30, t2=30)
     fam = train_family(
-        spec, pd, quick_plan("clean", steps=600, batch_size=32, master_seed=21),
-        plan, [], retrainings={"noop": noop, "freeze": freeze},
+        spec, pd, plan, [], retrainings={"noop": noop, "freeze": freeze},
     )
-    anchor = train_single(spec, pd, plan)
-    assert net_bytes(fam.anchors["skewed"]) == net_bytes(anchor)
-    assert net_bytes(fam.retrained["noop"]) == net_bytes(anchor)
-    assert net_bytes(fam.retrained["freeze"]) != net_bytes(anchor)
+    anchor = train_single(spec, pd, plan, "skewed")
+    assert net_bytes(fam.nets["skewed"]) == net_bytes(anchor)
+    assert net_bytes(fam.nets["retrained", "noop"]) == net_bytes(anchor)
+    assert net_bytes(fam.nets["retrained", "freeze"]) != net_bytes(anchor)
     ok(9, "factor-1 retraining is byte-identical to the skewed anchor; "
           "freeze contract verified byte-wise")
 

@@ -68,31 +68,29 @@ def test_intervention_set_parse_rejects_malformed(text):
 
 def test_empty_set_reproduces_anchor(small_paired):
     spec = mlp4_spec()
-    plan = quick_plan("clean", steps=40)
-    out = train_pair(spec, small_paired, plan, InterventionSet.empty(spec.m))
-    assert net_bytes(out.intervened) == net_bytes(out.anchor)
+    plan = quick_plan(steps=40)
+    out = train_pair(spec, small_paired, plan, "clean", InterventionSet.empty(spec.m))
+    assert net_bytes(out.nets["clean", "{}"]) == net_bytes(out.nets["clean"])
 
 
 def test_full_set_reproduces_direct_opposite_run(small_paired):
     spec = mlp4_spec()
-    plan = quick_plan("clean", steps=40, master_seed=3)
-    out = train_pair(spec, small_paired, plan, InterventionSet.full(spec.m))
-    direct = train_single(
-        spec, small_paired, quick_plan("skewed", steps=40, master_seed=3)
-    )
-    assert net_bytes(out.intervened) == net_bytes(direct)
+    plan = quick_plan(steps=40, master_seed=3)
+    full = InterventionSet.full(spec.m)
+    out = train_pair(spec, small_paired, plan, "clean", full)
+    direct = train_single(spec, small_paired, plan, "skewed")
+    assert net_bytes(out.nets["clean", full.canonical()]) == net_bytes(direct)
 
 
 def test_suffix_set_sync_contract(small_paired):
     spec = mlp4_spec()
-    plan = quick_plan("clean", steps=30, master_seed=5)
+    plan = quick_plan(steps=30, master_seed=5)
     A = InterventionSet.suffix(spec.m, 2)
-    out = train_pair(spec, small_paired, plan, A, debug_sync=True)
+    out = train_pair(spec, small_paired, plan, "clean", A, debug_sync=True)
+    anchor, partner = out.nets["clean"], out.nets["clean", A.canonical()]
     for b in (0, 1):
-        assert out.intervened.block_bytes(b) == out.anchor.block_bytes(b)
-    assert any(
-        out.intervened.block_bytes(b) != out.anchor.block_bytes(b) for b in (2, 3)
-    )
+        assert partner.block_bytes(b) == anchor.block_bytes(b)
+    assert any(partner.block_bytes(b) != anchor.block_bytes(b) for b in (2, 3))
 
 
 def test_partner_reads_anchor_arrays_until_sync(small_paired):
@@ -100,8 +98,8 @@ def test_partner_reads_anchor_arrays_until_sync(small_paired):
     # sees its anchor's in-place updates to the shared blocks, and after
     # sync_blocks only its own copies
     spec = mlp4_spec()
-    anchor = cf._anchor("anchor", nc.build_net(spec, seed=3), "clean")
-    partner = cf._partner("partner", anchor, InterventionSet.suffix(spec.m, 2))
+    anchor = cf._anchor(nc.build_net(spec, seed=3), "clean")
+    partner = cf._partner(anchor, InterventionSet.suffix(spec.m, 2))
     x = small_paired.clean.pixels[:8]
     before = partner.net.forward(x)
     anchor.net.flat[: anchor.net.block_offsets[2]] *= 0.5  # shared blocks 0, 1
@@ -119,32 +117,31 @@ def test_partner_reads_anchor_arrays_until_sync(small_paired):
 
 def test_lockstep_optimizers_share_one_work_buffer(small_paired):
     spec = mlp4_spec()
-    anchor = cf._anchor("anchor", nc.build_net(spec, seed=3), "clean")
-    partner = cf._partner("partner", anchor, InterventionSet.suffix(spec.m, 2))
-    done = cf._lockstep(small_paired, quick_plan("clean", steps=3), [anchor, partner])
-    assert done["anchor"].optimizer.work is done["partner"].optimizer.work
+    anchor = cf._anchor(nc.build_net(spec, seed=3), "clean")
+    partner = cf._partner(anchor, InterventionSet.suffix(spec.m, 2))
+    done = cf._lockstep(small_paired, quick_plan(steps=3), [anchor, partner])
+    assert done["clean"].optimizer.work is done["clean", "2:4"].optimizer.work
 
 
 def test_pair_outcome_deterministic(small_paired):
     spec = mlp4_spec()
     A = InterventionSet.single_complement(spec.m, 1)
     runs = [
-        train_pair(spec, small_paired, quick_plan("clean", steps=25, master_seed=9), A)
+        train_pair(spec, small_paired, quick_plan(steps=25, master_seed=9), "clean", A)
         for _ in range(2)
     ]
-    assert net_bytes(runs[0].intervened) == net_bytes(runs[1].intervened)
-    assert net_bytes(runs[0].anchor) == net_bytes(runs[1].anchor)
+    for key in ("clean", ("clean", A.canonical())):
+        assert net_bytes(runs[0].nets[key]) == net_bytes(runs[1].nets[key])
 
 
 def test_skewed_anchor_direction(small_paired):
     # mirrored direction: anchor on skewed data, partner consumes clean batches
     spec = mlp4_spec()
-    plan = quick_plan("skewed", steps=30, master_seed=4)
-    out = train_pair(spec, small_paired, plan, InterventionSet.full(spec.m))
-    direct_clean = train_single(
-        spec, small_paired, quick_plan("clean", steps=30, master_seed=4)
-    )
-    assert net_bytes(out.intervened) == net_bytes(direct_clean)
+    plan = quick_plan(steps=30, master_seed=4)
+    full = InterventionSet.full(spec.m)
+    out = train_pair(spec, small_paired, plan, "skewed", full)
+    direct_clean = train_single(spec, small_paired, plan, "clean")
+    assert net_bytes(out.nets["skewed", full.canonical()]) == net_bytes(direct_clean)
 
 
 def test_family_anchors_match_pair_and_counts(small_paired):
@@ -152,27 +149,17 @@ def test_family_anchors_match_pair_and_counts(small_paired):
     m = spec.m
     steps = 24
     sets = [InterventionSet.suffix(m, i) for i in range(m + 1)]
-    fam = train_family(
-        spec,
-        small_paired,
-        quick_plan("clean", steps=steps, master_seed=7),
-        quick_plan("skewed", steps=steps, master_seed=7),
-        sets,
-    )
-    pair = train_pair(
-        spec,
-        small_paired,
-        quick_plan("clean", steps=steps, master_seed=7),
-        InterventionSet.empty(m),
-    )
-    assert net_bytes(fam.anchors["clean"]) == net_bytes(pair.anchor)
+    plan = quick_plan(steps=steps, master_seed=7)
+    fam = train_family(spec, small_paired, plan, sets)
+    pair = train_pair(spec, small_paired, plan, "clean", InterventionSet.empty(m))
+    assert net_bytes(fam.nets["clean"]) == net_bytes(pair.nets["clean"])
     # anchors train exactly once, for exactly `steps` updates
-    assert fam.update_counts["anchor:clean"] == steps
-    assert fam.update_counts["anchor:skewed"] == steps
-    anchor_count = sum(1 for k in fam.update_counts if k.startswith("anchor:"))
+    assert fam.updates["clean"] == steps
+    assert fam.updates["skewed"] == steps
+    anchor_count = sum(1 for k in fam.updates if k in cf.ROLES)
     assert anchor_count == 2
     # empty-set partners never update
-    assert fam.update_counts["intervened:clean:{}"] == 0
+    assert fam.updates["clean", "{}"] == 0
 
 
 def test_family_full_set_crosses_to_other_anchor(small_paired, monkeypatch):
@@ -187,70 +174,57 @@ def test_family_full_set_crosses_to_other_anchor(small_paired, monkeypatch):
 
     monkeypatch.setattr(cf, "loss_and_grad", counted)
     key = InterventionSet.full(spec.m).canonical()
-    fam = train_family(spec, small_paired,
-                       quick_plan("clean", steps=steps, master_seed=11),
-                       quick_plan("skewed", steps=steps, master_seed=11),
+    fam = train_family(spec, small_paired, quick_plan(steps=steps, master_seed=11),
                        [InterventionSet.full(spec.m)])
     assert len(passes) == 2 * steps  # the anchors' passes only
-    nets = [fam.intervened[(r, key)] for r in cf.ROLES] + list(fam.anchors.values())
+    nets = list(fam.nets.values())
+    assert len(nets) == 4
     for r in cf.ROLES:
-        got = fam.intervened[(r, key)]
+        got = fam.nets[r, key]
         other = cf._other_role(r)
-        assert net_bytes(got) == net_bytes(fam.anchors[other])
+        assert net_bytes(got) == net_bytes(fam.nets[other])
         assert not any(np.shares_memory(got.flat, net.flat)
                        for net in nets if net is not got)
         assert all(np.shares_memory(v, got.flat) for v in got.params.values())
-        assert (fam.update_counts[f"intervened:{r}:{key}"]
-                == fam.update_counts[f"anchor:{other}"] == steps)
+        assert fam.updates[r, key] == fam.updates[other] == steps
 
 
 def test_family_empty_set_returns_trivial_copies(small_paired):
     spec = mlp4_spec()
-    fam = train_family(
-        spec,
-        small_paired,
-        quick_plan("clean", steps=20, master_seed=2),
-        quick_plan("skewed", steps=20, master_seed=2),
-        [InterventionSet.empty(spec.m)],
-    )
-    assert net_bytes(fam.intervened[("clean", "{}")]) == net_bytes(
-        fam.anchors["clean"]
-    )
-    assert net_bytes(fam.intervened[("skewed", "{}")]) == net_bytes(
-        fam.anchors["skewed"]
-    )
-
-
-def test_family_requires_mirror_image_plans(small_paired):
-    spec = mlp4_spec()
-    with pytest.raises(UsageError, match="master_seed"):
-        train_family(
-            spec,
-            small_paired,
-            quick_plan("clean", steps=20, master_seed=1),
-            quick_plan("skewed", steps=20, master_seed=2),
-            [],
-        )
+    fam = train_family(spec, small_paired, quick_plan(steps=20, master_seed=2),
+                       [InterventionSet.empty(spec.m)])
+    for r in cf.ROLES:
+        assert net_bytes(fam.nets[r, "{}"]) == net_bytes(fam.nets[r])
 
 
 def test_mismatched_m_rejected(small_paired):
     spec = mlp4_spec()
     with pytest.raises(UsageError, match="m="):
         train_pair(
-            spec, small_paired, quick_plan("clean"), InterventionSet.empty(5)
+            spec, small_paired, quick_plan(), "clean", InterventionSet.empty(5)
         )
+
+
+def test_unknown_role_rejected(small_paired):
+    spec = mlp4_spec()
+    with pytest.raises(UsageError, match="role"):
+        train_single(spec, small_paired, quick_plan(steps=1), "dirty")
+    with pytest.raises(UsageError, match="role"):
+        train_pair(spec, small_paired, quick_plan(steps=1), "dirty",
+                   InterventionSet.empty(spec.m))
 
 
 def test_warmstart_shares_initial_weights(small_paired):
     spec = mlp4_spec()
     donor = nc.build_net(spec, seed=404)
-    plan = quick_plan("clean", steps=1, master_seed=6)
+    plan = quick_plan(steps=1, master_seed=6)
     out = train_pair(
-        spec, small_paired, plan, InterventionSet.empty(spec.m), init_from=donor
+        spec, small_paired, plan, "clean", InterventionSet.empty(spec.m),
+        init_from=donor
     )
     # one step from the donor weights, not from the seed-derived init
     fresh = nc.build_net(spec, seed=plan.master_seed)
-    assert net_bytes(out.anchor) != net_bytes(fresh)
+    assert net_bytes(out.nets["clean"]) != net_bytes(fresh)
 
 
 # --------------------------------------------------------------------------
@@ -318,23 +292,21 @@ def small_cnn_spec():
 def test_family_matches_reference_loop(small_paired, spec_fn, sets):
     spec = spec_fn()
     sets = sets(spec.m)
-    plan = quick_plan("clean", steps=12, master_seed=13)
-    fam = train_family(spec, small_paired, plan,
-                       quick_plan("skewed", steps=12, master_seed=13), sets)
-    members = {f"anchor:{r}": (r, list(range(spec.m)), None) for r in cf.ROLES}
+    plan = quick_plan(steps=12, master_seed=13)
+    fam = train_family(spec, small_paired, plan, sets)
+    members = {r: (r, list(range(spec.m)), None) for r in cf.ROLES}
     for A in sets:
         for r in cf.ROLES:
-            members[f"intervened:{r}:{A.canonical()}"] = (
-                cf._other_role(r), A.sorted(), f"anchor:{r}")
+            members[r, A.canonical()] = (cf._other_role(r), A.sorted(), r)
     ref = reference_lockstep(small_paired, plan, nc.build_net(spec, seed=13), members)
     for r in cf.ROLES:
-        assert net_bytes(fam.anchors[r]) == net_bytes(ref[f"anchor:{r}"])
+        assert net_bytes(fam.nets[r]) == net_bytes(ref[r])
         for A in sets:
-            key = A.canonical()
-            got = fam.intervened[(r, key)]
-            assert net_bytes(got) == net_bytes(ref[f"intervened:{r}:{key}"]), key
+            key = (r, A.canonical())
+            got = fam.nets[key]
+            assert net_bytes(got) == net_bytes(ref[key]), key
             # partners own their arrays once training is over
-            assert not np.shares_memory(got.flat, fam.anchors[r].flat)
+            assert not np.shares_memory(got.flat, fam.nets[r].flat)
             assert all(np.shares_memory(v, got.flat) for v in got.params.values())
 
 
@@ -357,8 +329,7 @@ def check_family_evaluation(pd, spec, sets, dtype, n, batch_size, monkeypatch,
     for an anchor, min(A) for a partner and 0 for a retraining, except a
     full-set partner, which takes no call, and every report must match a
     plain evaluate."""
-    fam = train_family(spec, pd, quick_plan("clean", steps=12),
-                       quick_plan("skewed", steps=12), sets, dtype=dtype,
+    fam = train_family(spec, pd, quick_plan(steps=12), sets, dtype=dtype,
                        retrainings=retrainings)
     test_clean = sl.gen_clean_synthetic(watermark_task(), n, seed=5)
     views = (test_clean, sl.make_fully_skewed(test_clean, watermark_task().watermark))
@@ -370,16 +341,16 @@ def check_family_evaluation(pd, spec, sets, dtype, n, batch_size, monkeypatch,
 
     monkeypatch.setattr(cf, "evaluate", counted)
     reports = cf.evaluate_family(fam, views, batch_size)
-    nets = dict(fam.anchors)
-    want_starts = [(id(net), spec.m - 1) for net in fam.anchors.values()]
+    nets = {r: fam.nets[r] for r in cf.ROLES}
+    want_starts = [(id(net), spec.m - 1) for net in nets.values()]
     for A in sets:
         if not A.is_empty:
             for role in cf.ROLES:
-                net = nets[(role, A.canonical())] = fam.intervened[(role, A.canonical())]
+                net = nets[role, A.canonical()] = fam.nets[role, A.canonical()]
                 if A != InterventionSet.full(spec.m):
                     want_starts.append((id(net), min(A.members)))
-    for name, net in fam.retrained.items():
-        nets[("retrained", name)] = net
+    for name in retrainings or {}:
+        net = nets["retrained", name] = fam.nets["retrained", name]
         want_starts.append((id(net), 0))
     assert reports.keys() == nets.keys()
     assert sorted(starts) == sorted(want_starts * len(views))
@@ -422,15 +393,23 @@ def test_family_evaluation_scores_retrainings(small_paired, spec_fn, monkeypatch
                             monkeypatch=monkeypatch, retrainings=retrainings)
 
 
+def test_family_evaluation_needs_both_anchors(small_paired):
+    spec = mlp4_spec()
+    pair = train_pair(spec, small_paired, quick_plan(steps=2), "clean",
+                      InterventionSet.suffix(spec.m, 2))
+    view = sl.gen_clean_synthetic(watermark_task(), 16, seed=5)
+    with pytest.raises(UsageError, match="both anchors"):
+        cf.evaluate_family(pair, (view,))
+
+
 def test_freeze_protocol_matches_reference_loop(small_paired):
     spec = small_cnn_spec()
-    plan = quick_plan("skewed", steps=14, master_seed=17)
+    plan = quick_plan(steps=14, master_seed=17)
     freeze = freeze_protocol(spec.m, plan.steps, keep_block=2, t1=3, t2=3)
-    fam = train_family(spec, small_paired, quick_plan("clean", steps=14, master_seed=17),
-                       plan, [], retrainings={"freeze": freeze})
+    fam = train_family(spec, small_paired, plan, [], retrainings={"freeze": freeze})
     ref = reference_lockstep(small_paired, plan, nc.build_net(spec, seed=17),
                              {"freeze": ("skewed", None, None)}, {"freeze": freeze})
-    assert net_bytes(fam.retrained["freeze"]) == net_bytes(ref["freeze"])
+    assert net_bytes(fam.nets["retrained", "freeze"]) == net_bytes(ref["freeze"])
 
 
 def test_mitigation_family_matches_reference_loop(small_paired):
@@ -447,18 +426,17 @@ def test_mitigation_family_matches_reference_loop(small_paired):
         "freeze@0": freeze_protocol(m, steps, 0, t1=2, t2=3),
         "freeze@2": freeze_protocol(m, steps, 2, t1=2, t2=3),
     }
-    plans = [quick_plan(r, steps=steps, master_seed=19) for r in cf.ROLES]
-    fam = train_family(spec, small_paired, *plans, [], retrainings=retrainings)
-    nets = {f"anchor:{r}": fam.anchors[r] for r in cf.ROLES} | fam.retrained
-    for name, net in nets.items():
-        role = name[len("anchor:"):] if name.startswith("anchor:") else "skewed"
-        ref = reference_lockstep(small_paired, plans[0], nc.build_net(spec, seed=19),
+    plan = quick_plan(steps=steps, master_seed=19)
+    fam = train_family(spec, small_paired, plan, [], retrainings=retrainings)
+    for key, net in fam.nets.items():
+        role, name = (key, key) if key in cf.ROLES else ("skewed", key[1])
+        ref = reference_lockstep(small_paired, plan, nc.build_net(spec, seed=19),
                                  {name: (role, list(range(m)), None)}, retrainings)
-        assert net_bytes(net) == net_bytes(ref[name]), name
-    assert net_bytes(fam.retrained["lr_1@0+1"]) == net_bytes(fam.anchors["skewed"])
-    assert net_bytes(fam.retrained["lr_up@1"]) != net_bytes(fam.anchors["skewed"])
-    assert fam.update_counts == {**{f"anchor:{r}": steps for r in cf.ROLES},
-                                 **{f"retrained:{name}": steps for name in retrainings}}
+        assert net_bytes(net) == net_bytes(ref[name]), key
+    assert net_bytes(fam.nets["retrained", "lr_1@0+1"]) == net_bytes(fam.nets["skewed"])
+    assert net_bytes(fam.nets["retrained", "lr_up@1"]) != net_bytes(fam.nets["skewed"])
+    assert fam.updates == {**{r: steps for r in cf.ROLES},
+                           **{("retrained", name): steps for name in retrainings}}
 
 
 def test_debug_sync_catches_a_perturbed_prefix(small_paired, monkeypatch):
@@ -477,11 +455,11 @@ def test_debug_sync_catches_a_perturbed_prefix(small_paired, monkeypatch):
         return x
 
     monkeypatch.setattr(cf._Prefix, "entering", perturbed)
-    plan = quick_plan("clean", steps=10, master_seed=5)
-    train_pair(spec, small_paired, plan, A)  # unchecked, the change slips by
+    plan = quick_plan(steps=10, master_seed=5)
+    train_pair(spec, small_paired, plan, "clean", A)  # unchecked, the change slips by
     served.clear()
     with pytest.raises(AssertionError, match="step 5"):
-        train_pair(spec, small_paired, plan, A, debug_sync=True)
+        train_pair(spec, small_paired, plan, "clean", A, debug_sync=True)
 
 
 def test_debug_sync_catches_a_perturbed_full_set_partner(small_paired, monkeypatch):
@@ -489,21 +467,20 @@ def test_debug_sync_catches_a_perturbed_full_set_partner(small_paired, monkeypat
     full = InterventionSet.full(spec.m)
     partner = cf._partner
 
-    def perturbed(name, anchor, A):
-        tr = partner(name, anchor, A)
+    def perturbed(anchor, A):
+        tr = partner(anchor, A)
         if A == full and anchor.data_role == "clean":
             tr.net.flat[0] += 1.0
         return tr
 
     monkeypatch.setattr(cf, "_partner", perturbed)
-    plans = (quick_plan("clean", steps=6, master_seed=5),
-             quick_plan("skewed", steps=6, master_seed=5))
+    plan = quick_plan(steps=6, master_seed=5)
     # unchecked, the partner is never built, so the change cannot show
-    fam = train_family(spec, small_paired, *plans, [full])
-    assert net_bytes(fam.intervened[("clean", full.canonical())]) == net_bytes(
-        fam.anchors["skewed"])
+    fam = train_family(spec, small_paired, plan, [full])
+    assert net_bytes(fam.nets["clean", full.canonical()]) == net_bytes(
+        fam.nets["skewed"])
     with pytest.raises(AssertionError, match="intervened:clean:0:4 differs"):
-        train_family(spec, small_paired, *plans, [full], debug_sync=True)
+        train_family(spec, small_paired, plan, [full], debug_sync=True)
 
 
 def test_diverged_partner_reports_step_and_block(small_paired, monkeypatch):
@@ -521,7 +498,6 @@ def test_diverged_partner_reports_step_and_block(small_paired, monkeypatch):
 
     monkeypatch.setattr(cf, "loss_and_grad", poisoned)
     with pytest.raises(TrainingDiverged, match="intervened:clean:2:4") as exc:
-        train_family(spec, small_paired, quick_plan("clean", steps=10),
-                     quick_plan("skewed", steps=10),
+        train_family(spec, small_paired, quick_plan(steps=10),
                      [InterventionSet.suffix(spec.m, 2)])
     assert (exc.value.step, exc.value.block) == (3, 3)

@@ -2,6 +2,8 @@ import dataclasses
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import time
 from fractions import Fraction
@@ -150,7 +152,7 @@ def test_mitigation_trial_is_one_lockstep_run(tmp_path, monkeypatch):
     runs = []
 
     def counted(pd, plan, trainees, debug_sync=False):
-        runs.append([tr.name for tr in trainees])
+        runs.append([tr.key for tr in trainees])
         return lockstep(pd, plan, trainees, debug_sync)
 
     monkeypatch.setattr(cf, "_lockstep", counted)
@@ -158,8 +160,7 @@ def test_mitigation_trial_is_one_lockstep_run(tmp_path, monkeypatch):
     records, _ = runner.run_trial(config, 0, "mitigation")
     sets = [s for _, _, s in runner._mitigation_runs(4)]
     assert len(sets) == 4 * (4 + 3) + 4  # LR/WD kinds on single and double targets
-    assert runs == [["anchor:clean", "anchor:skewed"]
-                    + [f"retrained:{s}" for s in sets]]
+    assert runs == [["clean", "skewed"] + [("retrained", s) for s in sets]]
     assert [r.set for r in records] == ["", ""] + sets
     assert len({r.wall_time for r in records}) == 1  # the trial's wall time
     # every extent is the record's own clean-test error against the anchors'
@@ -689,6 +690,58 @@ def test_cli_exit_codes(tmp_path):
     assert main(["report", "--out", str(empty_out)]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--precision", "7"],
+    ["report", "--bogus"],
+    [],
+    ["metrics", "--seed", "3"],
+    ["gen-data", "--workers", "2"],
+], ids=["bad-choice", "unknown-flag", "no-command", "metrics-seed", "gen-data-workers"])
+def test_bad_argument_exits_1(argv, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--help"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out
+
+
+# one trial's records (wall time aside) and anchor bytes, as JSON
+_TRIAL_SCRIPT = """
+import dataclasses, json, sys
+from sscope.expcli.config import ExperimentConfig
+from sscope.expcli.runner import run_trial
+
+records, nets = run_trial(ExperimentConfig.from_dict(json.loads(sys.argv[1])), 0,
+                          "family")
+print(json.dumps({
+    "records": [dict(dataclasses.asdict(r), wall_time=None) for r in records],
+    "anchors": {key: net.flat.tobytes().hex() for key, net in nets.items()},
+}))
+"""
+
+
+def test_blas_thread_count_leaves_trial_bytes_unchanged(tmp_path):
+    # test_n above evaluate's 512-image chunk, so the largest GEMMs run too
+    config = tiny_config(tmp_path / "run", net="minicnn6", seeds=[0], steps=20,
+                         batch_size=32, test_n=600)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = [
+        json.loads(subprocess.run(
+            [sys.executable, "-c", _TRIAL_SCRIPT, json.dumps(config.to_dict())],
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path),
+            capture_output=True, text=True, check=True,
+        ).stdout)
+        for threads in ("1", "2")
+    ]
+    assert len(outs[0]["records"]) == 14 and len(outs[0]["anchors"]) == 2
+    assert outs[0] == outs[1]
+
+
 @pytest.mark.parametrize("text", ["{ }", "{0,,1}", "-{x}", "a:6", "1:2:6"])
 def test_bad_explicit_set_fails_before_training(tmp_path, capsys, text):
     raw = tiny_config(tmp_path / "run").to_dict()
@@ -736,11 +789,18 @@ def test_bad_frequency_fails_before_training(tmp_path, capsys, frequency):
     {"seeds": [3, 3]},
     {"family": "explicit", "explicit_sets": ["2:4", "{2,3}"]},
     {"batch_size": 512},
+    {"optimizer_overrides": {"epsilon": -0.001}},
+    {"optimizer_overrides": {"epsilon": -1.0}},
+    {"optimizer_overrides": {"epsilon": 0}},
+    {"optimizer_overrides": {"epsilon": float("inf")}},
+    {"optimizer_overrides": {"weight_decay": float("nan")}},
+    {"optimizer_overrides": {"peak_lr": float("inf")}},
 ], ids=["seeds-int", "seeds-str-item", "steps-str", "task-list", "debug-sync-int",
         "skew-list", "strength-list", "patch-size-str", "skew-unknown-key",
         "override-str", "frequency-float", "frequency-float-den", "frequency-bool",
         "train-n-zero", "test-n-zero", "seeds-repeated", "explicit-sets-repeated",
-        "batch-size-over-train-n"])
+        "batch-size-over-train-n", "epsilon-negative", "epsilon-minus-one",
+        "epsilon-zero", "epsilon-inf", "weight-decay-nan", "peak-lr-inf"])
 def test_malformed_config_fails_before_training(tmp_path, capsys, bad):
     raw = tiny_config(tmp_path / "run").to_dict()
     raw.update(bad)

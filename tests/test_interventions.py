@@ -32,8 +32,7 @@ def paired():
 
 def retrain(spec, pd, steps, master_seed, **retrainings):
     """A family of the two anchors and the named retrainings."""
-    return train_family(spec, pd, quick_plan("clean", steps, master_seed=master_seed),
-                        quick_plan("skewed", steps, master_seed=master_seed), [],
+    return train_family(spec, pd, quick_plan(steps, master_seed=master_seed), [],
                         retrainings=retrainings)
 
 
@@ -56,25 +55,26 @@ def test_identity_intervention_reproduces_anchor(paired):
                                      TargetBlocks((2,)), spec.m)
     assert noop == Retraining(lr_scales={2: 1.0})
     fam = retrain(spec, paired, 30, 12, noop=noop)
-    direct = train_single(spec, paired, quick_plan("skewed", steps=30, master_seed=12))
-    assert net_bytes(fam.retrained["noop"]) == net_bytes(fam.anchors["skewed"])
-    assert net_bytes(fam.retrained["noop"]) == net_bytes(direct)
-    assert fam.update_counts["retrained:noop"] == 30
+    direct = train_single(spec, paired, quick_plan(steps=30, master_seed=12),
+                          "skewed")
+    assert net_bytes(fam.nets["retrained", "noop"]) == net_bytes(fam.nets["skewed"])
+    assert net_bytes(fam.nets["retrained", "noop"]) == net_bytes(direct)
+    assert fam.updates["retrained", "noop"] == 30
     # a warm start is the shared init of the retrainings too
     donor = nc.build_net(spec, seed=404)
-    warm = train_family(spec, paired, quick_plan("clean", 30, master_seed=12),
-                        quick_plan("skewed", 30, master_seed=12), [],
+    warm = train_family(spec, paired, quick_plan(30, master_seed=12), [],
                         init_from=donor, retrainings={"noop": noop})
-    assert net_bytes(warm.retrained["noop"]) == net_bytes(warm.anchors["skewed"])
-    assert net_bytes(warm.retrained["noop"]) != net_bytes(direct)
+    assert net_bytes(warm.nets["retrained", "noop"]) == net_bytes(warm.nets["skewed"])
+    assert net_bytes(warm.nets["retrained", "noop"]) != net_bytes(direct)
 
 
 def test_intervened_run_differs_and_is_deterministic(paired):
     spec = mlp4_spec()
     up = retrain_with_intervention(LR_UP, TargetBlocks((3,)), spec.m)
     runs = [retrain(spec, paired, 30, 12, up=up) for _ in range(2)]
-    assert net_bytes(runs[0].retrained["up"]) != net_bytes(runs[0].anchors["skewed"])
-    assert net_bytes(runs[0].retrained["up"]) == net_bytes(runs[1].retrained["up"])
+    first, again = (net_bytes(run.nets["retrained", "up"]) for run in runs)
+    assert first != net_bytes(runs[0].nets["skewed"])
+    assert first == again
 
 
 def test_extent_endpoints():
@@ -101,7 +101,7 @@ def test_wd_intervention_runs(paired):
     down = retrain_with_intervention(WD_DOWN, TargetBlocks((0, 1)), spec.m)
     assert down == Retraining(wd_scales={0: 0.1, 1: 0.1})
     fam = retrain(spec, paired, 20, 8, down=down)
-    assert net_bytes(fam.retrained["down"]) != net_bytes(fam.anchors["skewed"])
+    assert net_bytes(fam.nets["retrained", "down"]) != net_bytes(fam.nets["skewed"])
 
 
 def test_freeze_protocol_contract(paired):
@@ -110,7 +110,7 @@ def test_freeze_protocol_contract(paired):
     # exactly those bytes outside the kept block, and replay the three phases
     # with the slow reference loop
     spec = mlp4_spec()
-    plan = quick_plan("skewed", steps=40, master_seed=15)
+    plan = quick_plan(steps=40, master_seed=15)
     t1 = t2 = 4
     keep = spec.m - 1
     freeze = freeze_protocol(spec.m, plan.steps, keep, t1=t1, t2=t2)
@@ -126,7 +126,7 @@ def test_freeze_protocol_contract(paired):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Optimizer, "step", watched)
         fam = retrain(spec, paired, plan.steps, 15, freeze=freeze)
-    got = fam.retrained["freeze"]
+    got = fam.nets["retrained", "freeze"]
     for b in range(spec.m):
         if b != keep:
             assert got.block_bytes(b) == snapshot[b]
@@ -158,8 +158,9 @@ def test_freeze_protocol_deterministic(paired):
     spec = mlp4_spec()
     freeze = freeze_protocol(spec.m, 40, keep_block=1, t1=3, t2=3)
     runs = [retrain(spec, paired, 40, 16, a=freeze, b=freeze) for _ in range(2)]
-    assert net_bytes(runs[0].retrained["a"]) == net_bytes(runs[1].retrained["a"])
-    assert net_bytes(runs[0].retrained["a"]) == net_bytes(runs[0].retrained["b"])
+    a = net_bytes(runs[0].nets["retrained", "a"])
+    assert net_bytes(runs[1].nets["retrained", "a"]) == a
+    assert net_bytes(runs[0].nets["retrained", "b"]) == a
 
 
 def test_freeze_phase_validation():
