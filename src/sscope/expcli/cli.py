@@ -15,11 +15,11 @@ import os
 import sys
 
 from ..errors import SscopeError, StoreError, UsageError
-from ..metrics import relative
+from ..metrics import GAP_FLOOR, relative
 from ..skewlab import save_ssd1
 from ..stats import FactorTable, variance_explained
 from .config import ExperimentConfig
-from .report import write_report
+from .report import setting_label, write_report
 from .runner import build_trial_data, contribution_rows, localization_profiles, run_grid
 from .store import ResultsStore
 
@@ -138,9 +138,8 @@ def cmd_metrics(args) -> int:
             except UsageError:
                 enc_rel = fgt_rel = ""
             writer.writerow(
-                [tid, f"{anchor.task}/{anchor.net}/{anchor.optimizer}",
-                 anchor.seed, rec.A.canonical(), float(rec.gap),
-                 float(rec.enc_complement), float(rec.uut),
+                [tid, setting_label(anchor), anchor.seed, rec.A.canonical(),
+                 float(rec.gap), float(rec.enc_complement), float(rec.uut),
                  float(rec.fgt_complement), float(rec.amp),
                  enc_rel, fgt_rel, int(diverged)]
             )
@@ -163,7 +162,7 @@ def cmd_metrics(args) -> int:
                     )
         print(f"wrote {rates_path} ({len(profiles)} profiles)")
     else:
-        print("no complete suffix families: rates.csv skipped")
+        print("no complete suffix families above the gap floor: rates.csv skipped")
     return 0
 
 
@@ -176,7 +175,8 @@ def cmd_stats(args) -> int:
     store = ResultsStore(config.out)
     profiles = localization_profiles(store.load())
     if not profiles:
-        raise UsageError("store holds no complete suffix families")
+        raise UsageError("store holds no complete suffix family with no diverged "
+                         f"partner and a gap of at least {GAP_FLOOR}")
     factors = {name: [] for name in _FACTORS}
     enc, fgt = [], []
     for tid, (anchor, prof) in sorted(profiles.items()):

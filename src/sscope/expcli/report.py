@@ -1,5 +1,16 @@
 """Report generation: mean (SE) tables in plain text and Markdown.
 
+Every table is one row per setting (task, skew strength a, frequency f, net,
+optimizer, mode; `setting_label`, also the `setting` column of metrics.csv)
+and one column per anchor or block. A cell is the mean (SE) over the trials
+of its setting of one value per trial: an anchor's clean-test error, a
+block's relative single-block contribution, or a block's increase rate. A
+cell with fewer than two values prints "insufficient (n=...)", and a setting
+with no value for a column prints "-". The single-block tables leave out
+diverged pairs and records below the gap floor and count both in their
+footer; the increase-rate tables use only complete suffix families with no
+diverged partner and a gap at or above the same floor.
+
 Every table carries the run ids behind its numbers; write_report emits a
 sidecar manifest mapping tables to those ids. Reading the store never
 mutates it.
@@ -13,10 +24,11 @@ from dataclasses import dataclass, field
 
 from ..errors import UsageError
 from ..metrics import relative
-from .runner import aggregate, contribution_rows, localization_profiles
+from ..stats import mean_se
+from .runner import contribution_rows, localization_profiles
 
-__all__ = ["Table", "error_table", "localization_tables", "single_block_tables",
-           "render_text", "render_markdown", "write_report"]
+__all__ = ["Table", "setting_label", "error_table", "localization_tables",
+           "single_block_tables", "render_text", "render_markdown", "write_report"]
 
 
 @dataclass
@@ -28,26 +40,30 @@ class Table:
     run_ids: list = field(default_factory=list)
 
 
-def _cell_label(rec):
+def setting_label(rec) -> str:
     return (
         f"{rec.task} a={rec.skew_strength} f={rec.skew_frequency} "
         f"{rec.net} {rec.optimizer} {rec.mode}"
     )
 
 
-def _fmt(agg):
-    if agg["insufficient"]:
-        return f"insufficient (n={agg['n']})"
-    return f"{agg['mean'] * 100:.1f}% ({agg['se'] * 100:.1f}%)"
+def _table(title, entries, columns, run_ids, scale=1, footer="") -> Table:
+    """Mean (SE) of the values of (setting, column key, value) entries per
+    cell, each printed times scale as a percentage: one row per setting, in
+    sorted order, and one column per (key, header) of columns, with "-"
+    where a setting has no values for a key."""
+    cells = {}
+    for setting, key, value in entries:
+        cells.setdefault((setting, key), []).append(value)
 
+    def fmt(values):
+        if len(values) < 2:
+            return f"insufficient (n={len(values)})"
+        mean, se = mean_se(values)
+        return f"{mean * scale:.1f}% ({se * scale:.1f}%)"
 
-def _table(title, cells, fmt, columns, run_ids, footer="") -> Table:
-    """Mean (SE) of cells, (setting, column key) -> [(value, diverged)]:
-    one row per setting, in sorted order, and one column per (key, header)
-    of columns, with "-" where a setting has no values for a key."""
-    agg = aggregate(cells)
     rows = [
-        [setting] + [fmt(agg[(setting, key)]) if (setting, key) in agg else "-"
+        [setting] + [fmt(cells[(setting, key)]) if (setting, key) in cells else "-"
                      for key, _ in columns]
         for setting in sorted({setting for setting, _ in cells})
     ]
@@ -55,107 +71,70 @@ def _table(title, cells, fmt, columns, run_ids, footer="") -> Table:
                  rows=rows, footer=footer, run_ids=sorted(set(run_ids)))
 
 
-def _block_columns(cells):
-    return [(b, f"bl.{b}") for b in sorted({b for _, b in cells})]
-
-
 def error_table(records) -> Table:
     """Clean vs skewed anchor error rates on the clean test set."""
-    cells = {}
-    ids = []
-    for rec in records:
-        if rec.role not in ("clean_anchor", "skewed_anchor"):
-            continue
-        key = _cell_label(rec)
-        col = "clean" if rec.role == "clean_anchor" else "skewed"
-        cells.setdefault((key, col), []).append(
-            (rec.err_clean_num / rec.err_clean_den, False)
-        )
-        ids.append(rec.run_id)
-    if not cells:
+    anchors = [rec for rec in records
+               if rec.role in ("clean_anchor", "skewed_anchor")]
+    if not anchors:
         raise UsageError("store holds no anchor records")
+    entries = [(setting_label(rec), rec.role.split("_")[0],
+                rec.err_clean_num / rec.err_clean_den) for rec in anchors]
     return _table("Clean-test error rates of clean and skewed anchors, mean (SE)",
-                  cells, _fmt, [("clean", "clean"), ("skewed", "skewed")], ids)
+                  entries, [("clean", "clean"), ("skewed", "skewed")],
+                  [rec.run_id for rec in anchors], scale=100)
 
 
-def _trial_run_ids(records):
-    ids = {}
-    for rec in records:
-        ids.setdefault(rec.trial_id, []).append(rec.run_id)
-    return ids
-
-
-_METRICS = (("enc", "encoding"), ("fgt", "forgetting"))
+def _block_tables(title, rows, records, footer=""):
+    """The encoding and the forgetting table, title formatted with each, of
+    (trial id, anchor record, block, enc %, fgt %) rows; each table carries
+    the run ids of every trial with a row. No rows, no tables."""
+    if not rows:
+        return []
+    trials = {tid for tid, *_ in rows}
+    ids = [rec.run_id for rec in records if rec.trial_id in trials]
+    columns = [(b, f"bl.{b}") for b in sorted({block for _, _, block, *_ in rows})]
+    return [
+        _table(title.format(name),
+               [(setting_label(anchor), block, pcts[k])
+                for _, anchor, block, *pcts in rows],
+               columns, ids, footer=footer)
+        for k, name in enumerate(("encoding", "forgetting"))
+    ]
 
 
 def single_block_tables(records):
     """Relative single-block contributions (family = single), mean (SE)."""
-    rows_in = [
-        (tid, anchor, rec, diverged)
-        for tid, anchor, rec, diverged in contribution_rows(records)
-        if len(rec.A.complement.members) == 1
-    ]
-    if not rows_in:
-        return []
-    trial_ids = _trial_run_ids(records)
-    tables = []
-    for metric, name in _METRICS:
-        cells = {}
-        ids = []
-        excluded = 0
-        below_floor = 0
-        for tid, anchor, rec, diverged in rows_in:
-            if diverged:
-                excluded += 1
-                continue
-            try:
-                rel = relative(rec)
-            except UsageError:
-                below_floor += 1
-                continue
-            block = rec.A.complement.sorted()[0]
-            cells.setdefault((_cell_label(anchor), block), []).append(
-                (getattr(rel, f"{metric}_pct"), False))
-            ids.extend(trial_ids[tid])
-        if not cells:
+    rows = []
+    diverged = below_floor = 0
+    for tid, anchor, rec, div in contribution_rows(records):
+        if len(rec.A.complement.members) != 1:
             continue
-        footer = f"diverged runs excluded: {excluded}"
-        if below_floor:
-            footer += f"; records below the gap floor: {below_floor}"
-        tables.append(_table(
-            f"Relative single-block contributions to {name}, mean (SE)",
-            cells, _fmt_pct, _block_columns(cells), ids, footer,
-        ))
-    return tables
-
-
-def _fmt_pct(agg):
-    if agg["insufficient"]:
-        return f"insufficient (n={agg['n']})"
-    return f"{agg['mean']:.1f}% ({agg['se']:.1f}%)"
+        if div:
+            diverged += 1
+            continue
+        try:
+            rel = relative(rec)
+        except UsageError:
+            below_floor += 1
+            continue
+        rows.append((tid, anchor, rec.A.complement.sorted()[0],
+                     rel.enc_pct, rel.fgt_pct))
+    footer = f"diverged runs excluded: {diverged}"
+    if below_floor:
+        footer += f"; records below the gap floor: {below_floor}"
+    return _block_tables("Relative single-block contributions to {}, mean (SE)",
+                         rows, records, footer)
 
 
 def localization_tables(records):
     """Per-block increase rates of relative contributions (suffix family)."""
-    profiles = localization_profiles(records)
-    if not profiles:
-        return []
-    trial_ids = _trial_run_ids(records)
-    tables = []
-    for metric, name in _METRICS:
-        cells = {}
-        ids = []
-        for tid, (anchor, prof) in profiles.items():
-            for b, rate in enumerate(getattr(prof, f"{metric}_rates")):
-                cells.setdefault((_cell_label(anchor), b), []).append(
-                    (float(rate) * 100, False)
-                )
-            ids.extend(trial_ids[tid])
-        tables.append(_table(
-            f"Increase rate of relative {name} by initial blocks, mean (SE)",
-            cells, _fmt_pct, _block_columns(cells), ids,
-        ))
-    return tables
+    rows = [
+        (tid, anchor, b, float(enc) * 100, float(fgt) * 100)
+        for tid, (anchor, prof) in localization_profiles(records).items()
+        for b, (enc, fgt) in enumerate(zip(prof.enc_rates, prof.fgt_rates))
+    ]
+    return _block_tables("Increase rate of relative {} by initial blocks, mean (SE)",
+                         rows, records)
 
 
 def render_text(tables) -> str:
@@ -192,33 +171,23 @@ def render_markdown(tables) -> str:
 
 
 def write_report(records, out_dir, log=print) -> str:
-    tables = [error_table(records)]
-    notices = []
-    single = single_block_tables(records)
-    if single:
-        tables.extend(single)
-    loc = localization_tables(records)
-    if loc:
-        tables.extend(loc)
-    if not single and not loc:
-        notices.append(
-            "no intervened runs in store: localization tables skipped"
-        )
-    text = render_text(tables)
-    if notices:
-        text += "\n" + "\n".join(f"note: {n}" for n in notices) + "\n"
+    tables = ([error_table(records)] + single_block_tables(records)
+              + localization_tables(records))
+    note = ""
+    if len(tables) == 1:
+        note = "no intervened runs in store: localization tables skipped"
+        if any(rec.role.startswith("intervened") for rec in records):
+            note = ("no intervened run could be tabulated (each is diverged, "
+                    "below the gap floor, or in no single-block set or complete "
+                    "suffix family): localization tables skipped")
+    text = render_text(tables) + (f"\nnote: {note}\n" if note else "")
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "report.txt"), "w") as fh:
         fh.write(text)
     with open(os.path.join(out_dir, "report.md"), "w") as fh:
-        fh.write(render_markdown(tables))
-        if notices:
-            fh.write("\n" + "\n".join(f"_note: {n}_" for n in notices) + "\n")
-    manifest = {
-        t.title: t.run_ids for t in tables
-    }
+        fh.write(render_markdown(tables) + (f"\n_note: {note}_\n" if note else ""))
     with open(os.path.join(out_dir, "report_manifest.json"), "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-    for n in notices:
-        log(f"note: {n}")
+        json.dump({t.title: t.run_ids for t in tables}, fh, sort_keys=True, indent=2)
+    if note:
+        log(f"note: {note}")
     return text

@@ -40,7 +40,6 @@ from ..metrics import contributions, detect_divergence, increase_rates
 from ..netcore import load_checkpoint, save_checkpoint
 from ..rng import subseed
 from ..skewlab import SamplingSkewSpec, apply_frequency, gen_clean_synthetic, make_fully_skewed
-from ..stats import mean_se
 from . import presets
 from .config import ExperimentConfig, run_id, trial_id, trial_seed
 from .store import ResultsStore, RunRecord
@@ -50,7 +49,6 @@ __all__ = [
     "build_trial_data",
     "run_trial",
     "run_grid",
-    "aggregate",
     "contribution_rows",
     "localization_profiles",
 ]
@@ -251,6 +249,7 @@ def run_grid(config: ExperimentConfig, store: ResultsStore, kind="family",
     """Run every seed of the grid, skipping trials already in the store."""
     if kind not in ("family", "anchors", "mitigation"):
         raise UsageError(f"unknown grid kind {kind!r}")
+    _warmstart_net(config)  # a bad checkpoint fails before any trial starts
     if kind == "mitigation":
         # a too-short run fails before any training
         freeze_protocol(config.net_spec().m, config.steps, 0)
@@ -416,22 +415,6 @@ def localization_profiles(records):
         try:
             profiles[tid] = (meta[tid], increase_rates(full_list))
         except UsageError:
-            continue  # incomplete suffix family or zero gap
+            continue  # incomplete suffix family or gap below the floor
     return profiles
 
-
-def aggregate(values_by_cell: dict):
-    """mean +- SE per cell; cells with < 2 surviving values marked insufficient."""
-    out = {}
-    for cell, entries in sorted(values_by_cell.items()):
-        kept = [v for v, diverged in entries if not diverged]
-        excluded = len(entries) - len(kept)
-        if len(kept) < 2:
-            out[cell] = {"insufficient": True, "n": len(kept), "excluded": excluded}
-            continue
-        mean, se = mean_se(kept)
-        out[cell] = {
-            "mean": mean, "se": se, "n": len(kept), "excluded": excluded,
-            "insufficient": False,
-        }
-    return out

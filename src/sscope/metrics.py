@@ -129,7 +129,8 @@ def increase_rates(suffix_records) -> LocalizationProfile:
     Expects one record per suffix set, i = 0..m. The record for A = i:m
     carries the cumulative contributions of blocks 0:i (its complement);
     rates are consecutive differences normalized by the gap and telescope to
-    the full-set relative contribution.
+    the full-set relative contribution. A gap below GAP_FLOOR is refused, as
+    `relative` refuses it.
     """
     records = list(suffix_records)
     if not records:
@@ -148,8 +149,10 @@ def increase_rates(suffix_records) -> LocalizationProfile:
     for r in records:
         if r.gap != gap:
             raise UsageError("records disagree on the anchor gap")
-    if gap == 0:
-        raise UsageError("zero gap: rates undefined")
+    if abs(gap) < GAP_FLOOR:
+        raise UsageError(
+            f"gap {float(gap):.5f} below the floor {float(GAP_FLOOR)}: rates undefined"
+        )
     enc_cum = [by_start[i].enc_complement for i in range(m + 1)]
     fgt_cum = [by_start[i].fgt_complement for i in range(m + 1)]
     enc_rates = tuple((enc_cum[i + 1] - enc_cum[i]) / gap for i in range(m))

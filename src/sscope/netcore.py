@@ -673,9 +673,12 @@ def save_checkpoint(net: BlockNet, path):
 
 def load_checkpoint(path, dtype=np.float32) -> BlockNet:
     """Read an SSC1 file; a truncated or malformed file, or trailing bytes,
-    raise UsageError."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    raise UsageError, and so does a file that cannot be read."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise UsageError(f"{path}: cannot read checkpoint: {exc.strerror}") from None
     if data[:4] != _MAGIC:
         raise UsageError(f"{path}: not an SSC1 checkpoint")
     if len(data) < 8:

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -9,7 +10,6 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,12 +21,7 @@ from sscope.expcli.cli import main
 from sscope.expcli.config import ExperimentConfig, run_id, trial_seed
 from sscope.expcli.presets import net_spec, optimizer_config, task_spec
 from sscope.expcli.report import error_table, write_report
-from sscope.expcli.runner import (
-    aggregate,
-    contribution_rows,
-    localization_profiles,
-    run_grid,
-)
+from sscope.expcli.runner import contribution_rows, localization_profiles, run_grid
 from sscope.expcli.store import ResultsStore, RunRecord
 from sscope.interventions import mitigation_extent
 from sscope.netcore import build_net, save_checkpoint
@@ -200,6 +195,18 @@ def test_warmstart_mitigation_refuses_unmarked_retrainings(tmp_path):
     path.unlink()  # a missing manifest proves nothing either
     with pytest.raises(ConfigError, match="fresh out directory"):
         run_grid(two_seeds, store, kind="mitigation", log=lambda *_: None)
+
+
+@pytest.mark.parametrize("which", ["missing", "directory"])
+def test_unreadable_warmstart_checkpoint_exits_1(tmp_path, capsys, which):
+    ckpt = tmp_path / "nonexistent" if which == "missing" else tmp_path
+    cfg = tiny_config(tmp_path / "run", mode="warmstart",
+                      warmstart_checkpoint=str(ckpt))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg.to_dict()))
+    assert main(["counterfactual", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "run" / "results.csv").exists()
 
 
 @pytest.mark.parametrize("kind", ["anchors", "family", "mitigation"])
@@ -397,23 +404,6 @@ def test_contribution_rows_and_profiles(family_store):
     for _, (_, prof) in profiles.items():
         assert sum(prof.enc_rates) == 1
         assert sum(prof.fgt_rates) == 1
-
-
-def test_aggregate_brute_force_and_exclusion():
-    rng = np.random.default_rng(1)
-    vals = rng.random(5).tolist()
-    cells = {"a": [(v, False) for v in vals]}
-    out = aggregate(cells)["a"]
-    assert out["n"] == 5 and out["excluded"] == 0
-    brute_mean = sum(vals) / 5
-    brute_se = (sum((v - brute_mean) ** 2 for v in vals) / 4 / 5) ** 0.5
-    assert abs(out["mean"] - brute_mean) < 1e-12
-    assert abs(out["se"] - brute_se) < 1e-12
-    cells = {"a": [(v, i == 2) for i, v in enumerate(vals)]}
-    out = aggregate(cells)["a"]
-    assert out["n"] == 4 and out["excluded"] == 1
-    out = aggregate({"a": [(1.0, False)]})["a"]
-    assert out["insufficient"]
 
 
 # --------------------------------------------------------------------------
@@ -660,6 +650,45 @@ def test_report_mixes_nets_of_different_depth(tmp_path):
     assert header.split()[-2:] == ["bl.4", "bl.5"]
     assert "minicnn6" in cnn_row and "-" not in cnn_row.split()
     assert "mlp4" in mlp_row and mlp_row.split()[-2:] == ["-", "-"]
+
+
+def test_report_says_why_no_intervened_run_is_tabulated(tmp_path):
+    # sgl3 alone: intervened runs, all below the gap floor
+    records = [r for r in _golden_records() if r.trial_id == "sgl3"]
+    text = write_report(records, tmp_path, log=lambda *_: None)
+    assert "no intervened runs in store" not in text
+    assert "note: no intervened run could be tabulated" in text
+
+
+def test_metrics_setting_column_separates_skew_strengths(tmp_path):
+    suf0 = [r for r in _golden_records() if r.trial_id == "suf0"]
+    weak = [dataclasses.replace(r, run_id=f"{r.run_id}w", trial_id="suf0w",
+                                skew_strength=0.25) for r in suf0]
+    store = ResultsStore(tmp_path)
+    for rec in suf0 + weak:
+        store.append(rec)
+    assert main(["metrics", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "metrics.csv", newline="") as fh:
+        settings_seen = {row["setting"] for row in csv.DictReader(fh)}
+    assert settings_seen == {"bars16 a=0.75 f=127/128 mlp4 adamw scratch",
+                             "bars16 a=0.25 f=127/128 mlp4 adamw scratch"}
+
+
+def test_profile_refuses_a_gap_below_the_floor():
+    # anchors at 100/256 and 101/256: a gap of 1/256, under the 1/200 floor;
+    # without it the Enc rates would read -200, 400, -500 and 400 %
+    def rec(role, set_repr, err):
+        return RunRecord(run_id=f"t-{role}-{set_repr}", trial_id="t", role=role,
+                         set=set_repr, seed=0, family="suffix", err_clean_num=err,
+                         err_clean_den=256, err_skewfull_num=128,
+                         err_skewfull_den=256, **_STRONG)
+
+    records = [rec("clean_anchor", "", 100), rec("skewed_anchor", "", 101)]
+    for i, err_cA in enumerate((101, 103, 99, 104)):
+        records += [rec("intervened_c", f"{i}:4", err_cA),
+                    rec("intervened_s", f"{i}:4", 100)]
+    assert len(contribution_rows(records)) == 4
+    assert localization_profiles(records) == {}
 
 
 def test_error_table_requires_anchors():
