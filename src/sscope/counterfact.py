@@ -31,7 +31,7 @@ per (anchor, test view) it runs the anchor's blocks once, in the chunks
 `evaluate` uses, and keeps each block's activation while that view is
 scored. The anchor and each partner are scored from the activation entering
 their start block: m - 1 for the anchor, min(A) for a partner. Every report
-equals a plain `evaluate(net, view)` byte for byte.
+equals a plain `evaluate(net, view.pixels, view.labels)` byte for byte.
 
 Two degenerate equivalences hold bit-exactly and are used as oracles: A = {}
 reproduces the anchor, and A = [m] reproduces a direct training run on the
@@ -339,7 +339,7 @@ def _lockstep(pd, plan, trainees, debug_sync=False):
                 break
             views = {"clean": batch.clean_x, "skewed": batch.skew_x}
             prefixes = {}
-            computed = []  # (trainee, update blocks, gradients by name)
+            computed = []  # (trainee, update blocks, gradient)
             for tr in trainees:
                 phases = tr.retraining.phases
                 blocks = tr.retraining.blocks_at(t, tr.update_blocks)
@@ -355,19 +355,19 @@ def _lockstep(pd, plan, trainees, debug_sync=False):
                     if key not in prefixes:
                         prefixes[key] = _Prefix(source.net, views[tr.data_role])
                     x = prefixes[key].entering(s)
-                    _, grads = loss_and_grad(tr.net, x, batch.labels, start=s)
+                    _, grad = loss_and_grad(tr.net, x, batch.labels, start=s)
                 except NumericError as exc:
                     raise _diverged(tr, exc, t) from exc
-                computed.append((tr, blocks, grads))
+                computed.append((tr, blocks, grad))
             if debug_sync:
                 partners = [c for c in computed if c[0].anchor is not None]
                 if partners:
-                    tr, blocks, grads = partners[t % len(partners)]
+                    tr, blocks, grad = partners[t % len(partners)]
                     _check_shared_path(tr, views[tr.data_role], batch.labels,
-                                       blocks, grads, t)
-            for tr, blocks, grads in computed:
+                                       blocks, grad, t)
+            for tr, blocks, grad in computed:
                 try:
-                    tr.optimizer.step(tr.net, grads, blocks, t)
+                    tr.optimizer.step(tr.net, grad, blocks, t)
                 except NumericError as exc:
                     raise _diverged(tr, exc, t) from exc
                 tr.updates += 1
@@ -390,20 +390,22 @@ def _diverged(tr, exc, t):
                             block=exc.block_index)
 
 
-def _check_shared_path(tr, view, labels, blocks, shared_grads, t):
-    """Recompute a partner's gradients over its whole net from the raw view;
-    they must equal the shared-prefix gradients byte for byte."""
+def _check_shared_path(tr, view, labels, blocks, shared_grad, t):
+    """Recompute a partner's gradient over its whole net from the raw view;
+    each updated block's slice must equal the shared-prefix gradient's byte
+    for byte."""
     try:
         _, full = loss_and_grad(tr.net, view, labels)
     except NumericError as exc:
         raise _diverged(tr, exc, t) from exc
+    offsets = tr.net.block_offsets
     for b in blocks:
-        for k in tr.net.block_keys(b):
-            if full[k].tobytes() != shared_grads[k].tobytes():
-                raise AssertionError(
-                    f"shared-prefix gradient of {_label(tr.key)} at {k} differs "
-                    f"from its full pass at step {t}"
-                )
+        lo, hi = offsets[b], offsets[b + 1]
+        if full[lo:hi].tobytes() != shared_grad[lo:hi].tobytes():
+            raise AssertionError(
+                f"shared-prefix gradient of {_label(tr.key)} in block {b} differs "
+                f"from its full pass at step {t}"
+            )
 
 
 # --------------------------------------------------------------------------
@@ -492,7 +494,8 @@ def train_family(spec: NetSpec, pd: PairedDataset, plan: TrainPlan, sets,
 def evaluate_family(fam: FamilyOutcome, views, batch_size=512) -> dict:
     """One EvalReport per view for both anchors, every partner of a
     non-empty set and every retraining, under the net's key in `fam.nets`;
-    each equals `evaluate(net, view, batch_size=batch_size)` byte for byte.
+    each equals `evaluate(net, view.pixels, view.labels, batch_size)` byte
+    for byte.
 
     A partner holds its anchor's bytes below min(A), so per (anchor, view)
     one `_Prefix` runs the anchor's blocks once, in `evaluate`'s chunks, and

@@ -206,11 +206,11 @@ def run_trial(config: ExperimentConfig, seed: int, kind: str):
             ("clean", "intervened_c"), ("skewed", "intervened_s")
         ):
             ec, es = evals[(direction, key)]
-            flag = detect_divergence(
+            diverged = detect_divergence(
                 ec.error_fraction, es.error_fraction, err_s, err_skewfull_of_clean
             )
             records.append(_record(
-                config, seed, role_name, key, ec, es, diverged=flag.diverged,
+                config, seed, role_name, key, ec, es, diverged=diverged,
                 wall_time=wall,
             ))
     for iv, target, set_repr in runs:

@@ -26,7 +26,6 @@ __all__ = [
     "ContributionRecord",
     "RelativeContributions",
     "LocalizationProfile",
-    "DivergenceFlag",
     "contributions",
     "relative",
     "increase_rates",
@@ -160,24 +159,10 @@ def increase_rates(suffix_records) -> LocalizationProfile:
     return LocalizationProfile(enc_rates, fgt_rates, gap)
 
 
-@dataclass(frozen=True)
-class DivergenceFlag:
-    diverged: bool
-    clean_comparison: tuple  # (model err, skewed-anchor err) on clean test
-    skew_comparison: tuple  # (model err, clean-anchor err) on fully skewed test
-
-
 def detect_divergence(model_err_clean, model_err_skewfull,
-                      anchor_s_err_clean, anchor_c_err_skewfull) -> DivergenceFlag:
+                      anchor_s_err_clean, anchor_c_err_skewfull) -> bool:
     """A model diverged when it is worse than the skewed anchor on clean data
     and worse than the clean anchor on fully skewed data; such models are
     excluded from aggregation."""
-    mc = _as_fraction(model_err_clean)
-    ms = _as_fraction(model_err_skewfull)
-    sc = _as_fraction(anchor_s_err_clean)
-    cs = _as_fraction(anchor_c_err_skewfull)
-    return DivergenceFlag(
-        diverged=(mc > sc) and (ms > cs),
-        clean_comparison=(mc, sc),
-        skew_comparison=(ms, cs),
-    )
+    return (_as_fraction(model_err_clean) > _as_fraction(anchor_s_err_clean)
+            and _as_fraction(model_err_skewfull) > _as_fraction(anchor_c_err_skewfull))

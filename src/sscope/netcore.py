@@ -14,17 +14,20 @@ declaration order, with fixed per-block offsets; `BlockNet.params` holds
 reshaped views into it. So a block is one slice of the buffer: block bytes,
 block copies (`sync_blocks`) and SSC1 checkpoints are slice operations, and
 the optimizer steps a run of consecutive blocks with one op per arithmetic
-step (see optim).
+step (see optim). The gradient `loss_and_grad` returns has the same layout,
+one 1-D array the size of `flat`, so the optimizer reads a block's gradient
+as the same slice; only the net knows the parameter names, and
+`BlockNet.views` maps them onto any buffer of that layout.
 
 `BlockNet.forward` holds the only block/layer loop (the raw batch is ingested
 at block 0, and a non-finite activation raises NumericError naming its block);
 `loss_and_grad` runs it keeping each layer's cache, and `evaluate` runs it
 chunk by chunk, so every path computes a net's activations the same way.
-The loop reads a plan of each layer's parameter names that the net builds
-once, and looks the names up in `params` on every call, so a rebound name
-is read at the next pass; the gradients are keyed from the same plan.
-Gradients are checked for non-finite values once, by the optimizer, over the
-blocks it updates.
+The loop reads a plan of each layer's parameter names and buffer slots that
+the net builds once, and looks the names up in `params` on every call, so a
+rebound name is read at the next pass; the backward pass copies each layer's
+gradients into their slots. Gradients are checked for non-finite values
+once, by the optimizer, over the blocks it updates.
 
 Image activations are NCHW-shaped but channels-last in memory: a conv
 writes its GEMM rows, ReLU and MaxPool keep their input's layout, and the
@@ -446,24 +449,25 @@ class BlockNet:
     until `sync_blocks` copies them into its own (see counterfact).
 
     The parameter names of each layer are worked out once, at construction:
-    `_plan[bi]` lists block bi's layers as (layer, weight name, bias name),
-    with None for the names of a layer without parameters. The passes look
-    those names up in `params` on every call, so rebinding a name (partner
-    aliasing, `sync_blocks`) takes effect at the next pass.
+    `_plan[bi]` lists block bi's layers as (layer, weight name, bias name,
+    slots), where slots is (lo, mid, hi): the weight fills flat[lo:mid] and
+    the bias flat[mid:hi]. A layer without parameters has None for the names
+    and the slots. The passes look the names up in `params` on every call,
+    so rebinding a name (partner aliasing, `sync_blocks`) takes effect at the
+    next pass; the backward pass writes a gradient's slots.
     """
 
     def __init__(self, spec: NetSpec, params: dict, dtype=np.float32):
         self.spec = spec
         self.dtype = np.dtype(dtype)
-        self._plan = [
-            [(layer, f"b{bi}.l{li}.w", f"b{bi}.l{li}.b")
-             if isinstance(layer, _PARAMETERIZED) else (layer, None, None)
+        names = [
+            [(f"b{bi}.l{li}.w", f"b{bi}.l{li}.b")
+             if isinstance(layer, _PARAMETERIZED) else (None, None)
              for li, layer in enumerate(block)]
             for bi, block in enumerate(spec.blocks)
         ]
-        self._block_keys = [[k for _, w, b in row if w for k in (w, b)]
-                            for row in self._plan]
-        keys = [k for names in self._block_keys for k in names]
+        self._block_keys = [[k for w, b in row if w for k in (w, b)] for row in names]
+        keys = [k for block in self._block_keys for k in block]
         if sorted(keys) != sorted(params):
             raise UsageError(f"parameters {sorted(params)} do not match the spec's {keys}")
         arrays = [np.asarray(params[k]) for k in keys]
@@ -474,18 +478,25 @@ class BlockNet:
             self._slots[k] = (lo, lo + a.size, a.shape)
             lo += a.size
         self.block_offsets = [0]
-        for names in self._block_keys:
+        for block in self._block_keys:
             self.block_offsets.append(
-                self._slots[names[-1]][1] if names else self.block_offsets[-1])
-        self.params = {k: self._view(k) for k in keys}
+                self._slots[block[-1]][1] if block else self.block_offsets[-1])
+        self._plan = [
+            [(layer, w, b, (self._slots[w][0], *self._slots[b][:2]) if w else None)
+             for layer, (w, b) in zip(block, row)]
+            for block, row in zip(spec.blocks, names)
+        ]
+        self.params = self.views(self.flat)
 
     @property
     def m(self):
         return self.spec.m
 
-    def _view(self, key):
-        lo, hi, shape = self._slots[key]
-        return self.flat[lo:hi].reshape(shape)
+    def views(self, buf):
+        """Each parameter's slot in `buf`, a 1-D array with `flat`'s layout
+        (the buffer itself, a gradient, an optimizer moment), as a view shaped
+        like the parameter, by name."""
+        return {k: buf[lo:hi].reshape(shape) for k, (lo, hi, shape) in self._slots.items()}
 
     def block_keys(self, i):
         return self._block_keys[i]
@@ -512,18 +523,17 @@ class BlockNet:
         return self._forward(x, lo, hi)[0]
 
     def _forward(self, x, lo=0, hi=None, caches=None):
-        """`forward`, appending each layer's (layer, weight name, bias name,
-        parameters, cache) to `caches` when a list is given (the backward
-        pass reads them)."""
+        """`forward`, appending each layer's (layer, parameters, slots, cache)
+        to `caches` when a list is given (the backward pass reads them)."""
         if lo == 0:
             x = self._ingest(x)
         params = self.params
         for bi in range(lo, self.m if hi is None else hi):
-            for layer, w, b in self._plan[bi]:
+            for layer, w, b, slots in self._plan[bi]:
                 p = {"w": params[w], "b": params[b]} if w else {}
                 x, cache = layer.forward(x, p)
                 if caches is not None:
-                    caches.append((layer, w, b, p, cache))
+                    caches.append((layer, p, slots, cache))
             if not np.isfinite(x).all():
                 raise NumericError(f"non-finite activation in block {bi}", bi)
         return x, caches
@@ -564,13 +574,15 @@ def softmax_xent(logits, labels):
 
 
 def loss_and_grad(net: BlockNet, x, labels, start=0):
-    """Mean cross-entropy loss and the gradients of blocks start..m-1.
+    """Mean cross-entropy loss, and the gradient of blocks start..m-1 as one
+    1-D array with `net.flat`'s shape, dtype and layout.
 
-    x is the activation entering block `start`, which is the raw batch when
-    start is 0 (see `BlockNet.forward`). The backward pass stops at the
-    lowest parameterised layer of blocks >= start and never computes that
-    layer's input gradient. Pure in (params, batch): caches live only for
-    the duration of the call.
+    Only the slices of blocks >= start are written; the rest of the array is
+    left uninitialised. x is the activation entering block `start`, which is
+    the raw batch when start is 0 (see `BlockNet.forward`). The backward pass
+    stops at the lowest parameterised layer of blocks >= start and never
+    computes that layer's input gradient. Pure in (params, batch): caches
+    live only for the duration of the call.
 
     A non-finite activation or loss raises NumericError; gradients are
     scanned only by `Optimizer.step`, over the blocks it updates.
@@ -586,15 +598,16 @@ def loss_and_grad(net: BlockNet, x, labels, start=0):
     loss, dy = softmax_xent(logits, labels)
     if not math.isfinite(loss):
         raise NumericError("non-finite loss", net.m - 1)
-    lowest = next(i for i, (_, w, _, _, _) in enumerate(caches) if w)
-    grads = {}
+    lowest = next(i for i, (_, _, slots, _) in enumerate(caches) if slots)
+    grad = np.empty_like(net.flat)
     for i in range(len(caches) - 1, lowest - 1, -1):
-        layer, w, b, p, cache = caches[i]
+        layer, p, slots, cache = caches[i]
         dy, layer_grads = layer.backward(dy, cache, p, need_dx=i > lowest)
-        if w:
-            grads[w] = layer_grads["w"]
-            grads[b] = layer_grads["b"]
-    return loss, grads
+        if slots:
+            lo, mid, hi = slots
+            grad[lo:mid] = layer_grads["w"].reshape(-1)
+            grad[mid:hi] = layer_grads["b"]
+    return loss, grad
 
 
 # --------------------------------------------------------------------------
@@ -611,7 +624,7 @@ class EvalReport:
         return Fraction(self.mispredictions, self.n_examples)
 
 
-def evaluate(net: BlockNet, pixels, labels=None, batch_size=512,
+def evaluate(net: BlockNet, pixels, labels, batch_size=512,
              start=0) -> EvalReport:
     """Error rate and mean loss over a dataset; argmax ties go to the lowest class.
 
@@ -622,8 +635,6 @@ def evaluate(net: BlockNet, pixels, labels=None, batch_size=512,
     """
     if not 0 <= start < net.m:
         raise UsageError(f"start block {start} outside [0, {net.m})")
-    if labels is None:  # accept dataset-like objects
-        pixels, labels = pixels.pixels, pixels.labels
     labels = np.asarray(labels)
     n = len(labels)
     if n == 0:
@@ -648,10 +659,11 @@ def sync_blocks(dst: BlockNet, src: BlockNet, members):
     """Copy the listed blocks' values from src's buffer into dst's own, and
     point dst's parameters of those blocks at its own buffer (same spec
     assumed)."""
+    own = dst.views(dst.flat)
     for i in members:
         lo, hi = dst.block_offsets[i], dst.block_offsets[i + 1]
         dst.flat[lo:hi] = src.flat[lo:hi]
-        dst.params.update((k, dst._view(k)) for k in dst.block_keys(i))
+        dst.params.update((k, own[k]) for k in dst.block_keys(i))
 
 
 # --------------------------------------------------------------------------

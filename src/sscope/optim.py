@@ -13,14 +13,16 @@ is never stepped keeps zero moments and a count of 0. Per-block
 learning-rate and weight-decay scale factors support the layer-wise
 mitigation experiments.
 
-A step gathers the gradient into a scratch buffer, which optimizers that
-step one at a time (those of one lockstep run) share, and updates each
-maximal run of consecutive blocks that share a learning rate scale, weight
-decay scale and step count with one slice operation per arithmetic op. Its
-scalars are a per-parameter loop's Python floats converted to the net's
-dtype, which is what an array op converts a Python float to (NEP 50), so
-every byte equals that loop's; a dtype scalar just skips the conversion
-inside each call.
+The gradient has the buffer's layout too (see netcore.loss_and_grad), so a
+step needs no parameter names: it updates each maximal run of consecutive
+blocks that share a learning rate scale, weight decay scale and step count
+through the same slice of the parameters, the moments and the gradient,
+with one slice operation per arithmetic op, and never writes the gradient.
+Its temporaries live in a scratch buffer, which optimizers that step one at
+a time (those of one lockstep run) share. Its scalars are a per-parameter
+loop's Python floats converted to the net's dtype, which is what an array
+op converts a Python float to (NEP 50), so every byte equals that loop's; a
+dtype scalar just skips the conversion inside each call.
 """
 
 from __future__ import annotations
@@ -113,10 +115,9 @@ class Optimizer:
     schedule: ScheduleConfig
     lr_block_scale: dict = field(default_factory=dict)
     wd_block_scale: dict = field(default_factory=dict)
-    # scratch of shape (2, net.flat.size) in the net's dtype: the gathered
-    # gradient and a temporary, used only inside `step`, so optimizers that
-    # never step at the same time may share one (made at the first step
-    # when not given)
+    # scratch of shape (2, net.flat.size) in the net's dtype: two temporaries
+    # used only inside `step`, so optimizers that never step at the same time
+    # may share one (made at the first step when not given)
     work: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -125,43 +126,27 @@ class Optimizer:
         self.m = None  # AdamW's first moment, flat; created at the first step
         self.v = None  # AdamW's second moment, or SGD's velocity
         self.block_steps = None  # updates applied to each block so far
-        self._layouts = {}  # update set -> (parameter names, its blocks' spans)
 
-    def _layout(self, net, blocks):
-        """The parameter names of an update set in flat order, and for each
-        of its blocks (ascending) the block and its span in the gradient."""
-        key = tuple(blocks)
-        layout = self._layouts.get(key)
-        if layout is None:
-            names, spans, at = [], [], 0
-            for b in sorted(set(blocks)):
-                names += net.block_keys(b)
-                size = net.block_offsets[b + 1] - net.block_offsets[b]
-                spans.append((b, at, at + size))
-                at += size
-            layout = self._layouts[key] = (names, spans)
-        return layout
-
-    def _runs(self, spans):
+    def _runs(self, blocks):
         """Maximal runs of consecutive blocks sharing (lr scale, wd scale,
-        step count), as [first block, end block, gradient lo, gradient hi]."""
+        step count), as [first block, end block]."""
         runs = []
         prev = None
-        for b, lo, hi in spans:
+        for b in sorted(set(blocks)):
             same = (self.lr_block_scale.get(b, 1.0), self.wd_block_scale.get(b, 1.0),
                     self.block_steps[b])
             if runs and runs[-1][1] == b and same == prev:
                 runs[-1][1] = b + 1
-                runs[-1][3] = hi
             else:
-                runs.append([b, b + 1, lo, hi])
+                runs.append([b, b + 1])
             prev = same
         return runs
 
-    def step(self, net, grads: dict, blocks, t: int):
-        """Apply one update, in place, to exactly the listed blocks of net,
-        whose gradients `grads` holds by parameter name."""
-        names, spans = self._layout(net, blocks)
+    def step(self, net, grad, blocks, t: int):
+        """Apply one update, in place, to exactly the listed blocks of net.
+        `grad` has the layout of net's flat buffer (as `loss_and_grad`
+        returns it); only the listed blocks' slices are read, and none is
+        written."""
         if self.v is None:
             self.v = np.zeros_like(net.flat)
             if self.config.kind == ADAMW:
@@ -172,32 +157,32 @@ class Optimizer:
             elif self.work.dtype != net.dtype or self.work.shape != (2, net.flat.size):
                 raise UsageError(f"work buffer {self.work.shape} {self.work.dtype} "
                                  f"does not fit a net of {net.flat.size} {net.dtype}")
-        if not names:
-            return  # the listed blocks hold no parameters
-        g_all = np.concatenate([grads[k] for k in names], axis=None,
-                               out=self.work[0, : spans[-1][2]])
-        if not np.isfinite(g_all).all():
-            bad = next(b for b, lo, hi in spans if not np.isfinite(g_all[lo:hi]).all())
-            raise NumericError(f"non-finite gradient in block {bad}", bad)
+        offsets = net.block_offsets
+        runs = self._runs(blocks)
+        for first, end in runs:
+            if not np.isfinite(grad[offsets[first] : offsets[end]]).all():
+                bad = next(b for b in range(first, end)
+                           if not np.isfinite(grad[offsets[b] : offsets[b + 1]]).all())
+                raise NumericError(f"non-finite gradient in block {bad}", bad)
         base_lr = lr_at(t, self.schedule, self.config.peak_lr)
         f = net.flat.dtype.type
         # Each in-place op below computes what `a op b` computes, elementwise
         # with the same operands and scalars, so the bytes match the plain
-        # expressions in the comments. Once g is used up, its slice of the
-        # gathered gradient serves as a second temporary.
-        for first, end, glo, ghi in self._runs(spans):
-            lo, hi = net.block_offsets[first], net.block_offsets[end]
+        # expressions in the comments. tmp and tmp2 are the run's slices of
+        # the two scratch rows.
+        for first, end in runs:
+            lo, hi = offsets[first], offsets[end]
             lr = base_lr * self.lr_block_scale.get(first, 1.0)
             wd = self.config.weight_decay * self.wd_block_scale.get(first, 1.0)
-            p, g, v = net.flat[lo:hi], g_all[glo:ghi], self.v[lo:hi]
-            tmp = self.work[1, lo:hi]
+            p, g, v = net.flat[lo:hi], grad[lo:hi], self.v[lo:hi]
+            tmp2, tmp = self.work[0, lo:hi], self.work[1, lo:hi]
             if self.config.kind == SGD_NESTEROV:
                 # coupled decay g <- g + wd*p, then the velocity lookahead
                 # v <- mu*v + g; p <- p - lr*(g + mu*v)
                 if wd:
                     np.multiply(p, f(wd), out=tmp)
                     tmp += g
-                    g, tmp = tmp, g
+                    g, tmp = tmp, tmp2
                 mu = f(self.config.momentum)
                 v *= mu
                 v += g
@@ -223,10 +208,10 @@ class Optimizer:
                 v += tmp
                 np.divide(m, f(1.0 - b1 ** steps), out=tmp)  # mhat
                 tmp *= f(lr)
-                np.divide(v, f(1.0 - b2 ** steps), out=g)  # vhat
-                np.sqrt(g, out=g)
-                g += f(self.config.epsilon)
-                tmp /= g
+                np.divide(v, f(1.0 - b2 ** steps), out=tmp2)  # vhat
+                np.sqrt(tmp2, out=tmp2)
+                tmp2 += f(self.config.epsilon)
+                tmp /= tmp2
                 p -= tmp
             for b in range(first, end):
                 self.block_steps[b] += 1

@@ -67,7 +67,7 @@ def plan_layers(net, lo=0, hi=None):
     every layer of blocks lo..hi-1, read through the net's plan of
     parameter names."""
     for bi in range(lo, net.m if hi is None else hi):
-        for li, (layer, w, b) in enumerate(net._plan[bi]):
+        for li, (layer, w, b, _) in enumerate(net._plan[bi]):
             yield bi, li, layer, ({"w": net.params[w], "b": net.params[b]} if w else {})
 
 

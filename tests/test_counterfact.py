@@ -255,7 +255,8 @@ def reference_lockstep(pd, plan, init, members, knobs=None):
             views = {"clean": batch.clean_x, "skewed": batch.skew_x}
             blocks = {name: knobs[name].blocks_at(t, upd)
                       for name, (_, upd, _) in members.items()}
-            grads = {name: nc.loss_and_grad(nets[name], views[role], batch.labels)[1]
+            grads = {name: nets[name].views(
+                         nc.loss_and_grad(nets[name], views[role], batch.labels)[1])
                      for name, (role, _, _) in members.items() if blocks[name]}
             for name, g in grads.items():
                 keys = [k for b in blocks[name] for k in nets[name].block_keys(b)]
@@ -356,7 +357,7 @@ def check_family_evaluation(pd, spec, sets, dtype, n, batch_size, monkeypatch,
     assert sorted(starts) == sorted(want_starts * len(views))
     for name, net in nets.items():
         for got, view in zip(reports[name], views, strict=True):
-            plain = nc.evaluate(net, view, batch_size=batch_size)
+            plain = nc.evaluate(net, view.pixels, view.labels, batch_size)
             assert (got.mispredictions, got.n_examples, got.loss_mean) == (
                 plain.mispredictions, plain.n_examples, plain.loss_mean), name
 
@@ -458,7 +459,7 @@ def test_debug_sync_catches_a_perturbed_prefix(small_paired, monkeypatch):
     plan = quick_plan(steps=10, master_seed=5)
     train_pair(spec, small_paired, plan, "clean", A)  # unchecked, the change slips by
     served.clear()
-    with pytest.raises(AssertionError, match="step 5"):
+    with pytest.raises(AssertionError, match="block 2 differs .* at step 5"):
         train_pair(spec, small_paired, plan, "clean", A, debug_sync=True)
 
 
@@ -488,13 +489,12 @@ def test_diverged_partner_reports_step_and_block(small_paired, monkeypatch):
     calls = []
 
     def poisoned(net, x, labels, start=0):
-        loss, grads = nc.loss_and_grad(net, x, labels, start=start)
+        loss, grad = nc.loss_and_grad(net, x, labels, start=start)
         if start == 2:  # a 2:4 partner; the clean direction's comes first
             calls.append(start)
             if len(calls) == 7:  # step 3
-                k = net.block_keys(3)[0]
-                grads[k] = np.full_like(grads[k], np.inf)
-        return loss, grads
+                net.views(grad)[net.block_keys(3)[0]][...] = np.inf
+        return loss, grad
 
     monkeypatch.setattr(cf, "loss_and_grad", poisoned)
     with pytest.raises(TrainingDiverged, match="intervened:clean:2:4") as exc:

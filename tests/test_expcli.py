@@ -25,7 +25,7 @@ from sscope.expcli.runner import contribution_rows, localization_profiles, run_g
 from sscope.expcli.store import ResultsStore, RunRecord
 from sscope.interventions import mitigation_extent
 from sscope.netcore import build_net, save_checkpoint
-from sscope.skewlab import load_ssd1
+from ssd1 import load_ssd1
 
 
 def tiny_config(out, **kw):

@@ -360,6 +360,13 @@ def reference_loss_and_grad(net, x, labels, start=0):
     return loss, grads
 
 
+def grads_by_name(net, grad, start):
+    """The gradients of blocks start..m-1 in loss_and_grad's flat gradient,
+    by parameter name."""
+    views = net.views(grad)
+    return {k: views[k] for b in range(start, net.m) for k in net.block_keys(b)}
+
+
 def reference_forward(net, x, hi):
     x = net._ingest(x)
     for _, _, layer, params in plan_layers(net, 0, hi):
@@ -411,6 +418,7 @@ def test_network_gradients_match_reference(name, dtype):
             assert same(new_in, ref_in)
             loss_ref, g_ref = reference_loss_and_grad(net, ref_in, labels, start)
             loss, g = nc.loss_and_grad(net, new_in, labels, start)
+            g = grads_by_name(net, g, start)
             assert loss == loss_ref
             assert g.keys() == g_ref.keys()
             for key in g:
@@ -430,6 +438,7 @@ def test_minicnn6_matches_reference_at_training_and_evaluation_sizes(dtype):
     assert same(net.forward(x), reference_forward(net, x, spec.m))
     loss_ref, g_ref = reference_loss_and_grad(net, x, labels)
     loss, g = nc.loss_and_grad(net, x, labels)
+    g = grads_by_name(net, g, 0)
     assert loss == loss_ref
     assert g.keys() == g_ref.keys()
     assert all(same(g[key], g_ref[key]) for key in g)

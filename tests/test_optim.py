@@ -103,8 +103,12 @@ def dense_net(widths=(1, 2, 2), dtype=np.float64, value=None):
 
 
 def grads_of(net, blocks, value):
-    return {k: np.full_like(net.params[k], value) for b in blocks
-            for k in net.block_keys(b)}
+    """A gradient in net's flat layout holding `value` in the listed blocks
+    and NaN elsewhere, which a step over those blocks must not read."""
+    g = np.full_like(net.flat, np.nan)
+    for b in blocks:
+        g[net.block_offsets[b] : net.block_offsets[b + 1]] = value
+    return g
 
 
 def test_vanilla_sgd_rule():
@@ -113,7 +117,7 @@ def test_vanilla_sgd_rule():
     net = dense_net(dtype=np.float32, value=0.0)
     net.params["b0.l0.w"][:] = [[2.0, -1.0]]
     g = grads_of(net, [0], 0.0)
-    g["b0.l0.w"][:] = [[0.5, 0.25]]
+    net.views(g)["b0.l0.w"][:] = [[0.5, 0.25]]
     opt.step(net, g, [0], t=0)
     np.testing.assert_allclose(net.params["b0.l0.w"], [[1.5, -1.25]], rtol=0, atol=0)
 
@@ -176,7 +180,7 @@ def test_nonfinite_gradient_names_block_and_updates_nothing():
     net = dense_net(widths=(1, 2, 2, 2), value=1.0)
     before = net.flat.tobytes()
     g = grads_of(net, [0, 1, 2], 0.5)
-    g["b1.l0.b"][1] = np.nan
+    net.views(g)["b1.l0.b"][1] = np.nan
     with pytest.raises(NumericError) as exc:
         opt.step(net, g, [0, 1, 2], t=0)
     assert exc.value.block_index == 1
@@ -197,7 +201,7 @@ def test_nonfinite_gradient_outside_the_update_set_does_not_abort(monkeypatch):
 
     monkeypatch.setattr(Dense, "backward", poisoned)
     _, grads = loss_and_grad(net, np.ones((5, 3), np.float32), [0, 1, 0, 1, 0])
-    assert np.isinf(grads["b1.l0.w"]).all()
+    assert np.isinf(net.views(grads)["b1.l0.w"]).all()
     cfg = OptimizerConfig(ADAMW, peak_lr=0.1, weight_decay=0.01)
     opt = Optimizer(cfg, flat_schedule(cfg.peak_lr))
     opt.step(net, grads, [0, 2], t=0)
@@ -216,8 +220,7 @@ def test_deterministic_trajectories():
         opt = Optimizer(cfg, sch)
         net = dense_net(widths=(3, 4, 2), dtype=np.float32)
         for t in range(50):
-            g = {k: np.sin(v + t).astype(np.float32) for k, v in net.params.items()}
-            opt.step(net, g, [0, 1], t=t)
+            opt.step(net, np.sin(net.flat + t).astype(np.float32), [0, 1], t=t)
         return net.flat.tobytes()
 
     assert run() == run()
@@ -237,8 +240,7 @@ def test_optimizers_sharing_a_work_buffer_match_their_own(kind):
         for i in range(2):
             for opt in (shared[i], own[i]):
                 net = nets[id(opt)]
-                g = {k: np.sin(v * (i + 2) + t).astype(np.float32)
-                     for k, v in net.params.items()}
+                g = np.sin(net.flat * (i + 2) + t).astype(np.float32)
                 opt.step(net, g, [0, 1] if t % 3 else [1], t)
     assert all(o.work is work for o in shared)
     for a, b in zip(shared, own):
@@ -297,25 +299,67 @@ def test_flat_step_matches_per_key_reference(kind, dtype, case):
     rng = np.random.default_rng(5)
     for t in range(STEPS):
         blocks = sets(t)
-        grads = {k: (rng.standard_normal(v.shape) * 10.0 ** rng.integers(-3, 2))
-                 .astype(dtype) for k, v in ref.items()}
-        opt.step(net, grads, blocks, t)
+        grad = np.empty_like(net.flat)
+        grads = net.views(grad)
+        for k, v in ref.items():
+            grads[k][...] = (rng.standard_normal(v.shape) * 10.0 ** rng.integers(-3, 2)
+                             ).astype(dtype)
+        opt.step(net, grad, blocks, t)
         keys = [k for b in blocks for k in net.block_keys(b)]
         ref_opt.step({k: ref[k] for k in keys}, grads, t)
     for b in range(spec.m):
         counts = set()
         for k in net.block_keys(b):
-            lo, hi, _ = net._slots[k]
             assert net.params[k].tobytes() == ref[k].tobytes(), k
             st = ref_opt.state.get(k)
             moments = {"v": opt.v} if kind == SGD_NESTEROV else {"m": opt.m, "v": opt.v}
             for name, flat in moments.items():
                 want = st[name] if st else np.zeros_like(ref[k])
-                assert flat[lo:hi].tobytes() == want.tobytes(), (k, name)
+                assert net.views(flat)[k].tobytes() == want.tobytes(), (k, name)
             if kind == ADAMW:
                 counts.add(st["t"] if st else 0)
         if kind == ADAMW:
             assert counts == {opt.block_steps[b]}, b
+
+
+@pytest.mark.parametrize("kind", [ADAMW, SGD_NESTEROV])
+def test_step_leaves_the_gradient_unchanged(kind):
+    # weight decay is on: with it, both kinds once used the gradient as a
+    # temporary
+    cfg = OptimizerConfig(kind, peak_lr=0.05, weight_decay=0.1)
+    opt = Optimizer(cfg, flat_schedule(cfg.peak_lr), lr_block_scale={2: 3.0})
+    net = dense_net(widths=(3, 4, 4, 4, 2), dtype=np.float32)
+    x = np.linspace(-1, 1, 15, dtype=np.float32).reshape(5, 3)
+    for t, blocks in enumerate(([0, 1, 2, 3], [0, 1, 3], [2, 3], [0, 1, 2, 3])):
+        _, grad = loss_and_grad(net, x, [0, 1, 0, 1, 1])
+        before = grad.tobytes()
+        opt.step(net, grad, blocks, t)
+        assert grad.tobytes() == before, (t, blocks)
+
+
+@pytest.mark.parametrize("blocks", [[1, 3], [1, 2, 3], [2], [2, 3]],
+                         ids=["-{0,2}", "-{0}", "{2}", "-{0,1}"])
+@pytest.mark.parametrize("kind", [ADAMW, SGD_NESTEROV])
+def test_step_on_a_shared_prefix_gradient_matches_the_full_one(kind, blocks):
+    # a partner's gradient starts at s = min(A): its blocks >= s, and so a
+    # step over A, equal those of a full pass from block 0
+    cfg = OptimizerConfig(kind, peak_lr=0.05, weight_decay=0.1)
+    nets = [dense_net(widths=(3, 4, 4, 4, 2), dtype=np.float32) for _ in range(2)]
+    opts = [Optimizer(cfg, flat_schedule(cfg.peak_lr)) for _ in nets]
+    x = np.linspace(-1, 1, 15, dtype=np.float32).reshape(5, 3)
+    labels = [0, 1, 0, 1, 1]
+    s = min(blocks)
+    for t in range(3):
+        _, full = loss_and_grad(nets[0], x, labels)
+        _, shared = loss_and_grad(nets[1], nets[1].forward(x, 0, s), labels, start=s)
+        lo = nets[0].block_offsets[s]
+        assert shared[lo:].tobytes() == full[lo:].tobytes()
+        opts[0].step(nets[0], full, blocks, t)
+        opts[1].step(nets[1], shared, blocks, t)
+        assert nets[0].flat.tobytes() == nets[1].flat.tobytes(), t
+        assert opts[0].v.tobytes() == opts[1].v.tobytes(), t
+    assert nets[0].block_bytes(0) == dense_net(widths=(3, 4, 4, 4, 2),
+                                               dtype=np.float32).block_bytes(0)
 
 
 def test_config_validation():

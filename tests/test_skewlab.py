@@ -10,6 +10,7 @@ from sscope import skewlab as sl
 from sscope.errors import DataError, UsageError
 from sscope.expcli.presets import TASK_PRESETS
 from sscope.rng import stream
+from ssd1 import load_ssd1
 
 
 def watermark_task(**kw):
@@ -279,21 +280,21 @@ def test_ssd1_rejects_truncation_trailing_bytes_and_bad_flag(tmp_path):
     for cut in range(len(data)):
         bad.write_bytes(data[:cut])
         with pytest.raises(UsageError):
-            sl.load_ssd1(bad)
+            load_ssd1(bad)
     bad.write_bytes(data + b"\0")
     with pytest.raises(UsageError, match="trailing"):
-        sl.load_ssd1(bad)
+        load_ssd1(bad)
     bad.write_bytes(data[:24] + b"\2" + data[25:])
     with pytest.raises(UsageError, match="flag"):
-        sl.load_ssd1(bad)
+        load_ssd1(bad)
     bad.write_bytes(data[:34] + bytes([data[34] | 0x80]) + data[35:])  # label 32769
     with pytest.raises(UsageError, match="label 32769"):
-        sl.load_ssd1(bad)
+        load_ssd1(bad)
     for count in (0, 1):
         bad.write_bytes(data[:20] + bytes([count]) + data[21:])
         with pytest.raises(UsageError, match="class count"):
-            sl.load_ssd1(bad)
-    loaded = sl.load_ssd1(path)
+            load_ssd1(bad)
+    loaded = load_ssd1(path)
     assert (loaded.labels == ds.labels).all()
     assert (loaded.attributes == ds.attributes).all()
 
@@ -305,7 +306,7 @@ def test_ssd1_roundtrip(tmp_path):
     sl.save_ssd1(ds, path)
     with open(path, "rb") as fh:
         assert fh.read(4) == b"SSD1"
-    loaded = sl.load_ssd1(path)
+    loaded = load_ssd1(path)
     assert loaded.class_count == 4
     assert (loaded.labels == ds.labels).all()
     assert (loaded.attributes == ds.attributes).all()
@@ -344,7 +345,7 @@ def load_each(blobs):
         for blob in blobs:
             path.write_bytes(blob)
             try:
-                yield sl.load_ssd1(path)
+                yield load_ssd1(path)
             except UsageError as exc:
                 yield exc
 
