@@ -5,12 +5,18 @@ report. Exit codes: 0 ok, 1 usage/config error (a bad command-line argument
 included) or corrupt results store, 2 runtime failure. The SSCOPE_OUT
 environment variable overrides the output directory from both the config
 file and the --out flag.
+
+`main` can be called any number of times in one process: the parser is
+built on the first call and reused, and each call parses into a fresh
+namespace. `metrics` and `report` derive the store's contribution rows once
+and build the increase-rate profiles from those rows.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 
@@ -20,7 +26,13 @@ from ..skewlab import save_ssd1
 from ..stats import FactorTable, variance_explained
 from .config import ExperimentConfig
 from .report import setting_label, write_report
-from .runner import build_trial_data, contribution_rows, localization_profiles, run_grid
+from .runner import (
+    _profiles,
+    build_trial_data,
+    contribution_rows,
+    localization_profiles,
+    run_grid,
+)
 from .store import ResultsStore
 
 __all__ = ["main"]
@@ -63,9 +75,11 @@ def _load_config(args) -> ExperimentConfig:
     return base
 
 
+@functools.cache
 def build_parser():
     """Every command takes --config and --out; gen-data and the grid
-    commands take --seed, and only the grid commands take the rest."""
+    commands take --seed, and only the grid commands take the rest. Built
+    once per process; parse_args keeps no state between calls."""
     parser = _Parser(
         prog="sscope",
         description="Desk-scale laboratory for layer-wise shortcut localization",
@@ -144,7 +158,7 @@ def cmd_metrics(args) -> int:
                  enc_rel, fgt_rel, int(diverged)]
             )
     print(f"wrote {metrics_path} ({len(rows)} rows)")
-    profiles = localization_profiles(records)
+    profiles = _profiles(rows)
     if profiles:
         rates_path = os.path.join(config.out, "rates.csv")
         with open(rates_path, "w", newline="") as fh:

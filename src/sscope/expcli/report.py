@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from ..errors import UsageError
 from ..metrics import relative
 from ..stats import mean_se
-from .runner import contribution_rows, localization_profiles
+from .runner import _profiles, contribution_rows
 
 __all__ = ["Table", "setting_label", "error_table", "localization_tables",
            "single_block_tables", "render_text", "render_markdown", "write_report"]
@@ -102,11 +102,12 @@ def _block_tables(title, rows, records, footer=""):
     ]
 
 
-def single_block_tables(records):
-    """Relative single-block contributions (family = single), mean (SE)."""
+def single_block_tables(records, contribs):
+    """Relative single-block contributions (family = single), mean (SE), of
+    the records' contribution_rows `contribs`."""
     rows = []
     diverged = below_floor = 0
-    for tid, anchor, rec, div in contribution_rows(records):
+    for tid, anchor, rec, div in contribs:
         if len(rec.A.complement.members) != 1:
             continue
         if div:
@@ -126,11 +127,12 @@ def single_block_tables(records):
                          rows, records, footer)
 
 
-def localization_tables(records):
-    """Per-block increase rates of relative contributions (suffix family)."""
+def localization_tables(records, contribs):
+    """Per-block increase rates of relative contributions (suffix family),
+    of the records' contribution_rows `contribs`."""
     rows = [
         (tid, anchor, b, float(enc) * 100, float(fgt) * 100)
-        for tid, (anchor, prof) in localization_profiles(records).items()
+        for tid, (anchor, prof) in _profiles(contribs).items()
         for b, (enc, fgt) in enumerate(zip(prof.enc_rates, prof.fgt_rates))
     ]
     return _block_tables("Increase rate of relative {} by initial blocks, mean (SE)",
@@ -171,8 +173,9 @@ def render_markdown(tables) -> str:
 
 
 def write_report(records, out_dir, log=print) -> str:
-    tables = ([error_table(records)] + single_block_tables(records)
-              + localization_tables(records))
+    contribs = contribution_rows(records)
+    tables = ([error_table(records)] + single_block_tables(records, contribs)
+              + localization_tables(records, contribs))
     note = ""
     if len(tables) == 1:
         note = "no intervened runs in store: localization tables skipped"

@@ -11,13 +11,20 @@ once, each partner is scored from the activation entering block min(A),
 which it shares with its anchor, and each retraining is scored from block
 0. Trials are independent, so they can run in a process pool; records are
 appended by the parent only, each trial's as soon as it returns, so a crash
-keeps every trial finished before it.
+keeps every trial finished before it. Pool workers start from a fresh
+interpreter (`spawn`) with one BLAS thread each, unless the user set the
+thread count; the pool's modules are imported only when a grid uses it.
+
+The store's analysis derives one list of `contribution_rows`; the
+increase-rate profiles are built from that list, so a caller that holds it
+does not derive it again.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from fractions import Fraction
 from pathlib import Path
 
@@ -267,8 +274,14 @@ def run_grid(config: ExperimentConfig, store: ResultsStore, kind="family",
         return 0
     args = [(kind, cfg_dict, seed) for seed in pending]
     if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = [pool.submit(_trial_worker, a) for a in args]
+        # imported here: multiprocessing costs a single-worker grid's start
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=config.workers,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            with _one_blas_thread():  # the pool starts its workers in submit
+                futures = [pool.submit(_trial_worker, a) for a in args]
             try:
                 return _persist(config, store, existing, pending,
                                 _in_seed_order(pool, futures), log)
@@ -292,11 +305,32 @@ def _check_retrain_init(config, store):
                               "into a fresh out directory")
 
 
+# numpy's BLAS reads these once, when a worker imports numpy
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Processes started inside get one BLAS thread for each thread-count
+    variable the user left unset, so that a pool's workers do not
+    oversubscribe the cores; the variables are unset again on exit."""
+    unset = [var for var in _BLAS_THREAD_VARS if var not in os.environ]
+    try:
+        for var in unset:
+            os.environ[var] = "1"
+        yield
+    finally:
+        for var in unset:
+            os.environ.pop(var, None)
+
+
 def _in_seed_order(pool, futures):
     """Each trial's result in submission order, as soon as it is done. The
     first trial to fail, whatever its place, cancels every trial not yet
     started; the finished trials before it are still yielded, then its
     error is raised."""
+    from concurrent.futures import FIRST_COMPLETED, wait
+
     waiting = set(futures)
     for fut in futures:
         while not fut.done():
@@ -393,7 +427,12 @@ def contribution_rows(records):
 
 def localization_profiles(records):
     """Per-trial LocalizationProfiles for complete suffix-family runs."""
-    rows = contribution_rows(records)
+    return _profiles(contribution_rows(records))
+
+
+def _profiles(rows):
+    """localization_profiles of the records whose contribution_rows these
+    are, for callers that already hold the rows."""
     by_trial = {}
     meta = {}
     for tid, anchor_rec, record, diverged in rows:

@@ -315,12 +315,11 @@ def _fully_skewed_sampling(clean, skew):
         cross = np.nonzero((labels == y) & (attrs != skew.aligned_group(y)))[0]
         if len(cross) and not len(donors):
             raise DataError(f"no aligned-group items for label {int(y)}")
-        for j, i in enumerate(cross):  # replace round-robin over the donor pool
-            d = donors[j % len(donors)]
-            pixels[i] = clean.pixels[d]
-            new_attrs[i] = attrs[d]
-            if base is not None:
-                base[i] = clean.base_pixels[d]
+        d = donors[np.arange(len(cross)) % len(donors)]  # round-robin over the pool
+        pixels[cross] = clean.pixels[d]
+        new_attrs[cross] = attrs[d]
+        if base is not None:
+            base[cross] = clean.base_pixels[d]
     assert (new_attrs == aligned).all()
     return ImageDataset(
         pixels=pixels,

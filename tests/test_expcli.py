@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from sscope import counterfact as cf
 from sscope.errors import ConfigError, StoreError, UsageError
-from sscope.expcli import runner
+from sscope.expcli import cli, report, runner
 from sscope.expcli.cli import main
 from sscope.expcli.config import ExperimentConfig, run_id, trial_seed
 from sscope.expcli.presets import net_spec, optimizer_config, task_spec
@@ -279,6 +279,36 @@ def test_pool_failure_cancels_trials_not_started(tmp_path, monkeypatch):
     # Only trials a worker had taken (2) or the pool had queued for its
     # workers (3, plus 1 refilled as the failure came in) may have run.
     assert {0, 1} <= started <= set(range(6))
+
+
+def _report_blas_env(args):
+    """Trial worker, at module level so that the pool can send it: it
+    writes the BLAS thread-count variables it sees to the out directory and
+    trains nothing."""
+    _, config_dict, seed = args
+    seen = {var: os.environ.get(var) for var in runner._BLAS_THREAD_VARS}
+    with open(os.path.join(config_dict["out"], f"env-{seed}.json"), "w") as fh:
+        json.dump(seen, fh)
+    return [], {}
+
+
+@pytest.mark.parametrize("user", [{}, {"OPENBLAS_NUM_THREADS": "2"}],
+                         ids=["unset", "user-set"])
+def test_pool_workers_get_one_blas_thread_unless_user_set(tmp_path, monkeypatch,
+                                                         user):
+    for var in runner._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in user.items():
+        monkeypatch.setenv(var, value)
+    before = dict(os.environ)
+    config = tiny_config(tmp_path, seeds=[0, 1], workers=2)
+    monkeypatch.setattr(runner, "_trial_worker", _report_blas_env)
+    assert run_grid(config, ResultsStore(config.out), kind="family",
+                    log=lambda *_: None) == 0
+    assert dict(os.environ) == before
+    want = {var: user.get(var, "1") for var in runner._BLAS_THREAD_VARS}
+    for seed in config.seeds:
+        assert json.loads((tmp_path / f"env-{seed}.json").read_text()) == want
 
 
 def test_short_intervene_config_fails_before_training(tmp_path, capsys, monkeypatch):
@@ -672,6 +702,95 @@ def test_metrics_setting_column_separates_skew_strengths(tmp_path):
         settings_seen = {row["setting"] for row in csv.DictReader(fh)}
     assert settings_seen == {"bars16 a=0.75 f=127/128 mlp4 adamw scratch",
                              "bars16 a=0.25 f=127/128 mlp4 adamw scratch"}
+
+
+# metrics.csv and rates.csv of the hand-built store, one row a line (csv's
+# \r\n line ends)
+_GOLDEN_METRICS_CSV = "\r\n".join([
+    'trial_id,setting,seed,set,gap,enc,uut,fgt,amp,enc_rel_pct,fgt_rel_pct,diverged',
+    'sgl2,bars16 a=0.75 f=127/128 mlp4 adamw scratch,2,-{1},0.22,0.105,0.115,0.11,0.11,47.727273,50.000000,0',
+    'sgl2,bars16 a=0.75 f=127/128 mlp4 adamw scratch,2,-{2},0.22,-0.04,0.26,-0.03,0.25,-18.181818,-13.636364,1',
+    'sgl2,bars16 a=0.75 f=127/128 mlp4 adamw scratch,2,-{3},0.22,0.05,0.17,0.03,0.19,22.727273,13.636364,0',
+    'sgl2,bars16 a=0.75 f=127/128 mlp4 adamw scratch,2,1:4,0.22,0.175,0.045,0.185,0.035,79.545455,84.090909,0',
+    'sgl3,bars16 a=0.75 f=127/128 mlp4 adamw scratch,3,-{1},0.0,0.0,0.0,0.01,-0.01,,,0',
+    'sgl3,bars16 a=0.75 f=127/128 mlp4 adamw scratch,3,-{2},0.0,0.01,-0.01,0.0,0.0,,,0',
+    'sgl3,bars16 a=0.75 f=127/128 mlp4 adamw scratch,3,-{3},0.0,0.0,0.0,0.0,0.0,,,0',
+    'sgl3,bars16 a=0.75 f=127/128 mlp4 adamw scratch,3,1:4,0.0,-0.005,0.005,-0.005,0.005,,,0',
+    'sgl5,bars16 a=0.25 f=15/16 mlp4 sgd scratch,0,-{2},0.075,0.035,0.04,0.03,0.045,46.666667,40.000000,0',
+    'suf0,bars16 a=0.75 f=127/128 mlp4 adamw scratch,0,0:4,0.2,0.0,0.2,0.0,0.2,0.000000,0.000000,0',
+    'suf0,bars16 a=0.75 f=127/128 mlp4 adamw scratch,0,1:4,0.2,0.05,0.15,0.04,0.16,25.000000,20.000000,0',
+    'suf0,bars16 a=0.75 f=127/128 mlp4 adamw scratch,0,2:4,0.2,0.1,0.1,0.075,0.125,50.000000,37.500000,0',
+    'suf0,bars16 a=0.75 f=127/128 mlp4 adamw scratch,0,3:4,0.2,0.15,0.05,0.125,0.075,75.000000,62.500000,0',
+    'suf1,bars16 a=0.75 f=127/128 mlp4 adamw scratch,1,0:4,0.18,0.0,0.18,0.0,0.18,0.000000,0.000000,0',
+    'suf1,bars16 a=0.75 f=127/128 mlp4 adamw scratch,1,1:4,0.18,0.045,0.135,0.04,0.14,25.000000,22.222222,0',
+    'suf1,bars16 a=0.75 f=127/128 mlp4 adamw scratch,1,2:4,0.18,0.105,0.075,0.085,0.095,58.333333,47.222222,0',
+    'suf1,bars16 a=0.75 f=127/128 mlp4 adamw scratch,1,3:4,0.18,0.145,0.035,0.125,0.055,80.555556,69.444444,0',
+]) + "\r\n"
+_GOLDEN_RATES_CSV = "\r\n".join([
+    'trial_id,task,skew_frequency,net,optimizer,seed,block,enc_rate,fgt_rate',
+    'suf0,bars16,127/128,mlp4,adamw,0,0,0.25,0.2',
+    'suf0,bars16,127/128,mlp4,adamw,0,1,0.25,0.175',
+    'suf0,bars16,127/128,mlp4,adamw,0,2,0.25,0.25',
+    'suf0,bars16,127/128,mlp4,adamw,0,3,0.25,0.375',
+    'suf1,bars16,127/128,mlp4,adamw,1,0,0.25,0.2222222222222222',
+    'suf1,bars16,127/128,mlp4,adamw,1,1,0.3333333333333333,0.25',
+    'suf1,bars16,127/128,mlp4,adamw,1,2,0.2222222222222222,0.2222222222222222',
+    'suf1,bars16,127/128,mlp4,adamw,1,3,0.19444444444444445,0.3055555555555556',
+]) + "\r\n"
+# the hand-built store's two suffix families share one setting, so every
+# factor has one level
+_GOLDEN_STATS_TXT = "\n".join([
+    'variance explained in the increase rates (one-way eta squared)',
+    '',
+    'metric           dataset   skew_freq       model   optimizer',
+    'encoding             n/a         n/a         n/a         n/a',
+    'forgetting           n/a         n/a         n/a         n/a',
+]) + "\n"
+
+
+def _golden_store(out):
+    store = ResultsStore(out)
+    for rec in _golden_records():
+        store.append(rec)
+    return store
+
+
+def test_metrics_and_stats_of_hand_built_store_are_golden(tmp_path, capsys):
+    _golden_store(tmp_path)
+    assert main(["metrics", "--out", str(tmp_path)]) == 0
+    assert main(["stats", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "metrics.csv").read_bytes() == _GOLDEN_METRICS_CSV.encode()
+    assert (tmp_path / "rates.csv").read_bytes() == _GOLDEN_RATES_CSV.encode()
+    assert (tmp_path / "stats.txt").read_text() == _GOLDEN_STATS_TXT
+    out = capsys.readouterr().out
+    assert out == (f"wrote {tmp_path / 'metrics.csv'} (17 rows)\n"
+                   f"wrote {tmp_path / 'rates.csv'} (2 profiles)\n"
+                   + _GOLDEN_STATS_TXT + f"wrote {tmp_path / 'stats.txt'}\n")
+
+
+@pytest.mark.parametrize("command", ["metrics", "stats", "report"])
+def test_analysis_command_derives_contribution_rows_once(tmp_path, monkeypatch,
+                                                         capsys, command):
+    _golden_store(tmp_path)
+    calls = []
+
+    def counted(records):
+        calls.append(len(records))
+        return contribution_rows(records)
+
+    for module in (runner, cli, report):
+        monkeypatch.setattr(module, "contribution_rows", counted)
+    assert main([command, "--out", str(tmp_path)]) == 0
+    assert calls == [len(_golden_records())]
+
+
+def test_parser_is_built_once_and_keeps_no_state():
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    assert parser.parse_args(["counterfactual", "--debug-sync"]).debug_sync is True
+    assert parser.parse_args(["counterfactual"]).debug_sync is None
+    assert parser.parse_args(["metrics", "--out", "a"]).out == "a"
+    assert parser.parse_args(["metrics"]).out is None
 
 
 def test_profile_refuses_a_gap_below_the_floor():

@@ -193,6 +193,44 @@ def test_sampling_skew_aligns_groups():
     assert (skewed.labels == clean.labels).all()
 
 
+def fully_skewed_sampling_loop(clean, skew):
+    """`_fully_skewed_sampling` replacing one cross-group item at a time:
+    the byte reference for its per-label fancy-index copy."""
+    labels, attrs = clean.labels, clean.attributes
+    pixels, new_attrs = clean.pixels.copy(), attrs.copy()
+    base = None if clean.base_pixels is None else clean.base_pixels.copy()
+    for y in np.unique(labels):
+        donors = np.nonzero((labels == y) & (attrs == skew.aligned_group(y)))[0]
+        cross = np.nonzero((labels == y) & (attrs != skew.aligned_group(y)))[0]
+        for j, i in enumerate(cross):
+            d = donors[j % len(donors)]
+            pixels[i] = clean.pixels[d]
+            new_attrs[i] = attrs[d]
+            if base is not None:
+                base[i] = clean.base_pixels[d]
+    return pixels, new_attrs, base
+
+
+@pytest.mark.parametrize("seed", [0, 5, 13])
+@pytest.mark.parametrize("n", [3, 64, 501])
+@pytest.mark.parametrize("label_0_aligned", [False, True],
+                         ids=["mixed", "label-0-no-cross"])
+def test_sampling_skew_matches_per_item_loop(seed, n, label_0_aligned):
+    task = sl.SyntheticTaskSpec(**TASK_PRESETS["tint2"])
+    clean = sl.gen_clean_synthetic(task, n, seed=seed)
+    clean.labels[:2] = [0, 1]  # every label has an aligned donor
+    clean.attributes[:2] = [0, 1]
+    if label_0_aligned:
+        clean.attributes[clean.labels == 0] = 0
+    skew = sl.SamplingSkewSpec(num_groups=2)
+    got = sl.make_fully_skewed(clean, skew)
+    pixels, attrs, base = fully_skewed_sampling_loop(clean, skew)
+    assert got.pixels.tobytes() == pixels.tobytes()
+    assert got.attributes.tobytes() == attrs.tobytes()
+    assert got.base_pixels.tobytes() == base.tobytes()
+    assert got.labels.tobytes() == clean.labels.tobytes()
+
+
 def test_sampling_skew_empty_pool_is_data_error():
     task = sl.SyntheticTaskSpec(class_count=2, kind="bars", attribute_groups=2)
     clean = sl.gen_clean_synthetic(task, 64, seed=8)
