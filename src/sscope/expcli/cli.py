@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import os
 import sys
@@ -49,10 +50,6 @@ _COMMANDS = {
     "stats": "variance-explained decomposition of the increase rates",
     "report": "render mean (SE) tables from the store",
 }
-# config field -> the flag that overrides it, for the flags a command has
-_OVERRIDES = {"master_seed": "seed", "workers": "workers", "out": "out",
-              "precision": "precision", "family": "family",
-              "debug_sync": "debug_sync"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,21 +62,20 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_config(args) -> ExperimentConfig:
     base = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    overrides = {name: getattr(args, flag) for name, flag in _OVERRIDES.items()
-                 if getattr(args, flag, None) is not None}
+    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(base)
+                 if getattr(args, f.name, None) is not None}
     env_out = os.environ.get("SSCOPE_OUT")
     if env_out:
         overrides["out"] = env_out
-    if overrides:
-        base = ExperimentConfig.from_dict({**base.to_dict(), **overrides})
-    return base
+    return dataclasses.replace(base, **overrides).validate()
 
 
 @functools.cache
 def build_parser():
     """Every command takes --config and --out; gen-data and the grid
-    commands take --seed, and only the grid commands take the rest. Built
-    once per process; parse_args keeps no state between calls."""
+    commands take --seed, and only the grid commands take the rest. A flag
+    that overrides a config field has that field as its dest. Built once
+    per process; parse_args keeps no state between calls."""
     parser = _Parser(
         prog="sscope",
         description="Desk-scale laboratory for layer-wise shortcut localization",
@@ -90,7 +86,8 @@ def build_parser():
         sub.add_argument("--config", help="JSON experiment config")
         sub.add_argument("--out", help="output directory")
         if name == "gen-data" or name in _GRIDS:
-            sub.add_argument("--seed", type=int, help="override master_seed")
+            sub.add_argument("--seed", type=int, dest="master_seed", metavar="SEED",
+                             help="override master_seed")
         if name in _GRIDS:
             sub.add_argument("--workers", type=int, help="parallel trial workers")
             sub.add_argument("--precision", type=int, choices=(32, 64))
@@ -99,15 +96,14 @@ def build_parser():
                              help="check one partner's shared-prefix gradients "
                                   "against a full pass at every step")
     gen = subs.choices["gen-data"]
-    gen.add_argument("--n", type=int, help="override train_n for the export")
+    gen.add_argument("--n", type=int, dest="train_n", metavar="N",
+                     help="override train_n for the export")
     gen.add_argument("--prefix", default="dataset", help="output file prefix")
     return parser
 
 
 def cmd_gen_data(args) -> int:
     config = _load_config(args)
-    if args.n is not None:
-        config = ExperimentConfig.from_dict({**config.to_dict(), "train_n": args.n})
     pd, test_clean, test_full = build_trial_data(config, config.seeds[0])
     os.makedirs(config.out, exist_ok=True)
     paths = {

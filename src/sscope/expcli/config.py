@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from ..counterfact import InterventionSet
 from ..errors import ConfigError, UsageError
@@ -26,15 +26,13 @@ _FAMILIES = ("single", "suffix", "explicit")
 _MODES = ("scratch", "warmstart")
 _FREQ_NAMES = {name: (f.numerator, f.denominator)
                for name, f in (("common", COMMON), ("rare", RARE))}
-_SKEW_KEYS = ("kind", "strength", "frequency", "patch_size")
-# the type of every field but skew_frequency (parsed on its own); see _is_json
-_FIELD_TYPES = dict(
-    task=str, skew_kind=str, skew_strength=float, patch_size=int, net=str,
-    optimizer=str, optimizer_overrides=dict, mode=str,
-    warmstart_checkpoint=(str, type(None)), family=str, explicit_sets=(list, tuple),
-    seeds=(list, tuple), steps=int, batch_size=int, train_n=int, test_n=int,
-    master_seed=int, precision=int, out=str, workers=int, debug_sync=bool,
-)
+# the JSON type of each field's declared type (a string under postponed
+# annotations); see _is_json. A tuple field holds a JSON array.
+_JSON_BY_TYPE = {"str": str, "int": int, "float": float, "bool": bool,
+                 "dict": dict, "tuple": (list, tuple), "str | None": (str, type(None))}
+# the fields that stay out of the run id: where and how a grid runs, and its
+# seed labels, which are hashed one at a time
+_EXECUTION_FIELDS = ("out", "workers", "debug_sync", "seeds")
 
 
 @dataclass(frozen=True)
@@ -70,40 +68,39 @@ class ExperimentConfig:
         skew = data.pop("skew", {})
         if not isinstance(skew, dict):
             raise ConfigError(f"skew must be a JSON object, got {skew!r}")
-        if skew:
-            data["skew_kind"] = skew.get("kind", "watermark")
-            if "strength" in skew:
-                data["skew_strength"] = presets.blend_strength(skew["strength"])
-            if "frequency" in skew:
-                data["skew_frequency"] = _parse_frequency(skew["frequency"])
-            if "patch_size" in skew:
-                data["patch_size"] = skew["patch_size"]
         unknown = set(data) - set(cls.__dataclass_fields__)
-        unknown |= {f"skew.{k}" for k in skew if k not in _SKEW_KEYS}
+        unknown |= {f"skew.{k}" for k in skew if k not in _SKEW_BLOCK}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        for tup_field in ("seeds", "explicit_sets", "skew_frequency"):
-            if isinstance(data.get(tup_field), list):
-                data[tup_field] = tuple(data[tup_field])
+        # a block key sets only its own field, over the flat one
+        for key, value in skew.items():
+            name, parse = _SKEW_BLOCK[key]
+            data[name] = value if parse is None else parse(value)
+        for name in _TUPLE_FIELDS:
+            if isinstance(data.get(name), list):
+                data[name] = tuple(data[name])
         return cls(**data).validate()
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"malformed config {path}: {exc}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"config {path} must hold a JSON object")
         return cls.from_dict(raw)
 
     def validate(self) -> "ExperimentConfig":
-        for name, want in _FIELD_TYPES.items():
-            if not _is_json(getattr(self, name), want):
-                raise ConfigError(f"{name} has the wrong type: {getattr(self, name)!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _is_json(value, _JSON_BY_TYPE[f.type]):
+                raise ConfigError(f"{f.name} has the wrong type: {value!r}")
         if not all(_is_json(s, int) for s in self.seeds):
             raise ConfigError(f"seeds must be integers, got {list(self.seeds)}")
         if self.family not in _FAMILIES:
@@ -135,8 +132,7 @@ class ExperimentConfig:
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         freq = self.skew_frequency
-        if not (isinstance(freq, (list, tuple)) and len(freq) == 2
-                and all(_is_json(p, int) for p in freq)):
+        if not (len(freq) == 2 and all(_is_json(p, int) for p in freq)):
             raise ConfigError(f"skew_frequency must be two integers, got {freq!r}")
         try:
             self.frequency()
@@ -184,20 +180,19 @@ class ExperimentConfig:
         return presets.net_spec(self.net, self.task_spec())
 
     def cell_dict(self) -> dict:
-        """The result-determining fields (no out/workers/debug plumbing)."""
-        d = asdict(self)
-        for k in ("out", "workers", "debug_sync", "seeds"):
-            d.pop(k)
-        d["explicit_sets"] = list(d["explicit_sets"])
-        d["skew_frequency"] = list(d["skew_frequency"])
-        return d
+        """The result-determining fields: to_dict() minus _EXECUTION_FIELDS."""
+        return {k: v for k, v in self.to_dict().items()
+                if k not in _EXECUTION_FIELDS}
 
     def to_dict(self) -> dict:
         """Full round-trippable dict (from_dict(to_dict()) == self)."""
         d = asdict(self)
-        for k in ("seeds", "explicit_sets", "skew_frequency"):
-            d[k] = list(d[k])
+        for name in _TUPLE_FIELDS:
+            d[name] = list(d[name])
         return d
+
+
+_TUPLE_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.type == "tuple")
 
 
 def _is_json(value, want):
@@ -219,6 +214,13 @@ def _parse_frequency(value):
     if match is None:
         raise ConfigError(f"cannot parse frequency {value!r}")
     return (int(match[1]), int(match[2]))
+
+
+# skew block key -> the field it sets, and its parser (None: taken as it is)
+_SKEW_BLOCK = {"kind": ("skew_kind", None),
+               "strength": ("skew_strength", presets.blend_strength),
+               "frequency": ("skew_frequency", _parse_frequency),
+               "patch_size": ("patch_size", None)}
 
 
 def _canonical(obj) -> str:

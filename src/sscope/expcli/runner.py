@@ -25,6 +25,7 @@ from __future__ import annotations
 import contextlib
 import os
 import time
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -114,24 +115,18 @@ def _warmstart_net(config):
     return net
 
 
+# the RunRecord columns that copy the config field of the same name
+_CONFIG_COLUMNS = tuple(f.name for f in fields(RunRecord)
+                        if f.name in ExperimentConfig.__dataclass_fields__)
+
+
 def _base_record_fields(config: ExperimentConfig, seed: int):
     f = config.frequency()
     return dict(
+        {name: getattr(config, name) for name in _CONFIG_COLUMNS},
+        skew_frequency=f"{f.numerator}/{f.denominator}",
         trial_id=trial_id(config, seed),
         seed=seed,
-        task=config.task,
-        skew_kind=config.skew_kind,
-        skew_strength=config.skew_strength,
-        skew_frequency=f"{f.numerator}/{f.denominator}",
-        net=config.net,
-        optimizer=config.optimizer,
-        mode=config.mode,
-        family=config.family,
-        steps=config.steps,
-        batch_size=config.batch_size,
-        train_n=config.train_n,
-        test_n=config.test_n,
-        master_seed=config.master_seed,
     )
 
 
@@ -247,8 +242,8 @@ def _probe_run_id(config: ExperimentConfig, seed: int, kind: str) -> str:
 
 
 def _trial_worker(args):
-    kind, config_dict, seed = args
-    return run_trial(ExperimentConfig.from_dict(config_dict), seed, kind)
+    kind, config, seed = args
+    return run_trial(config, seed, kind)
 
 
 def run_grid(config: ExperimentConfig, store: ResultsStore, kind="family",
@@ -263,7 +258,6 @@ def run_grid(config: ExperimentConfig, store: ResultsStore, kind="family",
         if config.mode == "warmstart":
             _check_retrain_init(config, store)
     existing = store.existing_run_ids()
-    cfg_dict = config.to_dict()
     pending = []
     for seed in config.seeds:
         if _probe_run_id(config, seed, kind) in existing:
@@ -272,7 +266,7 @@ def run_grid(config: ExperimentConfig, store: ResultsStore, kind="family",
             pending.append(seed)
     if not pending:
         return 0
-    args = [(kind, cfg_dict, seed) for seed in pending]
+    args = [(kind, config, seed) for seed in pending]  # pickled whole to a pool
     if config.workers > 1:
         # imported here: multiprocessing costs a single-worker grid's start
         import multiprocessing

@@ -18,7 +18,7 @@ from sscope import counterfact as cf
 from sscope.errors import ConfigError, StoreError, UsageError
 from sscope.expcli import cli, report, runner
 from sscope.expcli.cli import main
-from sscope.expcli.config import ExperimentConfig, run_id, trial_seed
+from sscope.expcli.config import ExperimentConfig, run_id, trial_id, trial_seed
 from sscope.expcli.presets import net_spec, optimizer_config, task_spec
 from sscope.expcli.report import error_table, write_report
 from sscope.expcli.runner import contribution_rows, localization_profiles, run_grid
@@ -80,6 +80,11 @@ def test_config_skew_block_parsing():
     assert cfg.patch_size == 8
     cfg2 = ExperimentConfig.from_dict({"skew": {"frequency": "3/4"}})
     assert cfg2.skew_frequency == (3, 4)
+    # a block sets only the keys it names, and a key it names wins
+    cfg3 = ExperimentConfig.from_dict(
+        {"task": "tint2", "skew_kind": "sampling", "skew_strength": 0.5,
+         "skew": {"frequency": "rare", "strength": "weak"}})
+    assert (cfg3.skew_kind, cfg3.skew_strength) == ("sampling", 0.25)
 
 
 def test_run_id_stable_under_field_order(tmp_path):
@@ -87,6 +92,54 @@ def test_run_id_stable_under_field_order(tmp_path):
     scrambled = dict(reversed(list(a.to_dict().items())))
     b = ExperimentConfig.from_dict(scrambled)
     assert run_id(a, 0, "clean_anchor", "") == run_id(b, 0, "clean_anchor", "")
+
+
+# every field set away from its default, so that each one reaches the hash
+_EVERY_FIELD_MOVED = dict(
+    task="tint2", skew_kind="sampling", skew_strength=0.25, skew_frequency=[15, 16],
+    patch_size=8, net="mlp4", optimizer="sgd", optimizer_overrides={"peak_lr": 0.01},
+    mode="warmstart", warmstart_checkpoint="anchor.ssc1", family="explicit",
+    explicit_sets=["{}", "2:4", "{0,2}"], seeds=[3, 7], steps=50, batch_size=16,
+    train_n=512, test_n=256, master_seed=9, precision=64, out="elsewhere",
+    workers=3, debug_sync=True,
+)
+
+
+@pytest.mark.parametrize("raw, seed, role, set_repr, rid, tid, tseed, cell", [
+    ({}, 0, "clean_anchor", "", "34e6fd45b4c3bbb8", "580aecc240724a99",
+     10605408158661201384,
+     {"task": "bars16", "skew_kind": "watermark", "skew_strength": 0.75,
+      "skew_frequency": [127, 128], "patch_size": 10, "net": "minicnn6",
+      "optimizer": "adamw", "optimizer_overrides": {}, "mode": "scratch",
+      "warmstart_checkpoint": None, "family": "suffix", "explicit_sets": [],
+      "steps": 1200, "batch_size": 32, "train_n": 4096, "test_n": 1024,
+      "master_seed": 0, "precision": 32}),
+    (_EVERY_FIELD_MOVED, 7, "intervened_s", "2:4", "2647bfae925cf8a6",
+     "df0e0aaf00b5523f", 17850033340914226207,
+     {"task": "tint2", "skew_kind": "sampling", "skew_strength": 0.25,
+      "skew_frequency": [15, 16], "patch_size": 8, "net": "mlp4",
+      "optimizer": "sgd", "optimizer_overrides": {"peak_lr": 0.01},
+      "mode": "warmstart", "warmstart_checkpoint": "anchor.ssc1",
+      "family": "explicit", "explicit_sets": ["{}", "2:4", "{0,2}"],
+      "steps": 50, "batch_size": 16, "train_n": 512, "test_n": 256,
+      "master_seed": 9, "precision": 64}),
+], ids=["default", "every-field-moved"])
+def test_run_ids_are_golden(raw, seed, role, set_repr, rid, tid, tseed, cell):
+    """Stored results are found by these hashes, so a change to the config's
+    schema must leave them as they are."""
+    config = ExperimentConfig.from_dict(raw)
+    assert run_id(config, seed, role, set_repr) == rid
+    assert trial_id(config, seed) == tid
+    assert trial_seed(config, seed) == tseed
+    assert config.cell_dict() == cell
+    assert list(config.cell_dict()) == list(cell)
+
+
+def test_every_field_moved_config_moves_every_field():
+    moved = ExperimentConfig.from_dict(_EVERY_FIELD_MOVED)
+    default = ExperimentConfig()
+    assert [f.name for f in dataclasses.fields(ExperimentConfig)
+            if getattr(moved, f.name) == getattr(default, f.name)] == []
 
 
 def test_trial_seed_independent_of_other_cells(tmp_path):
@@ -260,8 +313,8 @@ def _fail_seed_1(args):
     send it. It marks every trial it starts and fails seed 1 at once; the
     other trials wait half a second first, so the failure arrives while
     seed 0 still runs."""
-    _, config_dict, seed = args
-    open(os.path.join(config_dict["out"], f"started-{seed}"), "w").close()
+    _, config, seed = args
+    open(os.path.join(config.out, f"started-{seed}"), "w").close()
     if seed == 1:
         raise RuntimeError("trial 1 failed")
     time.sleep(0.5)
@@ -285,9 +338,9 @@ def _report_blas_env(args):
     """Trial worker, at module level so that the pool can send it: it
     writes the BLAS thread-count variables it sees to the out directory and
     trains nothing."""
-    _, config_dict, seed = args
+    _, config, seed = args
     seen = {var: os.environ.get(var) for var in runner._BLAS_THREAD_VARS}
-    with open(os.path.join(config_dict["out"], f"env-{seed}.json"), "w") as fh:
+    with open(os.path.join(config.out, f"env-{seed}.json"), "w") as fh:
         json.dump(seen, fh)
     return [], {}
 
@@ -828,6 +881,17 @@ def test_cli_gen_data(tmp_path, capsys):
     assert rc == 0
     ds = load_ssd1(tmp_path / "data" / "dataset_clean.ssd1")
     assert len(ds) == 64
+
+
+@pytest.mark.parametrize("make", [Path.mkdir, lambda p: p.write_bytes(b"\xff\xfe{}")],
+                         ids=["directory", "not-utf8"])
+def test_unreadable_config_exits_1(tmp_path, capsys, make):
+    path = tmp_path / "cfg.json"
+    make(path)
+    with pytest.raises(ConfigError, match="cannot read config"):
+        ExperimentConfig.from_file(path)
+    assert main(["report", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read config {path}")
 
 
 def test_cli_exit_codes(tmp_path):
