@@ -109,6 +109,10 @@ class ExperimentConfig:
             raise ConfigError(f"mode must be one of {_MODES}")
         if self.mode == "warmstart" and not self.warmstart_checkpoint:
             raise ConfigError("warmstart mode needs warmstart_checkpoint")
+        # scratch mode never reads it, but it would enter the run id
+        if self.mode == "scratch" and self.warmstart_checkpoint is not None:
+            raise ConfigError("scratch mode reads no checkpoint: "
+                              "warmstart_checkpoint must be null")
         if self.skew_kind not in ("watermark", "sampling"):
             raise ConfigError(f"unknown skew kind {self.skew_kind!r}")
         if not self.seeds:

@@ -1,12 +1,12 @@
 """Report generation: mean (SE) tables in plain text and Markdown.
 
-Every table is one row per setting (task, skew strength a, frequency f, net,
-optimizer, mode; `setting_label`, also the `setting` column of metrics.csv)
-and one column per anchor or block. A cell is the mean (SE) over the trials
-of its setting of one value per trial: an anchor's clean-test error, a
-block's relative single-block contribution, or a block's increase rate. A
-cell with fewer than two values prints "insufficient (n=...)", and a setting
-with no value for a column prints "-". The single-block tables leave out
+Every table is one row per setting (task, skew strength a or "sampling",
+frequency f, net, optimizer, mode; `setting_label`, also the `setting`
+column of metrics.csv) and one column per anchor or block. A cell is the
+mean (SE) over the trials of its setting of one value per trial: an
+anchor's clean-test error, a block's relative single-block contribution, or
+a block's increase rate. A cell with fewer than two values prints
+"insufficient (n=...)", and a setting with no value for a column prints "-". The single-block tables leave out
 diverged pairs and records below the gap floor and count both in their
 footer; the increase-rate tables use only complete suffix families with no
 diverged partner and a gap at or above the same floor.
@@ -41,8 +41,10 @@ class Table:
 
 
 def setting_label(rec) -> str:
+    # a sampling skew has no strength
+    skew = "sampling" if rec.skew_kind == "sampling" else f"a={rec.skew_strength}"
     return (
-        f"{rec.task} a={rec.skew_strength} f={rec.skew_frequency} "
+        f"{rec.task} {skew} f={rec.skew_frequency} "
         f"{rec.net} {rec.optimizer} {rec.mode}"
     )
 

@@ -4,6 +4,10 @@ Parameters are partitioned into m ordered blocks. The layer set is small on
 purpose: every op is a pure function of (params, input), there is no
 normalization and no dropout, so two networks holding identical bytes produce
 identical outputs and counterfactual equivalences can be checked bit-exactly.
+`_LAYERS`, the table from SSC1 name to layer class, is the only list of
+layer kinds: a spec writes each layer as [name, *its dataclass fields] and
+reads it back through the same table, so a new layer kind is one class plus
+one table entry. Only `_PARAMETERIZED` kinds hold parameters (`init_params`).
 
 Training arithmetic defaults to float32; float64 is available for gradient
 verification. All reductions use plain numpy ops, which are deterministic
@@ -55,7 +59,7 @@ import functools
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -111,9 +115,6 @@ class Dense:
         x = cache
         grads = {"w": x.T @ dy, "b": dy.sum(axis=0)}
         return (dy @ params["w"].T if need_dx else None), grads
-
-    def encode(self):
-        return ["dense", self.in_dim, self.out_dim]
 
 
 def _taps(k, s, oh, ow):
@@ -225,17 +226,11 @@ class Conv2d:
             dxp[:, rows, cols, :] += dcol[..., kh, kw]
         return dxp[:, p : p + h, p : p + w, :].transpose(0, 3, 1, 2), grads
 
-    def encode(self):
-        return ["conv2d", self.in_ch, self.out_ch, self.kernel, self.stride, self.pad]
-
 
 @dataclass(frozen=True)
 class ReLU:
     def out_shape(self, in_shape):
         return in_shape
-
-    def init_params(self, rng):
-        return {}
 
     def forward(self, x, params):
         # the output is the cache: y > 0 exactly where x > 0
@@ -244,9 +239,6 @@ class ReLU:
 
     def backward(self, dy, cache, params, need_dx=True):
         return dy * (cache > 0), {}
-
-    def encode(self):
-        return ["relu"]
 
 
 @dataclass(frozen=True)
@@ -264,9 +256,6 @@ class MaxPool:
                 f"MaxPool({self.kernel}) needs dims divisible by kernel, got {in_shape}"
             )
         return (c, h // self.kernel, w // self.kernel)
-
-    def init_params(self, rng):
-        return {}
 
     def _windows(self, a):
         """The k*k strided views a[:, :, i::k, j::k], in (i, j) order."""
@@ -309,9 +298,6 @@ class MaxPool:
         np.multiply(dy_bits, todo, out=last.view(bits))
         return dx, {}
 
-    def encode(self):
-        return ["maxpool", self.kernel]
-
 
 @dataclass(frozen=True)
 class GlobalAvgPool:
@@ -319,9 +305,6 @@ class GlobalAvgPool:
         if len(in_shape) != 3:
             raise UsageError(f"GlobalAvgPool cannot consume shape {in_shape}")
         return (in_shape[0],)
-
-    def init_params(self, rng):
-        return {}
 
     def forward(self, x, params):
         return x.mean(axis=(2, 3)), x
@@ -333,17 +316,11 @@ class GlobalAvgPool:
         dx[...] = (dy / (h * w))[:, :, None, None]
         return dx, {}
 
-    def encode(self):
-        return ["gap"]
-
 
 @dataclass(frozen=True)
 class Flatten:
     def out_shape(self, in_shape):
         return (int(np.prod(in_shape)),)
-
-    def init_params(self, rng):
-        return {}
 
     def forward(self, x, params):
         return x.reshape(x.shape[0], -1), x.shape
@@ -351,20 +328,22 @@ class Flatten:
     def backward(self, dy, cache, params, need_dx=True):
         return dy.reshape(cache), {}
 
-    def encode(self):
-        return ["flatten"]
 
-
-_LAYER_DECODERS = {
-    "dense": lambda a: Dense(*a),
-    "conv2d": lambda a: Conv2d(*a),
-    "relu": lambda a: ReLU(),
-    "maxpool": lambda a: MaxPool(*a),
-    "gap": lambda a: GlobalAvgPool(),
-    "flatten": lambda a: Flatten(),
-}
+# SSC1 name -> layer class; a layer is written as [name, *its fields]
+_LAYERS = {"dense": Dense, "conv2d": Conv2d, "relu": ReLU,
+           "maxpool": MaxPool, "gap": GlobalAvgPool, "flatten": Flatten}
+_LAYER_NAMES = {cls: name for name, cls in _LAYERS.items()}
 
 _PARAMETERIZED = (Dense, Conv2d)  # layers whose init_params has keys "w", "b"
+
+
+def _ints(values):
+    """values as a list, refused unless each is a JSON integer (true, false
+    and 2.0 are not)."""
+    values = list(values)
+    if not all(type(v) is int for v in values):
+        raise ValueError(f"expected integers, got {values}")
+    return values
 
 
 # --------------------------------------------------------------------------
@@ -418,17 +397,21 @@ class NetSpec:
 
     def encode(self):
         return {
-            "blocks": [[l.encode() for l in b] for b in self.blocks],
+            "blocks": [[[_LAYER_NAMES[type(l)], *astuple(l)] for l in b]
+                       for b in self.blocks],
             "class_count": self.class_count,
             "input_shape": list(self.input_shape),
         }
 
     @staticmethod
     def decode(obj):
-        blocks = [
-            [_LAYER_DECODERS[enc[0]](enc[1:]) for enc in b] for b in obj["blocks"]
-        ]
-        return NetSpec(blocks, obj["class_count"], tuple(obj["input_shape"]))
+        """The spec `encode` gave obj; a number that is not an integer, an
+        unknown layer or an argument the layer lacks raises ValueError,
+        KeyError or TypeError."""
+        blocks = [[_LAYERS[name](*_ints(args)) for name, *args in b]
+                  for b in obj["blocks"]]
+        (class_count,) = _ints([obj["class_count"]])
+        return NetSpec(blocks, class_count, tuple(_ints(obj["input_shape"])))
 
     def canonical_text(self):
         return json.dumps(self.encode(), sort_keys=True, separators=(",", ":"))
@@ -550,8 +533,9 @@ def build_net(spec: NetSpec, seed: int, dtype=np.float32) -> BlockNet:
     params = {}
     for bi, block in enumerate(spec.blocks):
         for li, layer in enumerate(block):
-            for name, arr in layer.init_params(rng).items():
-                params[f"b{bi}.l{li}.{name}"] = arr
+            if isinstance(layer, _PARAMETERIZED):
+                for name, arr in layer.init_params(rng).items():
+                    params[f"b{bi}.l{li}.{name}"] = arr
     return BlockNet(spec, params, dtype)
 
 
@@ -684,8 +668,9 @@ def save_checkpoint(net: BlockNet, path):
 
 
 def load_checkpoint(path, dtype=np.float32) -> BlockNet:
-    """Read an SSC1 file; a truncated or malformed file, or trailing bytes,
-    raise UsageError, and so does a file that cannot be read."""
+    """Read an SSC1 file; a truncated or malformed file, architecture text
+    that is not exactly its spec's canonical text (integers only), or
+    trailing bytes raise UsageError, and so does a file that cannot be read."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -700,7 +685,10 @@ def load_checkpoint(path, dtype=np.float32) -> BlockNet:
     if len(data) < end:
         raise UsageError(f"{path}: truncated architecture text")
     try:
-        spec = NetSpec.decode(json.loads(data[8:end].decode("utf-8")))
+        text = data[8:end].decode("utf-8")
+        spec = NetSpec.decode(json.loads(text))
+        if text != spec.canonical_text():
+            raise ValueError("not the canonical text of its spec")
         net = build_net(spec, seed=0, dtype=dtype)
     except (ValueError, KeyError, TypeError, IndexError, OverflowError) as exc:
         raise UsageError(f"{path}: malformed architecture text: {exc}") from None

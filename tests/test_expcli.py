@@ -250,9 +250,18 @@ def test_warmstart_mitigation_refuses_unmarked_retrainings(tmp_path):
         run_grid(two_seeds, store, kind="mitigation", log=lambda *_: None)
 
 
-@pytest.mark.parametrize("which", ["missing", "directory"])
+@pytest.mark.parametrize("which", ["missing", "directory", "malformed"])
 def test_unreadable_warmstart_checkpoint_exits_1(tmp_path, capsys, which):
     ckpt = tmp_path / "nonexistent" if which == "missing" else tmp_path
+    if which == "malformed":  # an extra layer argument
+        ckpt = tmp_path / "bad.ssc1"
+        save_checkpoint(build_net(net_spec("mlp4", task_spec("bars16", None)), seed=5),
+                        ckpt)
+        raw = ckpt.read_bytes()
+        text = raw[8 : 8 + int.from_bytes(raw[4:8], "little")]
+        bad = text.replace(b'["relu"]', b'["relu",99]', 1)
+        ckpt.write_bytes(raw[:4] + len(bad).to_bytes(4, "little") + bad
+                         + raw[8 + len(text):])
     cfg = tiny_config(tmp_path / "run", mode="warmstart",
                       warmstart_checkpoint=str(ckpt))
     cfg_path = tmp_path / "cfg.json"
@@ -863,6 +872,26 @@ def test_profile_refuses_a_gap_below_the_floor():
     assert localization_profiles(records) == {}
 
 
+def test_sampling_setting_label_names_the_skew_kind():
+    # one task, one strength: only the skew kind tells the settings apart
+    def anchors(skew_kind):
+        return [RunRecord(run_id=f"{skew_kind}-{role}", trial_id=skew_kind,
+                          role=role, set="", seed=0, family="suffix",
+                          err_clean_num=err, err_clean_den=200,
+                          err_skewfull_num=100, err_skewfull_den=200,
+                          **dict(_STRONG, task="tint2", skew_kind=skew_kind))
+                for role, err in (("clean_anchor", 20), ("skewed_anchor", 40))]
+
+    watermark, sampling = anchors("watermark"), anchors("sampling")
+    assert report.setting_label(watermark[0]) == (
+        "tint2 a=0.75 f=127/128 mlp4 adamw scratch")
+    assert report.setting_label(sampling[0]) == (
+        "tint2 sampling f=127/128 mlp4 adamw scratch")
+    rows = error_table(watermark + sampling).rows
+    assert [row[0] for row in rows] == [report.setting_label(watermark[0]),
+                                        report.setting_label(sampling[0])]
+
+
 def test_error_table_requires_anchors():
     with pytest.raises(UsageError):
         error_table([])
@@ -1007,12 +1036,14 @@ def test_bad_frequency_fails_before_training(tmp_path, capsys, frequency):
     {"optimizer_overrides": {"epsilon": float("inf")}},
     {"optimizer_overrides": {"weight_decay": float("nan")}},
     {"optimizer_overrides": {"peak_lr": float("inf")}},
+    {"warmstart_checkpoint": "never_read.ssc1"},  # scratch mode: would enter the run id
 ], ids=["seeds-int", "seeds-str-item", "steps-str", "task-list", "debug-sync-int",
         "skew-list", "strength-list", "patch-size-str", "skew-unknown-key",
         "override-str", "frequency-float", "frequency-float-den", "frequency-bool",
         "train-n-zero", "test-n-zero", "seeds-repeated", "explicit-sets-repeated",
         "batch-size-over-train-n", "epsilon-negative", "epsilon-minus-one",
-        "epsilon-zero", "epsilon-inf", "weight-decay-nan", "peak-lr-inf"])
+        "epsilon-zero", "epsilon-inf", "weight-decay-nan", "peak-lr-inf",
+        "scratch-with-checkpoint"])
 def test_malformed_config_fails_before_training(tmp_path, capsys, bad):
     raw = tiny_config(tmp_path / "run").to_dict()
     raw.update(bad)

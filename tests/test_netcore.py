@@ -1,6 +1,7 @@
 import struct
 import tempfile
 from fractions import Fraction
+from hashlib import sha256
 from pathlib import Path
 
 import numpy as np
@@ -234,15 +235,26 @@ def test_truncated_or_extended_checkpoint_is_usage_error(spec, seed, data):
         load_bytes(raw + extra)
 
 
-@pytest.mark.parametrize("old, new", [
-    ('"class_count":2', '"class_count":"2"'),
-    ("4", "-4"),
-    ('"relu"', '"gelu"'),
-    ('"blocks":', '"blockz":'),
-], ids=["string-class-count", "negative-width", "unknown-layer", "missing-key"])
+_MLP = nc.NetSpec([[nc.Dense(3, 4), nc.ReLU()], [nc.Dense(4, 2)]], 2, (3,))
+_CNN = nc.NetSpec([[nc.Conv2d(1, 4, 3, pad=1), nc.ReLU(), nc.MaxPool(2)],
+                   [nc.GlobalAvgPool(), nc.Dense(4, 2)]], 2, (1, 4, 4))
+
+
+@pytest.mark.parametrize("old, new, spec", [
+    ('"class_count":2', '"class_count":"2"', _MLP),
+    ("4", "-4", _MLP),
+    ('"relu"', '"gelu"', _MLP),
+    ('"blocks":', '"blockz":', _MLP),
+    ('["relu"]', '["relu",99]', _MLP),
+    ('["maxpool",2]', '["maxpool",2.0]', _CNN),
+    ('["conv2d",1,4,3,1,1]', '["conv2d",1,4,3,true,1]', _CNN),
+    ('"class_count":2', '"class_count":2,"extra":0', _MLP),
+    ('"class_count":2', '"class_count": 2', _MLP),
+], ids=["string-class-count", "negative-width", "unknown-layer", "missing-key",
+        "extra-layer-argument", "float-argument", "bool-argument",
+        "extra-top-level-key", "space-after-separator"])
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
-def test_malformed_architecture_text_is_usage_error(old, new):
-    spec = nc.NetSpec([[nc.Dense(3, 4), nc.ReLU()], [nc.Dense(4, 2)]], 2, (3,))
+def test_malformed_architecture_text_is_usage_error(old, new, spec):
     _, raw = checkpoint_bytes(spec.validate(), seed=3)
     (length,) = struct.unpack_from("<I", raw, 4)
     text = raw[8 : 8 + length].decode()
@@ -250,6 +262,20 @@ def test_malformed_architecture_text_is_usage_error(old, new):
     bad = text.replace(old, new).encode()
     with pytest.raises(UsageError, match="malformed architecture"):
         load_bytes(raw[:4] + struct.pack("<I", len(bad)) + bad + raw[8 + length :])
+
+
+@pytest.mark.parametrize("net, text_sha, file_sha", [
+    ("mlp4", "63124de0ff919593", "d6ef5431ea3cc601"),
+    ("minicnn6", "da7932cda3ac0ac9", "260b73b4a21ae7a3"),
+])
+def test_ssc1_bytes_are_golden(tmp_path, net, text_sha, file_sha):
+    """Checkpoints written earlier must keep loading, so the canonical text
+    and the file bytes of a fresh net stay as they are."""
+    spec = net_spec(net, task_spec("bars16", None))
+    path = tmp_path / "net.ssc1"
+    nc.save_checkpoint(nc.build_net(spec, seed=0), path)
+    assert sha256(spec.canonical_text().encode()).hexdigest()[:16] == text_sha
+    assert sha256(path.read_bytes()).hexdigest()[:16] == file_sha
 
 
 @settings(max_examples=100, deadline=None)
