@@ -27,6 +27,10 @@ as the same slice; only the net knows the parameter names, and
 at block 0, and a non-finite activation raises NumericError naming its block);
 `loss_and_grad` runs it keeping each layer's cache, and `evaluate` runs it
 chunk by chunk, so every path computes a net's activations the same way.
+A pass that keeps no caches drops each one as its layer returns, and a conv
+frees its padded input before its GEMM, so a MiniCNN-6 evaluation peaks at
+one chunk's block-1 column matrix (9.4 MB at 256 16x16 images, 18.9 MB at
+the 512-image chunk) next to that conv's input and output.
 The loop reads a plan of each layer's parameter names and buffer slots that
 the net builds once, and looks the names up in `params` on every call, so a
 rebound name is read at the next pass; the backward pass copies each layer's
@@ -101,10 +105,13 @@ class Dense:
             )
         return (self.out_dim,)
 
+    def param_shapes(self):
+        return (self.in_dim, self.out_dim), (self.out_dim,)
+
     def init_params(self, rng):
+        w_shape, b_shape = self.param_shapes()
         limit = np.sqrt(6.0 / (self.in_dim + self.out_dim))
-        w = rng.uniform(-limit, limit, size=(self.in_dim, self.out_dim))
-        return {"w": w, "b": np.zeros(self.out_dim)}
+        return {"w": rng.uniform(-limit, limit, size=w_shape), "b": np.zeros(b_shape)}
 
     def forward(self, x, params):
         y = x @ params["w"]
@@ -173,14 +180,15 @@ class Conv2d:
             raise UsageError(f"{self} produces empty output from shape {in_shape}")
         return (self.out_ch, oh, ow)
 
+    def param_shapes(self):
+        return (self.out_ch, self.in_ch, self.kernel, self.kernel), (self.out_ch,)
+
     def init_params(self, rng):
+        w_shape, b_shape = self.param_shapes()
         fan_in = self.in_ch * self.kernel * self.kernel
         fan_out = self.out_ch * self.kernel * self.kernel
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        w = rng.uniform(
-            -limit, limit, size=(self.out_ch, self.in_ch, self.kernel, self.kernel)
-        )
-        return {"w": w, "b": np.zeros(self.out_ch)}
+        return {"w": rng.uniform(-limit, limit, size=w_shape), "b": np.zeros(b_shape)}
 
     def forward(self, x, params):
         # im2col + GEMM; the column matrix is cached for the backward pass.
@@ -189,7 +197,9 @@ class Conv2d:
         # (see _col_index); the bias goes in through one wide add. Every
         # index is in range, so mode="wrap" gathers the same elements as the
         # default mode, whose per-element range check costs about a quarter
-        # of the gather.
+        # of the gather. The padded input is released before the GEMM, so
+        # the column matrix and the output are the only large arrays the
+        # layer holds at once.
         _, oh, ow = self.out_shape(x.shape[1:])
         n, c, h, w = x.shape
         k, s, p = self.kernel, self.stride, self.pad
@@ -197,6 +207,7 @@ class Conv2d:
         xp[:, p : p + h, p : p + w, :] = x.transpose(0, 2, 3, 1)
         idx = _col_index(c, h + 2 * p, w + 2 * p, k, s, oh, ow)
         col = xp.reshape(n, -1).take(idx, axis=1, mode="wrap")
+        del xp
         col = col.reshape(n * oh * ow, c * k * k)
         wmat = params["w"].reshape(self.out_ch, c * k * k)
         y = col @ wmat.T
@@ -334,7 +345,9 @@ _LAYERS = {"dense": Dense, "conv2d": Conv2d, "relu": ReLU,
            "maxpool": MaxPool, "gap": GlobalAvgPool, "flatten": Flatten}
 _LAYER_NAMES = {cls: name for name, cls in _LAYERS.items()}
 
-_PARAMETERIZED = (Dense, Conv2d)  # layers whose init_params has keys "w", "b"
+# layers with a weight and a bias: param_shapes gives their shapes and
+# init_params draws them, under the keys "w" and "b"
+_PARAMETERIZED = (Dense, Conv2d)
 
 
 def _ints(values):
@@ -507,7 +520,9 @@ class BlockNet:
 
     def _forward(self, x, lo=0, hi=None, caches=None):
         """`forward`, appending each layer's (layer, parameters, slots, cache)
-        to `caches` when a list is given (the backward pass reads them)."""
+        to `caches` when a list is given (the backward pass reads them).
+        Without the list each cache is dropped as soon as its layer returns,
+        so an evaluation holds one layer's cache at a time."""
         if lo == 0:
             x = self._ingest(x)
         params = self.params
@@ -517,9 +532,19 @@ class BlockNet:
                 x, cache = layer.forward(x, p)
                 if caches is not None:
                     caches.append((layer, p, slots, cache))
+                del cache
             if not np.isfinite(x).all():
                 raise NumericError(f"non-finite activation in block {bi}", bi)
         return x, caches
+
+
+def _param_layers(spec):
+    """(parameter name prefix, layer) of every parameterised layer, in
+    declaration order."""
+    for bi, block in enumerate(spec.blocks):
+        for li, layer in enumerate(block):
+            if isinstance(layer, _PARAMETERIZED):
+                yield f"b{bi}.l{li}", layer
 
 
 def build_net(spec: NetSpec, seed: int, dtype=np.float32) -> BlockNet:
@@ -531,11 +556,9 @@ def build_net(spec: NetSpec, seed: int, dtype=np.float32) -> BlockNet:
     spec.validate()
     rng = stream(seed, "init")
     params = {}
-    for bi, block in enumerate(spec.blocks):
-        for li, layer in enumerate(block):
-            if isinstance(layer, _PARAMETERIZED):
-                for name, arr in layer.init_params(rng).items():
-                    params[f"b{bi}.l{li}.{name}"] = arr
+    for prefix, layer in _param_layers(spec):
+        for name, arr in layer.init_params(rng).items():
+            params[f"{prefix}.{name}"] = arr
     return BlockNet(spec, params, dtype)
 
 
@@ -670,7 +693,11 @@ def save_checkpoint(net: BlockNet, path):
 def load_checkpoint(path, dtype=np.float32) -> BlockNet:
     """Read an SSC1 file; a truncated or malformed file, architecture text
     that is not exactly its spec's canonical text (integers only), or
-    trailing bytes raise UsageError, and so does a file that cannot be read."""
+    trailing bytes raise UsageError, and so does a file that cannot be read.
+
+    The parameter count comes from the spec's layer shapes and is checked
+    against the file length before anything is allocated; the net is then
+    built from the file's bytes."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -689,15 +716,26 @@ def load_checkpoint(path, dtype=np.float32) -> BlockNet:
         spec = NetSpec.decode(json.loads(text))
         if text != spec.canonical_text():
             raise ValueError("not the canonical text of its spec")
-        net = build_net(spec, seed=0, dtype=dtype)
+        spec.validate()
+        shapes = {f"{prefix}.{name}": shape
+                  for prefix, layer in _param_layers(spec)
+                  for name, shape in zip("wb", layer.param_shapes())}
+        if any(d < 0 for shape in shapes.values() for d in shape):
+            raise ValueError("negative dimensions are not allowed")
     except (ValueError, KeyError, TypeError, IndexError, OverflowError) as exc:
         raise UsageError(f"{path}: malformed architecture text: {exc}") from None
-    raw = data[end:]
-    want = net.flat.size * 4
+    raw = memoryview(data)[end:]
+    want = 4 * sum(math.prod(shape) for shape in shapes.values())
     if len(raw) < want:
         raise UsageError(
             f"{path}: truncated checkpoint: {len(raw)} of {want} parameter bytes")
     if len(raw) > want:
         raise UsageError(f"{path}: trailing bytes after parameters")
-    net.flat[:] = np.frombuffer(raw, dtype="<f4")
-    return net
+    values = np.frombuffer(raw, dtype="<f4")
+    params = {}
+    lo = 0
+    for name, shape in shapes.items():
+        hi = lo + math.prod(shape)
+        params[name] = values[lo:hi].reshape(shape)
+        lo = hi
+    return BlockNet(spec, params, dtype)

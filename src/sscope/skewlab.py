@@ -6,6 +6,13 @@ that selects which indices the mixed "skewed" view serves from the fully
 skewed side. Because the two views are aligned, the skew transform applied
 to a batch of indices is a pure lookup.
 
+What a trial holds: two training image arrays (the clean and the fully
+skewed images) and the two test views. The mixed view is never stored;
+`paired_batches` gathers a batch's fully skewed rows and copies the batch's
+unmasked clean rows over them. A clean view without a watermark is its own
+base (`base_pixels is pixels`), and so is its sampling-skewed view, whose
+images are gathered through one source index.
+
 Two skew mechanisms are supported:
 
 * watermark -- blend a class-specific glyph into the upper-left corner.
@@ -67,12 +74,6 @@ class ImageDataset:
 
     def __len__(self):
         return len(self.labels)
-
-    def tobytes(self):
-        parts = [self.pixels.tobytes(), self.labels.tobytes()]
-        if self.attributes is not None:
-            parts.append(self.attributes.tobytes())
-        return b"".join(parts)
 
 
 # --------------------------------------------------------------------------
@@ -212,10 +213,21 @@ def _blob_centers(task):
     return centers
 
 
+# background noise is drawn this many float64 values (about) at a time
+_NOISE_CHUNK = 1 << 16
+
+
 def _render_base(task, labels, rng):
     n = len(labels)
     s = task.size
-    img = (rng.random((n, task.channels, s, s)) * task.noise).astype(np.float32)
+    # The noise is drawn a few images at a time, straight into the float32
+    # images: successive draws continue one stream, so this gives the bytes
+    # of one draw of the whole set without holding its float64 copy.
+    img = np.empty((n, task.channels, s, s), dtype=np.float32)
+    step = max(1, _NOISE_CHUNK // img[0].size)
+    for lo in range(0, n, step):
+        chunk = img[lo : lo + step]
+        chunk[...] = rng.random(chunk.shape) * task.noise
     jitter = rng.integers(-1, 2, size=n)
     amp = np.float32(task.feature_contrast)
     if task.kind == "bars":
@@ -257,7 +269,8 @@ def gen_clean_synthetic(task: SyntheticTaskSpec, n: int, seed: int) -> ImageData
         attributes = stream(seed, "attrs").integers(0, task.attribute_groups, size=n)
         # attribute tints the background so the group is visually readable
         tint = (attributes / max(task.attribute_groups - 1, 1)) * task.attribute_tint
-        base = np.clip(base + tint[:, None, None, None].astype(np.float32), 0, 1)
+        base += tint[:, None, None, None].astype(np.float32)
+        np.clip(base, 0, 1, out=base)
     glyph_ids = None
     pixels = base
     if task.watermark is not None:
@@ -302,25 +315,29 @@ def _fully_skewed_watermark(clean, skew):
 
 
 def _fully_skewed_sampling(clean, skew):
+    """Each cross-group item replaced by a same-label aligned-group donor,
+    round-robin over the donors in index order. Whole images are gathered
+    through one source index, so the view holds one new pixel array; its
+    base_pixels is that array when the clean view's base is its pixels."""
     if clean.attributes is None:
         raise DataError("sampling skew needs a dataset with group attributes")
     labels = clean.labels
     attrs = clean.attributes
-    aligned = skew.aligned_group(labels)
-    pixels = clean.pixels.copy()
-    new_attrs = attrs.copy()
-    base = None if clean.base_pixels is None else clean.base_pixels.copy()
+    source = np.arange(len(labels))
     for y in np.unique(labels):
         donors = np.nonzero((labels == y) & (attrs == skew.aligned_group(y)))[0]
         cross = np.nonzero((labels == y) & (attrs != skew.aligned_group(y)))[0]
         if len(cross) and not len(donors):
             raise DataError(f"no aligned-group items for label {int(y)}")
-        d = donors[np.arange(len(cross)) % len(donors)]  # round-robin over the pool
-        pixels[cross] = clean.pixels[d]
-        new_attrs[cross] = attrs[d]
-        if base is not None:
-            base[cross] = clean.base_pixels[d]
-    assert (new_attrs == aligned).all()
+        source[cross] = donors[np.arange(len(cross)) % len(donors)]
+    pixels = clean.pixels[source]
+    new_attrs = attrs[source]
+    assert (new_attrs == skew.aligned_group(labels)).all()
+    base = clean.base_pixels
+    if base is clean.pixels:
+        base = pixels
+    elif base is not None:
+        base = base[source]
     return ImageDataset(
         pixels=pixels,
         labels=labels.copy(),
@@ -336,10 +353,13 @@ def _fully_skewed_sampling(clean, skew):
 
 @dataclass
 class PairedDataset:
+    """The clean and fully skewed views of one training set, index-aligned,
+    and the skew mask. The frequency-mixed "skewed" view is never stored:
+    `paired_batches` builds each batch of it from the two views."""
+
     clean: ImageDataset
     fully_skewed: ImageDataset
     skew_mask: np.ndarray  # (n,) bool
-    _skewed: ImageDataset | None = None
 
     def __post_init__(self):
         if not (
@@ -351,25 +371,6 @@ class PairedDataset:
 
     def __len__(self):
         return len(self.clean)
-
-    @property
-    def skewed(self) -> ImageDataset:
-        """The frequency-mixed view: fully skewed where masked, clean elsewhere."""
-        if self._skewed is None:
-            m = self.skew_mask[:, None, None, None]
-            pixels = np.where(m, self.fully_skewed.pixels, self.clean.pixels)
-            attrs = self.clean.attributes
-            if attrs is not None:
-                attrs = np.where(
-                    self.skew_mask, self.fully_skewed.attributes, attrs
-                )
-            self._skewed = ImageDataset(
-                pixels=pixels,
-                labels=self.clean.labels,
-                class_count=self.clean.class_count,
-                attributes=attrs,
-            )
-        return self._skewed
 
 
 def apply_frequency(clean: ImageDataset, fully_skewed: ImageDataset,
@@ -390,18 +391,27 @@ class PairedBatch:
 
 
 def paired_batches(pd: PairedDataset, batch_size: int, epoch_seed: int):
-    """One epoch of aligned (clean, skewed) batches partitioning the index set."""
+    """One epoch of aligned (clean, skewed) batches partitioning the index set.
+
+    A batch's skewed images are the frequency-mixed view's rows: its fully
+    skewed rows are gathered, then its unmasked rows are overwritten with
+    the batch's clean images.
+    """
     n = len(pd)
     if batch_size > n:
         raise UsageError(f"batch_size {batch_size} exceeds dataset size {n}")
     order = stream(epoch_seed, "epoch-shuffle").permutation(n)
-    skewed = pd.skewed
+    unmasked = ~pd.skew_mask
     for lo in range(0, n, batch_size):
         idx = order[lo : lo + batch_size]
+        clean_x = pd.clean.pixels[idx]
+        skew_x = pd.fully_skewed.pixels[idx]
+        keep = np.flatnonzero(unmasked[idx])
+        skew_x[keep] = clean_x[keep]
         yield PairedBatch(
             indices=idx,
-            clean_x=pd.clean.pixels[idx],
-            skew_x=skewed.pixels[idx],
+            clean_x=clean_x,
+            skew_x=skew_x,
             labels=pd.clean.labels[idx],
         )
 

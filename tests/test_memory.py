@@ -1,0 +1,70 @@
+"""Memory regression tests.
+
+Each bound is worked out from the shapes of the arrays a phase has to hold,
+and checked against the tracemalloc peak, which numpy's allocations report
+to and which is deterministic for one numpy version. Each phase runs once on
+a small input first, so imports and cached gather indices are not counted.
+"""
+
+import dataclasses
+import tracemalloc
+
+import numpy as np
+
+from sscope import netcore as nc
+from sscope import skewlab as sl
+from sscope.expcli import runner
+from sscope.expcli.config import ExperimentConfig
+from sscope.expcli.presets import net_spec, task_spec
+
+F32 = np.dtype(np.float32).itemsize
+
+
+def traced_peak(fn):
+    """Bytes allocated at the peak of fn(), above what was live before it."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - before
+
+
+def build_and_one_epoch(config):
+    pd, _, _ = runner.build_trial_data(config, seed=0)
+    for _ in sl.paired_batches(pd, config.batch_size, epoch_seed=1):
+        pass
+
+
+def test_sampling_trial_data_holds_two_training_arrays():
+    """A trial's training set is its clean and its fully skewed images; each
+    batch composes its skewed images from them, so no third copy is made."""
+    config = ExperimentConfig.from_dict(dict(
+        task="tint2", skew={"kind": "sampling", "frequency": "rare"}, net="mlp4",
+        family="single", train_n=4096, test_n=1024, batch_size=32, seeds=[0]))
+    build_and_one_epoch(dataclasses.replace(config, train_n=64, test_n=64))
+    task = config.task_spec()
+    image = task.channels * task.size * task.size * F32
+    bound = 2.5 * config.train_n * image + 2 * config.test_n * image
+    assert traced_peak(lambda: build_and_one_epoch(config)) < bound
+
+
+def test_minicnn6_evaluation_holds_one_layer_cache():
+    """At its peak an evaluation chunk holds block 1's conv input, its column
+    matrix and its output; the padded input and the column matrix are freed
+    before the next allocation."""
+    task = task_spec("bars16", None)
+    net = nc.build_net(net_spec("minicnn6", task), seed=0)
+    n = 256
+    ds = sl.gen_clean_synthetic(task, n, seed=3)
+    nc.evaluate(net, ds.pixels[:8], ds.labels[:8])
+    conv = net.spec.blocks[1][0]
+    c, h, w = conv.in_ch, task.size, task.size  # pad=1 keeps the size
+    columns = n * h * w * c * conv.kernel**2 * F32
+    conv_input = n * c * h * w * F32
+    conv_output = n * conv.out_ch * h * w * F32
+    small = 256 * 1024  # bias tiles, logits, argmax and the like
+    bound = columns + conv_input + conv_output + small
+    assert traced_peak(lambda: nc.evaluate(net, ds.pixels, ds.labels)) < bound

@@ -1,5 +1,6 @@
 import struct
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from hashlib import sha256
 from pathlib import Path
@@ -313,3 +314,23 @@ def test_every_truncation_of_a_checkpoint_is_usage_error():
     for cut in range(len(raw)):
         with pytest.raises(UsageError):
             load_bytes(raw[:cut])
+
+
+def test_checkpoint_size_is_checked_before_allocating(tmp_path):
+    """A header that declares 12 million parameters and holds none is
+    refused without allocating them."""
+    spec = nc.NetSpec([[nc.Dense(3, 2_000_000), nc.ReLU()], [nc.Dense(2_000_000, 2)]],
+                      2, (3,))
+    text = spec.canonical_text().encode()
+    path = tmp_path / "huge.ssc1"
+    path.write_bytes(b"SSC1" + struct.pack("<I", len(text)) + text)
+    assert path.stat().st_size == 107
+    tracemalloc.start()
+    try:
+        with pytest.raises(UsageError,
+                           match="truncated checkpoint: 0 of 48000008 parameter bytes"):
+            nc.load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -1,3 +1,4 @@
+import itertools
 import tempfile
 from pathlib import Path
 
@@ -34,13 +35,23 @@ def patch_classifier_accuracy(ds, skew):
     return float((dists.argmin(axis=1) == ds.labels).mean())
 
 
+def same_images(a, b):
+    """Whether two datasets hold the same pixel, label and attribute bytes."""
+    if (a.attributes is None) != (b.attributes is None):
+        return False
+    return (a.pixels.tobytes() == b.pixels.tobytes()
+            and a.labels.tobytes() == b.labels.tobytes()
+            and (a.attributes is None
+                 or a.attributes.tobytes() == b.attributes.tobytes()))
+
+
 def test_clean_generation_deterministic():
-    task = watermark_task()
-    a = sl.gen_clean_synthetic(task, 64, seed=5)
-    b = sl.gen_clean_synthetic(task, 64, seed=5)
-    assert a.tobytes() == b.tobytes()
-    c = sl.gen_clean_synthetic(task, 64, seed=6)
-    assert a.tobytes() != c.tobytes()
+    for task in (watermark_task(), sl.SyntheticTaskSpec(**TASK_PRESETS["tint2"])):
+        a = sl.gen_clean_synthetic(task, 64, seed=5)
+        b = sl.gen_clean_synthetic(task, 64, seed=5)
+        assert same_images(a, b)
+        c = sl.gen_clean_synthetic(task, 64, seed=6)
+        assert not same_images(a, c)
 
 
 def test_clean_class_counts_within_binomial_bounds():
@@ -113,6 +124,27 @@ def test_render_base_matches_per_image_loop(name, seed):
     want = render_base_loop(task, labels, stream(seed, "render"))
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("groups, watermark", [(2, None), (3, None),
+                                               (2, sl.WatermarkSkewSpec())],
+                         ids=["2-groups", "3-groups", "2-groups-watermark"])
+def test_attribute_tint_matches_out_of_place_formula(groups, watermark, seed):
+    """The tint is added in place; the bytes are those of the out-of-place
+    sum, clipped, over a base drawn in one go."""
+    task = sl.SyntheticTaskSpec(**dict(TASK_PRESETS["tint2"], attribute_groups=groups,
+                                       watermark=watermark))
+    got = sl.gen_clean_synthetic(task, 300, seed=seed)
+    labels = stream(seed, "labels").integers(0, task.class_count, size=300)
+    base = render_base_loop(task, labels, stream(seed, "render"))
+    attributes = stream(seed, "attrs").integers(0, groups, size=300)
+    tint = (attributes / max(groups - 1, 1)) * task.attribute_tint
+    want = np.clip(base + tint[:, None, None, None].astype(np.float32), 0, 1)
+    assert got.base_pixels.dtype == want.dtype
+    assert got.base_pixels.tobytes() == want.tobytes()
+    if watermark is None:
+        assert got.pixels is got.base_pixels
 
 
 def test_blend_identity_and_full_replacement():
@@ -241,14 +273,44 @@ def test_sampling_skew_empty_pool_is_data_error():
         sl.make_fully_skewed(clean, sl.SamplingSkewSpec(num_groups=2))
 
 
+SKEW_KINDS = ["watermark", "sampling"]
+# at 1/2 a batch mixes masked and unmasked rows; a COMMON mask of 100 or 128
+# items happens to have no unmasked row at the seeds used here
+MIXED_FREQS = {"common": sl.COMMON, "half": sl.SkewFrequency(1, 2)}
+
+
+def paired(kind, n, data_seed, freq, mask_seed):
+    """A PairedDataset of a watermark task, or of the tint2 task under the
+    sampling skew."""
+    if kind == "watermark":
+        task = watermark_task()
+        skew = task.watermark
+    else:
+        task = sl.SyntheticTaskSpec(**TASK_PRESETS["tint2"])
+        skew = sl.SamplingSkewSpec(num_groups=2)
+    clean = sl.gen_clean_synthetic(task, n, seed=data_seed)
+    fully = sl.make_fully_skewed(clean, skew)
+    return sl.apply_frequency(clean, fully, freq, seed=mask_seed)
+
+
+def mixed_pixels(pd):
+    """The frequency-mixed view, materialised: fully skewed where masked,
+    clean elsewhere. The reference for every batch's skew_x."""
+    m = pd.skew_mask[:, None, None, None]
+    return np.where(m, pd.fully_skewed.pixels, pd.clean.pixels)
+
+
 @pytest.mark.parametrize("num,den,same_as", [(0, 1, "clean"), (1, 1, "fully")])
 def test_frequency_extremes(num, den, same_as):
-    task = watermark_task()
-    clean = sl.gen_clean_synthetic(task, 64, seed=3)
-    fully = sl.make_fully_skewed(clean, task.watermark)
-    pd = sl.apply_frequency(clean, fully, sl.SkewFrequency(num, den), seed=1)
-    target = clean if same_as == "clean" else fully
-    assert pd.skewed.pixels.tobytes() == target.pixels.tobytes()
+    for kind in SKEW_KINDS:
+        pd = paired(kind, 64, data_seed=3, freq=sl.SkewFrequency(num, den), mask_seed=1)
+        target = pd.clean if same_as == "clean" else pd.fully_skewed
+        mixed = mixed_pixels(pd)
+        assert mixed.tobytes() == target.pixels.tobytes(), kind
+        for batch in sl.paired_batches(pd, 16, epoch_seed=4):
+            got = batch.skew_x.tobytes()
+            assert got == mixed[batch.indices].tobytes(), kind
+            assert got == target.pixels[batch.indices].tobytes(), kind
 
 
 def test_frequency_mask_popcount():
@@ -261,27 +323,30 @@ def test_frequency_mask_popcount():
 
 
 def test_label_preservation_invariant():
-    task = watermark_task()
-    clean = sl.gen_clean_synthetic(task, 128, seed=6)
-    fully = sl.make_fully_skewed(clean, task.watermark)
-    pd = sl.apply_frequency(clean, fully, sl.COMMON, seed=2)
-    assert (pd.clean.labels == pd.skewed.labels).all()
-    # unmasked indices are pixel-identical between views
-    un = ~pd.skew_mask
-    np.testing.assert_array_equal(pd.skewed.pixels[un], pd.clean.pixels[un])
+    for kind, freq in itertools.product(SKEW_KINDS, MIXED_FREQS.values()):
+        pd = paired(kind, 128, data_seed=6, freq=freq, mask_seed=2)
+        assert (pd.clean.labels == pd.fully_skewed.labels).all()
+        mixed = mixed_pixels(pd)
+        # unmasked indices are pixel-identical between views
+        un = ~pd.skew_mask
+        np.testing.assert_array_equal(mixed[un], pd.clean.pixels[un])
+        for batch in sl.paired_batches(pd, 32, epoch_seed=9):
+            np.testing.assert_array_equal(batch.labels, pd.clean.labels[batch.indices])
+            np.testing.assert_array_equal(batch.skew_x, mixed[batch.indices])
+            keep = un[batch.indices]
+            np.testing.assert_array_equal(batch.skew_x[keep], batch.clean_x[keep])
 
 
 def test_paired_batches_alignment_and_partition():
-    task = watermark_task()
-    clean = sl.gen_clean_synthetic(task, 100, seed=6)
-    fully = sl.make_fully_skewed(clean, task.watermark)
-    pd = sl.apply_frequency(clean, fully, sl.COMMON, seed=2)
-    seen = []
-    for batch in sl.paired_batches(pd, 32, epoch_seed=77):
-        seen.extend(batch.indices.tolist())
-        np.testing.assert_array_equal(batch.clean_x, pd.clean.pixels[batch.indices])
-        np.testing.assert_array_equal(batch.skew_x, pd.skewed.pixels[batch.indices])
-    assert sorted(seen) == list(range(100))
+    for kind, freq in itertools.product(SKEW_KINDS, MIXED_FREQS.values()):
+        pd = paired(kind, 100, data_seed=6, freq=freq, mask_seed=2)
+        mixed = mixed_pixels(pd)
+        seen = []
+        for batch in sl.paired_batches(pd, 32, epoch_seed=77):
+            seen.extend(batch.indices.tolist())
+            np.testing.assert_array_equal(batch.clean_x, pd.clean.pixels[batch.indices])
+            np.testing.assert_array_equal(batch.skew_x, mixed[batch.indices])
+        assert sorted(seen) == list(range(100))
 
 
 def test_paired_batches_deterministic_in_epoch_seed():
