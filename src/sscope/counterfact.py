@@ -27,11 +27,12 @@ match the shared-prefix ones byte for byte. When training ends, each
 partner gets its own copy of the shared blocks.
 
 Evaluation shares the prefix through the same `_Prefix` (`evaluate_family`):
-per (anchor, test view) it runs the anchor's blocks once, in the chunks
-`evaluate` uses, and keeps each block's activation while that view is
-scored. The anchor and each partner are scored from the activation entering
-their start block: m - 1 for the anchor, min(A) for a partner. Every report
-equals a plain `evaluate(net, view.pixels, view.labels)` byte for byte.
+it walks each test view in the chunks `evaluate` uses, and per chunk it runs
+each anchor's blocks once, keeping their activations only while that chunk
+is scored. The anchor and each partner are scored on the chunk from the
+activation entering their start block: m - 1 for the anchor, min(A) for a
+partner. Every report equals a plain `evaluate(net, view.pixels,
+view.labels)` byte for byte.
 
 Two degenerate equivalences hold bit-exactly and are used as oracles: A = {}
 reproduces the anchor, and A = [m] reproduces a direct training run on the
@@ -51,7 +52,7 @@ phases reproduces the skewed anchor byte for byte. When a phased trainee
 enters its last phase, the engine records the bytes of the blocks that phase
 leaves untouched, and they must be unchanged when training ends. A
 retraining shares no block with an anchor, so `evaluate_family` scores it
-with a plain `evaluate` from block 0, once per view.
+from block 0 on the raw chunk, in the same loop.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ import numpy as np
 from .errors import NumericError, TrainingDiverged, UsageError
 from .netcore import (
     BlockNet,
+    EvalReport,
     NetSpec,
     build_net,
     evaluate,
@@ -286,32 +288,18 @@ def _initial_net(spec, plan, dtype, init_from):
 
 
 class _Prefix:
-    """One net's forward activations on one view, block by block, as asked
-    for. With a chunk size, each block runs in `evaluate`'s chunks, gathered
-    into one array that keeps the chunks' memory layout (a reduction's bytes
-    depend on it)."""
+    """One net's forward activations on one batch, block by block, as asked
+    for."""
 
-    def __init__(self, net, x, chunk=None):
+    def __init__(self, net, x):
         self.net = net
-        self.chunk = chunk
         self.acts = [net._ingest(x)]  # acts[b] is the activation entering block b
 
     def entering(self, s):
         while len(self.acts) <= s:
-            self.acts.append(self._block(len(self.acts) - 1))
+            b = len(self.acts) - 1
+            self.acts.append(self.net.forward(self.acts[b], b, b + 1))
         return self.acts[s]
-
-    def _block(self, b):
-        x = self.acts[b]
-        if self.chunk is None:
-            return self.net.forward(x, b, b + 1)
-        out = None
-        for c in range(0, len(x), self.chunk):
-            y = self.net.forward(x[c : c + self.chunk], b, b + 1)
-            if out is None:
-                out = np.empty_like(y, shape=(len(x), *y.shape[1:]))
-            out[c : c + len(y)] = y
-        return out
 
 
 def _lockstep(pd, plan, trainees, debug_sync=False):
@@ -497,37 +485,42 @@ def evaluate_family(fam: FamilyOutcome, views, batch_size=512) -> dict:
     each equals `evaluate(net, view.pixels, view.labels, batch_size)` byte
     for byte.
 
-    A partner holds its anchor's bytes below min(A), so per (anchor, view)
-    one `_Prefix` runs the anchor's blocks once, in `evaluate`'s chunks, and
-    every net is scored from the activation entering its start block: m - 1
-    for the anchor, min(A) for a partner. The prefix holds each activation
-    it has computed until the view is done. A full-set partner equals the
+    Each view is scored in `evaluate`'s chunks of batch_size images, and a
+    net's mispredictions are summed over the chunks. A partner holds its
+    anchor's bytes below min(A), so per chunk one `_Prefix` per anchor runs
+    the anchor's blocks once, and every net is scored on the chunk from the
+    activation entering its start block: m - 1 for the anchor, min(A) for a
+    partner. A retraining shares no blocks with an anchor, so it reads the
+    raw chunk from block 0. One chunk's prefix lives at a time, so the
+    memory held does not grow with the view. A full-set partner equals the
     opposite anchor (see `train_family`), so it is not scored: its reports
-    are that anchor's. A retraining shares no blocks with an anchor, so it
-    is scored from block 0.
+    are that anchor's.
     """
     if not fam.nets.keys() >= set(ROLES):
         raise UsageError("evaluate_family needs both anchors, as train_family gives")
-    # before any prefix exists, so none is held while a retraining is scored
-    reports = {
-        key: [evaluate(net, view.pixels, view.labels, batch_size, start=0)
-              for view in views]
-        for key, net in fam.nets.items()
-        if isinstance(key, tuple) and key[0] == "retrained"
-    }
+    if any(len(view.labels) == 0 for view in views):
+        raise UsageError("empty test view")
+    groups = []  # (the net whose prefix they read, [(key, start block)] of nets)
     for role in ROLES:
-        anchor = fam.nets[role]
-        starts = {role: (anchor.m - 1, anchor)}
-        for A in fam.sets:
-            if 0 < len(A.members) < A.m:
-                key = (role, A.canonical())
-                starts[key] = (min(A.members), fam.nets[key])
-        for view in views:
-            prefix = _Prefix(anchor, view.pixels, batch_size)
-            for key, (s, net) in starts.items():
-                reports.setdefault(key, []).append(
-                    evaluate(net, prefix.entering(s), view.labels, batch_size, start=s)
-                )
+        members = [(role, fam.nets[role].m - 1)]
+        members += [((role, A.canonical()), min(A.members))
+                    for A in fam.sets if 0 < len(A.members) < A.m]
+        groups.append((fam.nets[role], members))
+    groups += [(net, [(key, 0)]) for key, net in fam.nets.items()
+               if isinstance(key, tuple) and key[0] == "retrained"]
+    reports = {}
+    for view in views:
+        wrong = {}
+        for lo in range(0, len(view.labels), batch_size):
+            chunk = slice(lo, lo + batch_size)
+            for source, members in groups:
+                prefix = _Prefix(source, view.pixels[chunk])
+                for key, s in members:
+                    report = evaluate(fam.nets[key], prefix.entering(s),
+                                      view.labels[chunk], batch_size, start=s)
+                    wrong[key] = wrong.get(key, 0) + report.mispredictions
+        for key, count in wrong.items():
+            reports.setdefault(key, []).append(EvalReport(count, len(view.labels)))
     for A in fam.sets:
         if len(A.members) == A.m:
             for role in ROLES:

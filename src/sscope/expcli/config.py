@@ -122,6 +122,10 @@ class ExperimentConfig:
             raise ConfigError(f"seeds must be distinct, but {repeated} repeat")
         if self.family == "explicit" and not self.explicit_sets:
             raise ConfigError("explicit family needs explicit_sets")
+        # another family never reads them, but they would enter the run id
+        if self.family != "explicit" and self.explicit_sets:
+            raise ConfigError(f"{self.family} family reads no explicit_sets: "
+                              "they must be empty")
         if self.steps <= 0 or self.batch_size <= 0:
             raise ConfigError("steps and batch_size must be positive")
         if self.train_n < 1 or self.test_n < 1:

@@ -77,6 +77,11 @@ OPTIMIZER_PRESETS = {
     "sgd": dict(kind=SGD_NESTEROV, peak_lr=3e-2, weight_decay=1e-4, momentum=0.9),
 }
 
+# the fields each optimizer kind reads, which are the ones a config may
+# override: another would change the run id and no result
+_OVERRIDABLE = {ADAMW: ("peak_lr", "weight_decay", "epsilon"),
+                SGD_NESTEROV: ("peak_lr", "weight_decay", "momentum")}
+
 _STRENGTH_NAMES = {"strong": STRONG, "weak": WEAK}
 
 
@@ -97,8 +102,8 @@ def optimizer_config(name: str, overrides: dict | None = None) -> OptimizerConfi
         raise ConfigError(f"unknown optimizer preset {name!r}")
     kw = dict(OPTIMIZER_PRESETS[name])
     for key, val in (overrides or {}).items():
-        if key not in ("peak_lr", "weight_decay", "momentum", "epsilon"):
-            raise ConfigError(f"cannot override optimizer field {key!r}")
+        if key not in _OVERRIDABLE[kw["kind"]]:
+            raise ConfigError(f"cannot override optimizer field {key!r} of {name}")
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             raise ConfigError(f"optimizer override {key} must be a number, got {val!r}")
         kw[key] = val

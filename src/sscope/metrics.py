@@ -39,8 +39,6 @@ GAP_FLOOR = Fraction(1, 200)
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if hasattr(x, "error_fraction"):  # EvalReport
-        return x.error_fraction
     return Fraction(x)
 
 

@@ -624,7 +624,6 @@ def loss_and_grad(net: BlockNet, x, labels, start=0):
 class EvalReport:
     mispredictions: int
     n_examples: int
-    loss_mean: float
 
     @property
     def error_fraction(self) -> Fraction:
@@ -633,7 +632,7 @@ class EvalReport:
 
 def evaluate(net: BlockNet, pixels, labels, batch_size=512,
              start=0) -> EvalReport:
-    """Error rate and mean loss over a dataset; argmax ties go to the lowest class.
+    """Error rate over a dataset; argmax ties go to the lowest class.
 
     pixels is the activation entering block `start`, which is the raw images
     when start is 0 (see `BlockNet.forward`). The forward pass runs in chunks
@@ -647,16 +646,10 @@ def evaluate(net: BlockNet, pixels, labels, batch_size=512,
     if n == 0:
         raise UsageError("empty dataset")
     wrong = 0
-    loss_sum = 0.0
     for lo in range(0, n, batch_size):
-        hi = min(lo + batch_size, n)
-        logits = net.forward(pixels[lo:hi], start)
-        pred = logits.argmax(axis=1)
-        wrong += int((pred != labels[lo:hi]).sum())
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        lse = np.log(np.exp(shifted).sum(axis=1))
-        loss_sum += float((lse - shifted[np.arange(hi - lo), labels[lo:hi]]).sum())
-    return EvalReport(wrong, n, loss_sum / n)
+        pred = net.forward(pixels[lo : lo + batch_size], start).argmax(axis=1)
+        wrong += int((pred != labels[lo : lo + batch_size]).sum())
+    return EvalReport(wrong, n)
 
 
 # --------------------------------------------------------------------------

@@ -73,3 +73,21 @@ def plan_layers(net, lo=0, hi=None):
 
 def net_bytes(net):
     return b"".join(net.block_bytes(i) for i in range(net.m))
+
+
+def evaluate_logits(net, x, labels, **kw):
+    """`nc.evaluate`'s report, and the bytes of each logits chunk it
+    computed, in order."""
+    chunks = []
+    forward = net.forward
+
+    def logged(*args):
+        logits = forward(*args)
+        chunks.append(logits.tobytes())
+        return logits
+
+    net.forward = logged
+    try:
+        return nc.evaluate(net, x, labels, **kw), chunks
+    finally:
+        net.forward = forward

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import mlp4_spec, net_bytes, quick_plan, watermark_task
+from conftest import evaluate_logits, mlp4_spec, net_bytes, quick_plan, watermark_task
 from sscope import counterfact as cf
 from sscope import netcore as nc
 from sscope import skewlab as sl
@@ -326,19 +326,24 @@ def minicnn6_spec():
 
 def check_family_evaluation(pd, spec, sets, dtype, n, batch_size, monkeypatch,
                             retrainings=None):
-    """evaluate_family must score each net once per view, from block m - 1
-    for an anchor, min(A) for a partner and 0 for a retraining, except a
-    full-set partner, which takes no call, and every report must match a
-    plain evaluate."""
+    """evaluate_family must score each net once per (view, chunk), from block
+    m - 1 for an anchor, min(A) for a partner and 0 for a retraining, except
+    a full-set partner, which takes no call. Every chunk's logits must match
+    a plain evaluate's byte for byte, and so must every report."""
     fam = train_family(spec, pd, quick_plan(steps=12), sets, dtype=dtype,
                        retrainings=retrainings)
     test_clean = sl.gen_clean_synthetic(watermark_task(), n, seed=5)
     views = (test_clean, sl.make_fully_skewed(test_clean, watermark_task().watermark))
     starts = []  # (net, start block) per call
+    logits = {}  # net -> the bytes of each chunk's logits, in call order
 
     def counted(net, pixels, labels, batch_size, start):
+        assert len(labels) <= batch_size  # one chunk per call
         starts.append((id(net), start))
-        return nc.evaluate(net, pixels, labels, batch_size, start=start)
+        report, chunks = evaluate_logits(net, pixels, labels,
+                                         batch_size=batch_size, start=start)
+        logits.setdefault(id(net), []).extend(chunks)
+        return report
 
     monkeypatch.setattr(cf, "evaluate", counted)
     reports = cf.evaluate_family(fam, views, batch_size)
@@ -354,12 +359,17 @@ def check_family_evaluation(pd, spec, sets, dtype, n, batch_size, monkeypatch,
         net = nets["retrained", name] = fam.nets["retrained", name]
         want_starts.append((id(net), 0))
     assert reports.keys() == nets.keys()
-    assert sorted(starts) == sorted(want_starts * len(views))
+    chunks_per_view = -(-n // batch_size)
+    assert sorted(starts) == sorted(want_starts * len(views) * chunks_per_view)
     for name, net in nets.items():
+        want_logits = []
         for got, view in zip(reports[name], views, strict=True):
-            plain = nc.evaluate(net, view.pixels, view.labels, batch_size)
-            assert (got.mispredictions, got.n_examples, got.loss_mean) == (
-                plain.mispredictions, plain.n_examples, plain.loss_mean), name
+            plain, chunks = evaluate_logits(net, view.pixels, view.labels,
+                                            batch_size=batch_size)
+            assert got == plain, name
+            want_logits += chunks
+        if id(net) in logits:  # a full-set partner takes no call
+            assert logits[id(net)] == want_logits, name
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -401,6 +411,14 @@ def test_family_evaluation_needs_both_anchors(small_paired):
     view = sl.gen_clean_synthetic(watermark_task(), 16, seed=5)
     with pytest.raises(UsageError, match="both anchors"):
         cf.evaluate_family(pair, (view,))
+
+
+def test_family_evaluation_rejects_an_empty_view(small_paired):
+    fam = train_family(mlp4_spec(), small_paired, quick_plan(steps=2), [])
+    view = sl.gen_clean_synthetic(watermark_task(), 16, seed=5)
+    empty = sl.ImageDataset(view.pixels[:0], view.labels[:0], view.class_count)
+    with pytest.raises(UsageError, match="empty"):
+        cf.evaluate_family(fam, (view, empty))
 
 
 def test_freeze_protocol_matches_reference_loop(small_paired):

@@ -996,6 +996,36 @@ def test_bad_explicit_set_fails_before_training(tmp_path, capsys, text):
     assert not os.path.exists(tmp_path / "run" / "results.csv")
 
 
+@pytest.mark.parametrize("family", ["suffix", "single"])
+def test_explicit_sets_outside_the_explicit_family_fail(tmp_path, capsys, family):
+    # never read, yet they would change the run ids and the trial seeds
+    raw = tiny_config(tmp_path / "run", family=family).to_dict()
+    raw["explicit_sets"] = ["{}"]
+    with pytest.raises(ConfigError, match="explicit_sets"):
+        ExperimentConfig.from_dict(raw)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["counterfactual", "--config", str(cfg_path)]) == 1
+    assert "explicit_sets" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "run" / "results.csv")
+
+
+@pytest.mark.parametrize("optimizer, unread, read", [
+    ("adamw", "momentum", "epsilon"), ("sgd", "epsilon", "momentum")])
+def test_optimizer_override_the_optimizer_never_reads_fails(tmp_path, capsys,
+                                                            optimizer, unread, read):
+    assert getattr(optimizer_config(optimizer, {read: 0.5}), read) == 0.5
+    with pytest.raises(ConfigError, match=unread):
+        optimizer_config(optimizer, {unread: 0.5})
+    raw = tiny_config(tmp_path / "run", optimizer=optimizer).to_dict()
+    raw["optimizer_overrides"] = {unread: 0.5}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["train", "--config", str(cfg_path)]) == 1
+    assert unread in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "run" / "results.csv")
+
+
 @pytest.mark.parametrize("frequency", ["a/b", "1/2/3", "1/0", "3/2", [1], [1, 0], 5,
                                        [0.5, 1], [True, 2], ["3", "4"], " 3/4"])
 def test_bad_frequency_fails_before_training(tmp_path, capsys, frequency):

@@ -11,6 +11,7 @@ import tracemalloc
 
 import numpy as np
 
+from sscope import counterfact as cf
 from sscope import netcore as nc
 from sscope import skewlab as sl
 from sscope.expcli import runner
@@ -68,3 +69,33 @@ def test_minicnn6_evaluation_holds_one_layer_cache():
     small = 256 * 1024  # bias tiles, logits, argmax and the like
     bound = columns + conv_input + conv_output + small
     assert traced_peak(lambda: nc.evaluate(net, ds.pixels, ds.labels)) < bound
+
+
+def test_minicnn6_family_evaluation_holds_one_chunk():
+    """evaluate_family walks each view in evaluate's 512-image chunks and
+    keeps one anchor's activations of one chunk at a time, so at 4096 images
+    it peaks at a single chunk's block-1 convolution, as in the test above,
+    next to the activations the prefix holds."""
+    task = task_spec("bars16", None)
+    net = nc.build_net(net_spec("minicnn6", task), seed=0)
+    sets = [cf.InterventionSet.suffix(net.m, i) for i in range(net.m + 1)]
+    nets = {role: net.copy() for role in cf.ROLES}
+    nets.update(((role, A.canonical()), net.copy())
+                for role in cf.ROLES for A in sets if not A.is_empty)
+    fam = cf.FamilyOutcome(nets=nets, updates={}, sets=sets)
+    clean = sl.gen_clean_synthetic(task, 4096, seed=3)
+    mark = sl.WatermarkSkewSpec(patch_size=10, blend_strength=sl.STRONG)
+    views = (clean, sl.make_fully_skewed(clean, mark))
+    cf.evaluate_family(fam, [sl.gen_clean_synthetic(task, 8, seed=3)])
+    n = 512  # evaluate's chunk
+    conv = net.spec.blocks[1][0]
+    c, h, w = conv.in_ch, task.size, task.size  # pad=1 keeps the size
+    columns = n * h * w * c * conv.kernel**2 * F32
+    conv_input = n * c * h * w * F32
+    conv_output = n * conv.out_ch * h * w * F32
+    # the prefix's outputs of blocks 1..m-2, from one image's
+    held = sum(n * net.forward(clean.pixels[:1], 0, b).size * F32
+               for b in range(2, net.m))
+    small = 256 * 1024  # bias tiles, logits, argmax and the like
+    bound = columns + conv_input + conv_output + held + small
+    assert traced_peak(lambda: cf.evaluate_family(fam, views)) < bound

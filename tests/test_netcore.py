@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import evaluate_logits
 from sscope import netcore as nc
 from sscope.errors import NumericError, UsageError
 from sscope.expcli.presets import net_spec, task_spec
@@ -95,9 +96,7 @@ def test_evaluate_deterministic_and_empty_rejected():
     net = nc.build_net(spec, seed=3)
     x = stream(9, "eval").random((20, 1, 8, 8)).astype(np.float32)
     labels = stream(9, "labels").integers(0, 4, size=20)
-    r1 = nc.evaluate(net, x, labels)
-    r2 = nc.evaluate(net, x, labels)
-    assert (r1.mispredictions, r1.loss_mean) == (r2.mispredictions, r2.loss_mean)
+    assert evaluate_logits(net, x, labels) == evaluate_logits(net, x, labels)
     with pytest.raises(UsageError):
         nc.evaluate(net, x[:0], labels[:0])
 
@@ -109,11 +108,9 @@ def test_evaluate_from_any_start_block(net_name, dtype):
     net = nc.build_net(spec, seed=6, dtype=dtype)
     x = stream(10, "start").random((300, *spec.input_shape)).astype(np.float32)
     labels = stream(10, "start-labels").integers(0, spec.class_count, size=300)
-    plain = nc.evaluate(net, x, labels)
+    plain = evaluate_logits(net, x, labels)
     for s in range(1, spec.m):
-        got = nc.evaluate(net, net.forward(x, 0, s), labels, start=s)
-        assert (got.mispredictions, got.loss_mean) == (
-            plain.mispredictions, plain.loss_mean), s
+        assert evaluate_logits(net, net.forward(x, 0, s), labels, start=s) == plain, s
     for s in (-1, spec.m):
         with pytest.raises(UsageError, match="start block"):
             nc.evaluate(net, x, labels, start=s)
@@ -138,9 +135,7 @@ def test_full_copy_matches_evaluation():
     assert net_bytes(b) == net_bytes(a)
     x = stream(7, "copy").random((30, 1, 8, 8)).astype(np.float32)
     labels = stream(7, "copy-labels").integers(0, 4, size=30)
-    ra = nc.evaluate(a, x, labels)
-    rb = nc.evaluate(b, x, labels)
-    assert (ra.mispredictions, ra.loss_mean) == (rb.mispredictions, rb.loss_mean)
+    assert evaluate_logits(a, x, labels) == evaluate_logits(b, x, labels)
 
 
 def test_block_partition_is_sound():
