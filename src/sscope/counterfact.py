@@ -38,11 +38,10 @@ Two degenerate equivalences hold bit-exactly and are used as oracles: A = {}
 reproduces the anchor, and A = [m] reproduces a direct training run on the
 opposite role with the same seed. A family relies on the second one: it
 trains the full-set partner once, as the opposite anchor, and returns a copy
-of that anchor for it, with that anchor's update count and evaluation
-reports. `train_pair` still trains it independently, and the tests compare
-that run with `train_single`. With `debug_sync`, a family trains its
-full-set partners for real as well, and they must end byte-equal to the
-opposite anchors.
+of that anchor for it, with that anchor's evaluation reports. `train_pair`
+still trains it independently, and the tests compare that run with
+`train_single`. With `debug_sync`, a family trains its full-set partners
+for real as well, and they must end byte-equal to the opposite anchors.
 
 A family can also hold retrainings (`Retraining`): reruns of the skewed
 anchor's training from the shared init, each with its own per-block LR/WD
@@ -178,23 +177,25 @@ def _block_index(part, text):
 
 @dataclass(frozen=True)
 class TrainPlan:
-    """The recipe every net of a run follows, whatever role it trains on."""
+    """The recipe every net of a run follows, whatever role it trains on.
+    Its optimizer config and schedule checked themselves when built; the
+    plan checks the batch size and that the schedule decays to a positive
+    learning rate no higher than the peak."""
 
     batch_size: int
     master_seed: int
     optimizer: OptimizerConfig
     schedule: ScheduleConfig
 
+    def __post_init__(self):
+        if self.batch_size <= 0:
+            raise UsageError("steps and batch_size must be positive")
+        if not 0 < self.schedule.min_lr <= self.optimizer.peak_lr:
+            raise UsageError("need 0 < min_lr <= peak_lr")
+
     @property
     def steps(self):
         return self.schedule.total_steps
-
-    def validate(self):
-        if self.steps <= 0 or self.batch_size <= 0:
-            raise UsageError("steps and batch_size must be positive")
-        self.optimizer.validate()
-        self.schedule.validate(self.optimizer.peak_lr)
-        return self
 
 
 def _other_role(role):
@@ -245,7 +246,6 @@ class _Trainee:
     anchor: _Trainee | None = None  # a partner's blocks outside A alias this net
     retraining: Retraining = Retraining()
     optimizer: Optimizer | None = None
-    updates: int = 0
 
 
 def _label(key):
@@ -358,7 +358,6 @@ def _lockstep(pd, plan, trainees, debug_sync=False):
                     tr.optimizer.step(tr.net, grad, blocks, t)
                 except NumericError as exc:
                     raise _diverged(tr, exc, t) from exc
-                tr.updates += 1
             t += 1
         epoch += 1
     for tr, b, before in frozen:
@@ -403,7 +402,6 @@ def train_single(spec: NetSpec, pd: PairedDataset, plan: TrainPlan, role: str,
                  dtype=np.float32, init_from=None) -> BlockNet:
     """Direct training of one network on dataset role `role`."""
     _check_role(role)
-    plan.validate()
     net = _initial_net(spec, plan, dtype, init_from)
     _lockstep(pd, plan, [_anchor(net, role)])
     return net
@@ -412,14 +410,11 @@ def train_single(spec: NetSpec, pd: PairedDataset, plan: TrainPlan, role: str,
 @dataclass(frozen=True)
 class FamilyOutcome:
     nets: dict  # evaluation key -> BlockNet
-    updates: dict  # evaluation key -> update count
     sets: list
 
 
 def _outcome(done, sets):
-    return FamilyOutcome(nets={key: tr.net for key, tr in done.items()},
-                         updates={key: tr.updates for key, tr in done.items()},
-                         sets=sets)
+    return FamilyOutcome(nets={key: tr.net for key, tr in done.items()}, sets=sets)
 
 
 def train_pair(spec: NetSpec, pd: PairedDataset, plan: TrainPlan, role: str,
@@ -428,7 +423,6 @@ def train_pair(spec: NetSpec, pd: PairedDataset, plan: TrainPlan, role: str,
     """Train an anchor on `role` and one counterfactually intervened partner
     in lockstep; the partner is trained even for the full set."""
     _check_role(role)
-    plan.validate()
     _check_sets(spec, [A])
     anchor = _anchor(_initial_net(spec, plan, dtype, init_from), role)
     partner = _partner(anchor, A)  # shared initial weights
@@ -446,12 +440,11 @@ def train_family(spec: NetSpec, pd: PairedDataset, plan: TrainPlan, sets,
     The partner of the full set A = [m] is not trained: it would retrain
     every block from the shared init on the opposite role's batches, which
     is what the opposite anchor does, so it gets its own copy of that
-    anchor's net and update count. With `debug_sync` it trains for real,
+    anchor's net. With `debug_sync` it trains for real,
     and an AssertionError names it unless it ends byte-equal to the
     opposite anchor.
 
     A retraining trains on the skewed role from the shared init."""
-    plan.validate()
     sets = list(sets)
     _check_sets(spec, sets)
     init = _initial_net(spec, plan, dtype, init_from)
@@ -472,7 +465,6 @@ def train_family(spec: NetSpec, pd: PairedDataset, plan: TrainPlan, sets,
             key, twin = (role, full.canonical()), _other_role(role)
             if not debug_sync:
                 out.nets[key] = out.nets[twin].copy()
-                out.updates[key] = out.updates[twin]
             elif out.nets[key].flat.tobytes() != out.nets[twin].flat.tobytes():
                 raise AssertionError(f"{_label(key)} differs from {_label(twin)}, "
                                      "which it must reproduce")

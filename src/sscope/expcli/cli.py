@@ -67,7 +67,7 @@ def _load_config(args) -> ExperimentConfig:
     env_out = os.environ.get("SSCOPE_OUT")
     if env_out:
         overrides["out"] = env_out
-    return dataclasses.replace(base, **overrides).validate()
+    return dataclasses.replace(base, **overrides)
 
 
 @functools.cache

@@ -79,7 +79,7 @@ class ExperimentConfig:
         for name in _TUPLE_FIELDS:
             if isinstance(data.get(name), list):
                 data[name] = tuple(data[name])
-        return cls(**data).validate()
+        return cls(**data)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -96,7 +96,9 @@ class ExperimentConfig:
             raise ConfigError(f"config {path} must hold a JSON object")
         return cls.from_dict(raw)
 
-    def validate(self) -> "ExperimentConfig":
+    def __post_init__(self):
+        """Every check of a config, so that a bad one fails when it is
+        built: from a file, a dict or `dataclasses.replace`."""
         for f in fields(self):
             value = getattr(self, f.name)
             if not _is_json(value, _JSON_BY_TYPE[f.type]):
@@ -167,7 +169,6 @@ class ExperimentConfig:
             if repeated:
                 raise ConfigError(
                     f"explicit_sets must be distinct, but these name one set: {repeated}")
-        return self
 
     # ---- resolution -------------------------------------------------------
 
@@ -213,7 +214,7 @@ def _is_json(value, want):
 
 def _parse_frequency(value):
     """A preset name or "num/den" -> (num, den); any other value is returned
-    as it is, for `validate` to check as skew_frequency."""
+    as it is, for the config's checks to judge as skew_frequency."""
     if not isinstance(value, str):
         return value
     if value in _FREQ_NAMES:

@@ -88,13 +88,13 @@ _STRENGTH_NAMES = {"strong": STRONG, "weak": WEAK}
 def task_spec(name: str, watermark: WatermarkSkewSpec | None) -> SyntheticTaskSpec:
     if name not in TASK_PRESETS:
         raise ConfigError(f"unknown task preset {name!r}")
-    return SyntheticTaskSpec(watermark=watermark, **TASK_PRESETS[name]).validate()
+    return SyntheticTaskSpec(watermark=watermark, **TASK_PRESETS[name])
 
 
 def net_spec(name: str, task: SyntheticTaskSpec) -> nc.NetSpec:
     if name not in NET_PRESETS:
         raise ConfigError(f"unknown net preset {name!r}")
-    return NET_PRESETS[name](task.channels, task.size, task.class_count).validate()
+    return NET_PRESETS[name](task.channels, task.size, task.class_count)
 
 
 def optimizer_config(name: str, overrides: dict | None = None) -> OptimizerConfig:
@@ -108,16 +108,14 @@ def optimizer_config(name: str, overrides: dict | None = None) -> OptimizerConfi
             raise ConfigError(f"optimizer override {key} must be a number, got {val!r}")
         kw[key] = val
     try:
-        return OptimizerConfig(**kw).validate()
+        return OptimizerConfig(**kw)
     except UsageError as exc:
         raise ConfigError(f"optimizer_overrides {overrides}: {exc}") from None
 
 
 def schedule_config(steps: int, mode: str, peak_lr: float) -> ScheduleConfig:
     warmup = 0.02 if mode == "warmstart" else 0.05
-    return ScheduleConfig(
-        total_steps=steps, warmup_share=warmup, min_lr=peak_lr / 100
-    ).validate(peak_lr)
+    return ScheduleConfig(total_steps=steps, warmup_share=warmup, min_lr=peak_lr / 100)
 
 
 def blend_strength(value) -> float:

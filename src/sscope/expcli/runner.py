@@ -97,7 +97,7 @@ def _plan(config: ExperimentConfig, seed: int):
         master_seed=trial_seed(config, seed),
         optimizer=opt,
         schedule=presets.schedule_config(config.steps, config.mode, opt.peak_lr),
-    ).validate()
+    )
 
 
 def _dtype(config):
@@ -379,11 +379,10 @@ def _err(rec: RunRecord, view: str) -> Fraction:
 
 
 def _m_of(rec: RunRecord) -> int:
-    t = presets.TASK_PRESETS.get(rec.task)
-    if t is None or rec.net not in presets.NET_PRESETS:
-        raise ConfigError(f"cannot resolve presets for record {rec.run_id}")
-    spec = presets.NET_PRESETS[rec.net](t["channels"], t["size"], t["class_count"])
-    return spec.m
+    try:
+        return presets.net_spec(rec.net, presets.task_spec(rec.task, None)).m
+    except ConfigError:
+        raise ConfigError(f"cannot resolve presets for record {rec.run_id}") from None
 
 
 def contribution_rows(records):

@@ -3,9 +3,10 @@
 Retraining on skewed data is repeated with one knob turned per run: the
 learning rate or weight decay of the targeted blocks scaled by a fixed
 factor, or a freezing protocol (last block, then everything, then a single
-kept block). Mitigation extent normalizes the clean-test recovery against
-the clean/skewed anchor gap, so 0 means "as bad as the skewed anchor" and 1
-means "fully recovered".
+kept block; the first two phases are each 5% of the steps). Mitigation
+extent normalizes the clean-test recovery against the clean/skewed anchor
+gap, so 0 means "as bad as the skewed anchor" and 1 means "fully
+recovered".
 
 `retrain_with_intervention` and `freeze_protocol` describe a retraining as a
 `counterfact.Retraining` value (block scale factors, or a phase schedule);
@@ -20,12 +21,13 @@ blocks end with the bytes they held as the last phase began.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .counterfact import Retraining
 from .errors import ConfigError, UsageError
-from .metrics import GAP_FLOOR, LocalizationProfile, _as_fraction
+from .metrics import GAP_FLOOR, LocalizationProfile
 
 __all__ = [
     "InterventionKind",
@@ -47,12 +49,11 @@ class InterventionKind:
     variant: str  # lr_scale | wd_scale | freeze
     factor: float = 1.0
 
-    def validate(self):
+    def __post_init__(self):
         if self.variant not in ("lr_scale", "wd_scale", "freeze"):
             raise UsageError(f"unknown intervention variant {self.variant!r}")
         if self.variant != "freeze" and self.factor <= 0:
             raise UsageError("scale factor must be positive")
-        return self
 
     def label(self):
         if self.variant == "freeze":
@@ -104,9 +105,9 @@ def mitigation_extent(err_intervened, err_c, err_s):
     Equivalent to the accuracy-difference form, so the definition is invariant
     under exchanging accuracy for error rate in numerator and denominator.
     """
-    err_i = _as_fraction(err_intervened)
-    err_c = _as_fraction(err_c)
-    err_s = _as_fraction(err_s)
+    err_i = Fraction(err_intervened)
+    err_c = Fraction(err_c)
+    err_s = Fraction(err_s)
     gap = err_s - err_c
     if abs(gap) < GAP_FLOOR:
         return None
@@ -117,7 +118,6 @@ def retrain_with_intervention(kind: InterventionKind, targets: TargetBlocks,
                               m: int) -> Retraining:
     """The skewed retraining with the LR or WD of the targeted blocks scaled
     by the kind's factor over the full schedule."""
-    kind.validate()
     targets.validate(m)
     if kind.variant == "freeze":
         raise UsageError("use freeze_protocol for the freezing intervention")
@@ -127,25 +127,19 @@ def retrain_with_intervention(kind: InterventionKind, targets: TargetBlocks,
     return Retraining(wd_scales=scales)
 
 
-def freeze_protocol(m: int, steps: int, keep_block: int, t1=None,
-                    t2=None) -> Retraining:
-    """Three-phase freezing over `steps` steps: the last block only for t1
-    steps, all blocks for t2 steps, then only keep_block for the remainder.
-    t1 and t2 are 5% of the steps each unless given. ConfigError unless both
-    phases are non-empty and leave steps for the kept block."""
+def freeze_protocol(m: int, steps: int, keep_block: int) -> Retraining:
+    """Three-phase freezing over `steps` steps: the last block only for t
+    steps, all blocks for t steps, then only keep_block for the remainder,
+    where t is 5% of the steps rounded half to even. ConfigError unless t is
+    at least 1, that is unless steps >= 11."""
     if not 0 <= keep_block < m:
         raise UsageError(f"keep_block {keep_block} outside [0, {m})")
-    t1 = int(round(0.05 * steps)) if t1 is None else int(t1)
-    t2 = int(round(0.05 * steps)) if t2 is None else int(t2)
-    if t1 < 1 or t2 < 1:
+    t = round(0.05 * steps)
+    if t < 1:
         raise ConfigError(
-            f"freeze phases must be non-empty, got t1={t1}, t2={t2} of {steps} steps")
-    if t1 + t2 >= steps:
-        raise ConfigError(
-            f"freeze phases t1+t2={t1 + t2} leave no fine-tuning steps of T={steps}"
-        )
-    return Retraining(phases=((0, (m - 1,)), (t1, tuple(range(m))),
-                              (t1 + t2, (keep_block,))))
+            f"freeze phases must be non-empty, got t1={t}, t2={t} of {steps} steps")
+    return Retraining(phases=((0, (m - 1,)), (t, tuple(range(m))),
+                              (2 * t, (keep_block,))))
 
 
 REGRESSION_COLUMNS = (

@@ -36,12 +36,6 @@ __all__ = [
 GAP_FLOOR = Fraction(1, 200)
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
-
-
 @dataclass(frozen=True)
 class ContributionRecord:
     A: InterventionSet
@@ -73,7 +67,7 @@ class ContributionRecord:
 
 def contributions(err_c, err_s, err_cA, err_sA, A: InterventionSet) -> ContributionRecord:
     """Build a record from the four clean-test error rates."""
-    vals = [_as_fraction(v) for v in (err_c, err_s, err_cA, err_sA)]
+    vals = [Fraction(v) for v in (err_c, err_s, err_cA, err_sA)]
     for v in vals:
         if not 0 <= v <= 1:
             raise UsageError(f"error rate {v} outside [0, 1]")
@@ -162,5 +156,5 @@ def detect_divergence(model_err_clean, model_err_skewfull,
     """A model diverged when it is worse than the skewed anchor on clean data
     and worse than the clean anchor on fully skewed data; such models are
     excluded from aggregation."""
-    return (_as_fraction(model_err_clean) > _as_fraction(anchor_s_err_clean)
-            and _as_fraction(model_err_skewfull) > _as_fraction(anchor_c_err_skewfull))
+    return (Fraction(model_err_clean) > Fraction(anchor_s_err_clean)
+            and Fraction(model_err_skewfull) > Fraction(anchor_c_err_skewfull))

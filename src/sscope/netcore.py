@@ -364,7 +364,9 @@ def _ints(values):
 
 @dataclass(frozen=True)
 class NetSpec:
-    """Block-partitioned architecture: blocks is a list of layer lists."""
+    """Block-partitioned architecture: blocks is a list of layer lists. A
+    spec checks its shapes once, when built: UsageError names the first
+    layer that does not fit."""
 
     blocks: tuple
     class_count: int
@@ -375,12 +377,6 @@ class NetSpec:
             self, "blocks", tuple(tuple(b) for b in self.blocks)
         )
         object.__setattr__(self, "input_shape", tuple(self.input_shape))
-
-    @property
-    def m(self):
-        return len(self.blocks)
-
-    def validate(self):
         if self.m < 2:
             raise UsageError(f"need at least 2 blocks, got {self.m}")
         if self.class_count < 2:
@@ -406,7 +402,10 @@ class NetSpec:
             raise UsageError(
                 f"network output shape {shape} != ({self.class_count},)"
             )
-        return self
+
+    @property
+    def m(self):
+        return len(self.blocks)
 
     def encode(self):
         return {
@@ -420,7 +419,7 @@ class NetSpec:
     def decode(obj):
         """The spec `encode` gave obj; a number that is not an integer, an
         unknown layer or an argument the layer lacks raises ValueError,
-        KeyError or TypeError."""
+        KeyError or TypeError, and a spec that fails its checks UsageError."""
         blocks = [[_LAYERS[name](*_ints(args)) for name, *args in b]
                   for b in obj["blocks"]]
         (class_count,) = _ints([obj["class_count"]])
@@ -553,7 +552,6 @@ def build_net(spec: NetSpec, seed: int, dtype=np.float32) -> BlockNet:
     Weights are drawn in declaration order from a single named stream, so
     (spec, seed) determines every byte of the parameter store.
     """
-    spec.validate()
     rng = stream(seed, "init")
     params = {}
     for prefix, layer in _param_layers(spec):
@@ -709,7 +707,6 @@ def load_checkpoint(path, dtype=np.float32) -> BlockNet:
         spec = NetSpec.decode(json.loads(text))
         if text != spec.canonical_text():
             raise ValueError("not the canonical text of its spec")
-        spec.validate()
         shapes = {f"{prefix}.{name}": shape
                   for prefix, layer in _param_layers(spec)
                   for name, shape in zip("wb", layer.param_shapes())}

@@ -1,8 +1,9 @@
 """Seedable, deterministic optimizers and LR schedules.
 
 Two families: SGD with Nesterov momentum (coupled weight decay) and AdamW
-(decoupled decay, applied to the parameter before the moment update).
-Schedules are linear warmup into cosine decay.
+(decoupled decay, applied to the parameter before the moment update, with
+the fixed betas 0.9 and 0.999). Schedules are linear warmup into cosine
+decay. A config or schedule checks itself once, when it is built.
 
 An optimizer steps one BlockNet through its flat parameter buffer (see
 netcore.BlockNet). Its state mirrors that layout: flat moment buffers (AdamW's
@@ -38,6 +39,7 @@ __all__ = ["OptimizerConfig", "ScheduleConfig", "Optimizer", "lr_at"]
 
 SGD_NESTEROV = "sgd_nesterov"
 ADAMW = "adamw"
+ADAMW_BETAS = (0.9, 0.999)
 
 
 @dataclass(frozen=True)
@@ -46,29 +48,23 @@ class OptimizerConfig:
     peak_lr: float
     weight_decay: float = 0.0
     momentum: float = 0.9
-    betas: tuple = (0.9, 0.999)
     epsilon: float = 1e-8
 
-    def validate(self):
+    def __post_init__(self):
         if self.kind not in (SGD_NESTEROV, ADAMW):
             raise UsageError(f"unknown optimizer kind {self.kind!r}")
-        values = (self.peak_lr, self.weight_decay, self.momentum, *self.betas,
-                  self.epsilon)
+        values = (self.peak_lr, self.weight_decay, self.momentum, self.epsilon)
         if not all(math.isfinite(v) for v in values):
             raise UsageError(
-                "peak_lr, weight_decay, momentum, betas and epsilon must be finite")
+                "peak_lr, weight_decay, momentum and epsilon must be finite")
         if self.peak_lr <= 0:
             raise UsageError("peak_lr must be positive")
         if self.weight_decay < 0:
             raise UsageError("weight_decay must be >= 0")
         if not 0 <= self.momentum < 1:
             raise UsageError("momentum must be in [0, 1)")
-        b1, b2 = self.betas
-        if not (0 < b1 < 1 and 0 < b2 < 1):
-            raise UsageError("betas must be in (0, 1)")
         if self.epsilon <= 0:
             raise UsageError("epsilon must be positive")
-        return self
 
 
 @dataclass(frozen=True)
@@ -77,14 +73,11 @@ class ScheduleConfig:
     warmup_share: float = 0.02
     min_lr: float = 0.0
 
-    def validate(self, peak_lr=None):
+    def __post_init__(self):
         if self.total_steps <= 0:
             raise UsageError("total_steps must be positive")
         if not 0 <= self.warmup_share < 1:
             raise UsageError("warmup_share must be in [0, 1)")
-        if peak_lr is not None and not 0 < self.min_lr <= peak_lr:
-            raise UsageError("need 0 < min_lr <= peak_lr")
-        return self
 
     @property
     def warmup_steps(self):
@@ -121,8 +114,6 @@ class Optimizer:
     work: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self.config.validate()
-        self.schedule.validate()
         self.m = None  # AdamW's first moment, flat; created at the first step
         self.v = None  # AdamW's second moment, or SGD's velocity
         self.block_steps = None  # updates applied to each block so far
@@ -196,7 +187,7 @@ class Optimizer:
                 # p -= lr*mhat / (sqrt(vhat) + eps)
                 if wd:
                     p *= f(1.0 - lr * wd)
-                b1, b2 = self.config.betas
+                b1, b2 = ADAMW_BETAS
                 steps = self.block_steps[first] + 1
                 m = self.m[lo:hi]
                 m *= f(b1)

@@ -9,9 +9,11 @@ to a batch of indices is a pure lookup.
 What a trial holds: two training image arrays (the clean and the fully
 skewed images) and the two test views. The mixed view is never stored;
 `paired_batches` gathers a batch's fully skewed rows and copies the batch's
-unmasked clean rows over them. A clean view without a watermark is its own
-base (`base_pixels is pixels`), and so is its sampling-skewed view, whose
-images are gathered through one source index.
+unmasked clean rows over them. A clean view keeps its pre-watermark base,
+which the fully skewed watermark view blends over; without a watermark it
+is its own base (`base_pixels is pixels`). A fully skewed view keeps no
+base, and a sampling-skewed view gathers its images through one source
+index.
 
 Two skew mechanisms are supported:
 
@@ -26,7 +28,11 @@ Two skew mechanisms are supported:
 
 Synthetic clean tasks draw per-class bar or blob patterns on noisy
 backgrounds; the class feature is kept outside the watermark window so both
-features stay learnable.
+features stay learnable. The rendering constants are fixed: background
+noise up to 0.9, feature contrast 0.45, bars one pixel wide, an attribute
+tint of up to 0.3, and the glyph family drawn from seed 1717.
+
+Every spec value checks itself once, when it is built.
 """
 
 from __future__ import annotations
@@ -60,6 +66,13 @@ __all__ = [
 STRONG = 0.75
 WEAK = 0.25
 
+# the fixed rendering constants (see the module docstring)
+_NOISE = 0.9
+_FEATURE_CONTRAST = 0.45
+_BAR_WIDTH = 1
+_ATTRIBUTE_TINT = 0.3
+_GLYPH_SEED = 1717
+
 
 @dataclass
 class ImageDataset:
@@ -69,8 +82,7 @@ class ImageDataset:
     labels: np.ndarray  # (n,) int64
     class_count: int
     attributes: np.ndarray | None = None
-    base_pixels: np.ndarray | None = None  # pre-watermark pixels
-    glyph_ids: np.ndarray | None = None  # glyph class blended per image
+    base_pixels: np.ndarray | None = None  # a clean view's pre-watermark pixels
 
     def __len__(self):
         return len(self.labels)
@@ -83,27 +95,26 @@ class ImageDataset:
 class WatermarkSkewSpec:
     patch_size: int = 10
     blend_strength: float = STRONG
-    glyph_seed: int = 1717  # fixed default glyph family
 
-    def validate(self, image_hw=None):
+    def __post_init__(self):
         if not 0 < self.blend_strength <= 1:
             raise UsageError("blend_strength must be in (0, 1]")
         if self.patch_size < 1:
             raise UsageError(f"patch_size must be >= 1, got {self.patch_size}")
-        if image_hw is not None and self.patch_size > min(image_hw):
-            raise UsageError(
-                f"patch {self.patch_size} exceeds image dims {image_hw}"
-            )
-        return self
 
     def glyphs(self, class_count: int) -> np.ndarray:
-        return _glyph_set(class_count, self.patch_size, self.glyph_seed)
+        return _glyph_set(class_count, self.patch_size)
+
+
+def _check_patch_fits(patch_size, image_hw):
+    if patch_size > min(image_hw):
+        raise UsageError(f"patch {patch_size} exceeds image dims {image_hw}")
 
 
 @lru_cache(maxsize=32)
-def _glyph_set(class_count, patch_size, seed):
+def _glyph_set(class_count, patch_size):
     """One deterministic binary glyph per class."""
-    rng = stream(seed, "glyphs")
+    rng = stream(_GLYPH_SEED, "glyphs")
     g = (rng.random((class_count, patch_size, patch_size)) < 0.5).astype(np.float32)
     g.setflags(write=False)
     return g
@@ -161,23 +172,26 @@ class SyntheticTaskSpec:
     channels: int = 1
     size: int = 16
     kind: str = "bars"  # bars | blobs
-    noise: float = 0.9
-    feature_contrast: float = 0.45
-    bar_width: int = 1
     watermark: WatermarkSkewSpec | None = None
     attribute_groups: int = 0
-    attribute_tint: float = 0.3
 
-    def validate(self):
+    def __post_init__(self):
         if self.kind not in ("bars", "blobs"):
             raise UsageError(f"unknown task kind {self.kind!r}")
         if self.size not in (16, 32):
             raise UsageError("size must be 16 or 32")
         if not 1 <= self.channels <= 3:
             raise UsageError("channels must be 1..3")
-        if self.watermark is not None:
-            self.watermark.validate((self.size, self.size))
-        return self
+        if self.watermark is None:
+            return
+        p = self.watermark.patch_size
+        _check_patch_fits(p, (self.size, self.size))
+        # the blobs run along the strips right of and below the window
+        if self.kind == "blobs" and p >= self.size - 4:
+            raise UsageError(
+                f"patch_size {p} leaves no room for blobs outside the watermark "
+                f"window: a blobs task of size {self.size} needs patch_size "
+                f"below {self.size - 4}")
 
 
 def _bar_positions(task):
@@ -197,10 +211,7 @@ def _bar_positions(task):
 def _blob_centers(task):
     """Blob centers along the L-shaped corridor outside the watermark window."""
     s = task.size
-    pad = task.watermark.patch_size if task.watermark else 0
     lo, hi = 2.0, s - 3.0
-    if pad and pad >= s - 4:
-        raise UsageError("no room for blobs outside the watermark window")
     # path: down the right strip, then left along the bottom strip
     length = 2 * (hi - lo)
     centers = []
@@ -227,15 +238,15 @@ def _render_base(task, labels, rng):
     step = max(1, _NOISE_CHUNK // img[0].size)
     for lo in range(0, n, step):
         chunk = img[lo : lo + step]
-        chunk[...] = rng.random(chunk.shape) * task.noise
+        chunk[...] = rng.random(chunk.shape) * _NOISE
     jitter = rng.integers(-1, 2, size=n)
-    amp = np.float32(task.feature_contrast)
+    amp = np.float32(_FEATURE_CONTRAST)
     if task.kind == "bars":
         # class k < len(verts) draws the vertical bar verts[k], any other
         # class the horizontal bar horiz[k - len(verts)]: one band of
-        # bar_width rows or columns per image, each pixel in it raised once
+        # _BAR_WIDTH rows or columns per image, each pixel in it raised once
         verts, horiz = _bar_positions(task)
-        w = task.bar_width
+        w = _BAR_WIDTH
         start = np.clip(np.concatenate([verts, horiz])[labels] + jitter, 0, s - w)
         at = np.arange(s) - start[:, None]
         band = (at >= 0) & (at < w)  # (n, s): the image's bar rows or columns
@@ -259,7 +270,6 @@ def _render_base(task, labels, rng):
 def gen_clean_synthetic(task: SyntheticTaskSpec, n: int, seed: int) -> ImageDataset:
     """Procedural class-distinctive images; any watermark glyph is assigned
     uniformly at random, independent of the label."""
-    task.validate()
     if n <= 0:
         raise UsageError("n must be positive")
     labels = stream(seed, "labels").integers(0, task.class_count, size=n)
@@ -268,10 +278,9 @@ def gen_clean_synthetic(task: SyntheticTaskSpec, n: int, seed: int) -> ImageData
     if task.attribute_groups:
         attributes = stream(seed, "attrs").integers(0, task.attribute_groups, size=n)
         # attribute tints the background so the group is visually readable
-        tint = (attributes / max(task.attribute_groups - 1, 1)) * task.attribute_tint
+        tint = (attributes / max(task.attribute_groups - 1, 1)) * _ATTRIBUTE_TINT
         base += tint[:, None, None, None].astype(np.float32)
         np.clip(base, 0, 1, out=base)
-    glyph_ids = None
     pixels = base
     if task.watermark is not None:
         glyph_ids = stream(seed, "match").integers(0, task.class_count, size=n)
@@ -283,7 +292,6 @@ def gen_clean_synthetic(task: SyntheticTaskSpec, n: int, seed: int) -> ImageData
         class_count=task.class_count,
         attributes=None if attributes is None else attributes.astype(np.int64),
         base_pixels=base,
-        glyph_ids=None if glyph_ids is None else glyph_ids.astype(np.int64),
     )
 
 
@@ -300,7 +308,7 @@ def make_fully_skewed(clean: ImageDataset, skew) -> ImageDataset:
 
 
 def _fully_skewed_watermark(clean, skew):
-    skew.validate(clean.pixels.shape[2:])
+    _check_patch_fits(skew.patch_size, clean.pixels.shape[2:])
     base = clean.base_pixels if clean.base_pixels is not None else clean.pixels
     glyphs = skew.glyphs(clean.class_count)
     pixels = _blend_batch(base, glyphs[clean.labels], skew.blend_strength)
@@ -309,16 +317,13 @@ def _fully_skewed_watermark(clean, skew):
         labels=clean.labels.copy(),
         class_count=clean.class_count,
         attributes=None if clean.attributes is None else clean.attributes.copy(),
-        base_pixels=base,
-        glyph_ids=clean.labels.copy(),
     )
 
 
 def _fully_skewed_sampling(clean, skew):
     """Each cross-group item replaced by a same-label aligned-group donor,
     round-robin over the donors in index order. Whole images are gathered
-    through one source index, so the view holds one new pixel array; its
-    base_pixels is that array when the clean view's base is its pixels."""
+    through one source index, so the view holds one new pixel array."""
     if clean.attributes is None:
         raise DataError("sampling skew needs a dataset with group attributes")
     labels = clean.labels
@@ -330,21 +335,13 @@ def _fully_skewed_sampling(clean, skew):
         if len(cross) and not len(donors):
             raise DataError(f"no aligned-group items for label {int(y)}")
         source[cross] = donors[np.arange(len(cross)) % len(donors)]
-    pixels = clean.pixels[source]
     new_attrs = attrs[source]
     assert (new_attrs == skew.aligned_group(labels)).all()
-    base = clean.base_pixels
-    if base is clean.pixels:
-        base = pixels
-    elif base is not None:
-        base = base[source]
     return ImageDataset(
-        pixels=pixels,
+        pixels=clean.pixels[source],
         labels=labels.copy(),
         class_count=clean.class_count,
         attributes=new_attrs,
-        base_pixels=base,
-        glyph_ids=None if clean.glyph_ids is None else clean.glyph_ids.copy(),
     )
 
 

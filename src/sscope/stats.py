@@ -19,7 +19,6 @@ import numpy as np
 from .errors import UsageError
 
 __all__ = [
-    "Sample",
     "FactorTable",
     "RegressionResult",
     "TTestResult",
@@ -122,23 +121,9 @@ def f_upper_tail(f, d1, d2):
 # --------------------------------------------------------------------------
 # samples
 
-@dataclass(frozen=True)
-class Sample:
-    values: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if any(not math.isfinite(v) for v in self.values):
-            raise UsageError("sample contains non-finite values")
-
-    @property
-    def n(self):
-        return len(self.values)
-
-
-def mean_se(sample):
+def mean_se(values):
     """Mean and standard error with Bessel's correction."""
-    values = sample.values if isinstance(sample, Sample) else tuple(sample)
+    values = tuple(values)
     n = len(values)
     if n < 2:
         raise UsageError("need at least 2 values for a standard error")
@@ -156,14 +141,14 @@ class TTestResult:
     df: int
 
 
-def t_test(sample, null_value, sidedness="greater"):
+def t_test(values, null_value, sidedness="greater"):
     """One-sample t-test against null_value.
 
     sidedness: "greater" (mean > null), "less", or "two_sided".
     """
     if sidedness not in ("greater", "less", "two_sided"):
         raise UsageError(f"unknown sidedness {sidedness!r}")
-    values = sample.values if isinstance(sample, Sample) else tuple(sample)
+    values = tuple(values)
     mean, se = mean_se(values)
     if se == 0.0:
         raise UsageError("degenerate sample: zero standard error")

@@ -11,7 +11,7 @@ import pytest  # noqa: E402
 from sscope import netcore as nc
 from sscope import skewlab as sl
 from sscope.optim import ADAMW, OptimizerConfig, ScheduleConfig
-from sscope.counterfact import TrainPlan
+from sscope.counterfact import Retraining, TrainPlan
 
 
 def mlp4_spec(class_count=8, size=16, channels=1):
@@ -25,7 +25,7 @@ def mlp4_spec(class_count=8, size=16, channels=1):
         ],
         class_count,
         (channels, size, size),
-    ).validate()
+    )
 
 
 def watermark_task(**kw):
@@ -54,7 +54,15 @@ def quick_plan(steps=60, batch_size=16, master_seed=0, peak_lr=3e-3):
         schedule=ScheduleConfig(
             total_steps=steps, warmup_share=0.05, min_lr=peak_lr / 100
         ),
-    ).validate()
+    )
+
+
+def freeze_phases(m, keep_block, t1, t2):
+    """The freezing protocol's phase schedule with phase lengths t1 and t2
+    of the engine's choosing: the last block, then every block, then the
+    kept block."""
+    return Retraining(phases=((0, (m - 1,)), (t1, tuple(range(m))),
+                              (t1 + t2, (keep_block,))))
 
 
 @pytest.fixture

@@ -256,7 +256,7 @@ def test_criterion_09_intervention_noop_and_freeze():
     noop = retrain_with_intervention(InterventionKind("lr_scale", 1.0),
                                      TargetBlocks((1,)), spec.m)
     # the engine raises unless the frozen blocks keep their phase-3 bytes
-    freeze = freeze_protocol(spec.m, plan.steps, keep_block=2, t1=30, t2=30)
+    freeze = freeze_protocol(spec.m, plan.steps, keep_block=2)  # 30-step phases
     fam = train_family(
         spec, pd, plan, [], retrainings={"noop": noop, "freeze": freeze},
     )

@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import evaluate_logits, mlp4_spec, net_bytes, quick_plan, watermark_task
+from conftest import (
+    evaluate_logits,
+    freeze_phases,
+    mlp4_spec,
+    net_bytes,
+    quick_plan,
+    watermark_task,
+)
 from sscope import counterfact as cf
 from sscope import netcore as nc
 from sscope import skewlab as sl
@@ -21,7 +28,6 @@ from sscope.interventions import (
     WD_UP,
     InterventionKind,
     TargetBlocks,
-    freeze_protocol,
     retrain_with_intervention,
 )
 from sscope.rng import subseed
@@ -153,13 +159,11 @@ def test_family_anchors_match_pair_and_counts(small_paired):
     fam = train_family(spec, small_paired, plan, sets)
     pair = train_pair(spec, small_paired, plan, "clean", InterventionSet.empty(m))
     assert net_bytes(fam.nets["clean"]) == net_bytes(pair.nets["clean"])
-    # anchors train exactly once, for exactly `steps` updates
-    assert fam.updates["clean"] == steps
-    assert fam.updates["skewed"] == steps
-    anchor_count = sum(1 for k in fam.updates if k in cf.ROLES)
-    assert anchor_count == 2
+    # two anchors, and one partner per (direction, set)
+    assert sum(1 for k in fam.nets if k in cf.ROLES) == 2
+    assert len(fam.nets) == 2 + 2 * len(sets)
     # empty-set partners never update
-    assert fam.updates["clean", "{}"] == 0
+    assert net_bytes(fam.nets["clean", "{}"]) == net_bytes(fam.nets["clean"])
 
 
 def test_family_full_set_crosses_to_other_anchor(small_paired, monkeypatch):
@@ -186,7 +190,6 @@ def test_family_full_set_crosses_to_other_anchor(small_paired, monkeypatch):
         assert not any(np.shares_memory(got.flat, net.flat)
                        for net in nets if net is not got)
         assert all(np.shares_memory(v, got.flat) for v in got.params.values())
-        assert fam.updates[r, key] == fam.updates[other] == steps
 
 
 def test_family_empty_set_returns_trivial_copies(small_paired):
@@ -281,7 +284,7 @@ def small_cnn_spec():
         ],
         8,
         (1, 16, 16),
-    ).validate()
+    )
 
 
 @pytest.mark.parametrize("spec_fn, sets", [
@@ -397,7 +400,7 @@ def test_family_evaluation_scores_retrainings(small_paired, spec_fn, monkeypatch
     spec = spec_fn()
     retrainings = {
         "lr_up@1": retrain_with_intervention(LR_UP, TargetBlocks((1,)), spec.m),
-        "freeze@0": freeze_protocol(spec.m, 12, keep_block=0, t1=2, t2=2),
+        "freeze@0": freeze_phases(spec.m, keep_block=0, t1=2, t2=2),
     }
     check_family_evaluation(small_paired, spec, FAMILIES["suffix"](spec.m),
                             np.float32, n=700, batch_size=512,
@@ -424,7 +427,7 @@ def test_family_evaluation_rejects_an_empty_view(small_paired):
 def test_freeze_protocol_matches_reference_loop(small_paired):
     spec = small_cnn_spec()
     plan = quick_plan(steps=14, master_seed=17)
-    freeze = freeze_protocol(spec.m, plan.steps, keep_block=2, t1=3, t2=3)
+    freeze = freeze_phases(spec.m, keep_block=2, t1=3, t2=3)
     fam = train_family(spec, small_paired, plan, [], retrainings={"freeze": freeze})
     ref = reference_lockstep(small_paired, plan, nc.build_net(spec, seed=17),
                              {"freeze": ("skewed", None, None)}, {"freeze": freeze})
@@ -442,8 +445,8 @@ def test_mitigation_family_matches_reference_loop(small_paired):
                                               TargetBlocks((0, 1)), m),
         "wd_down@2+3": retrain_with_intervention(WD_DOWN, TargetBlocks((2, 3)), m),
         "wd_up@0": retrain_with_intervention(WD_UP, TargetBlocks((0,)), m),
-        "freeze@0": freeze_protocol(m, steps, 0, t1=2, t2=3),
-        "freeze@2": freeze_protocol(m, steps, 2, t1=2, t2=3),
+        "freeze@0": freeze_phases(m, 0, t1=2, t2=3),
+        "freeze@2": freeze_phases(m, 2, t1=2, t2=3),
     }
     plan = quick_plan(steps=steps, master_seed=19)
     fam = train_family(spec, small_paired, plan, [], retrainings=retrainings)
@@ -454,8 +457,7 @@ def test_mitigation_family_matches_reference_loop(small_paired):
         assert net_bytes(net) == net_bytes(ref[name]), key
     assert net_bytes(fam.nets["retrained", "lr_1@0+1"]) == net_bytes(fam.nets["skewed"])
     assert net_bytes(fam.nets["retrained", "lr_up@1"]) != net_bytes(fam.nets["skewed"])
-    assert fam.updates == {**{r: steps for r in cf.ROLES},
-                           **{("retrained", name): steps for name in retrainings}}
+    assert fam.nets.keys() == {*cf.ROLES, *(("retrained", name) for name in retrainings)}
 
 
 def test_debug_sync_catches_a_perturbed_prefix(small_paired, monkeypatch):

@@ -498,6 +498,18 @@ def test_contribution_rows_and_profiles(family_store):
         assert sum(prof.fgt_rates) == 1
 
 
+@pytest.mark.parametrize("field, value", [("task", "bars17"), ("net", "mlp5")])
+def test_contribution_rows_name_a_record_of_unknown_presets(family_store, field,
+                                                            value):
+    _, store, _ = family_store
+    records = store.load()
+    anchor = next(r for r in records if r.role == "clean_anchor")
+    bad = dataclasses.replace(anchor, **{field: value})
+    with pytest.raises(ConfigError,
+                       match=f"cannot resolve presets for record {anchor.run_id}"):
+        contribution_rows([bad if r is anchor else r for r in records])
+
+
 # --------------------------------------------------------------------------
 # report
 
@@ -1083,6 +1095,22 @@ def test_malformed_config_fails_before_training(tmp_path, capsys, bad):
     cfg_path.write_text(json.dumps(raw))
     assert main(["train", "--config", str(cfg_path)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert not os.path.exists(tmp_path / "run" / "results.csv")
+
+
+@pytest.mark.parametrize("patch_size", [12, 16])
+def test_blobs_window_without_room_fails_at_load(tmp_path, capsys, patch_size):
+    # a blobs16 window of 12 to 16 pixels fits the image but leaves the
+    # blobs no room; the config names patch_size before any data is built
+    raw = tiny_config(tmp_path / "run").to_dict()
+    raw.update(task="blobs16", patch_size=patch_size)
+    with pytest.raises(UsageError, match=f"patch_size {patch_size} leaves no room"):
+        ExperimentConfig.from_dict(raw)
+    assert ExperimentConfig.from_dict(dict(raw, patch_size=11)).patch_size == 11
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["train", "--config", str(cfg_path)]) == 1
+    assert "patch_size" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "run" / "results.csv")
 
 

@@ -105,7 +105,7 @@ def loss_and_pattern(net, x, labels):
 
 def check_one_net(seed):
     rng = stream(seed, "gradcheck")
-    spec = random_small_spec(rng).validate()
+    spec = random_small_spec(rng)
     net = nc.build_net(spec, seed=seed, dtype=np.float64)
     assert sum(a.size for a in net.params.values()) <= 5000
     # zero-init biases sit exactly on the ReLU kink; jitter them off it
@@ -141,7 +141,7 @@ def test_uniform_logits_loss_is_log_k():
     # a net whose final Dense has zero weights/bias emits uniform logits
     spec = nc.NetSpec(
         [[nc.Dense(6, 4), nc.ReLU()], [nc.Dense(4, 5)]], 5, (6,)
-    ).validate()
+    )
     net = nc.build_net(spec, seed=3, dtype=np.float64)
     net.params["b1.l0.w"][:] = 0.0
     net.params["b1.l0.b"][:] = 0.0
@@ -154,7 +154,7 @@ def test_uniform_logits_loss_is_log_k():
 def test_duplicated_batch_same_loss_and_grads():
     spec = nc.NetSpec(
         [[nc.Dense(5, 4), nc.ReLU()], [nc.Dense(4, 3)]], 3, (5,)
-    ).validate()
+    )
     net = nc.build_net(spec, seed=11, dtype=np.float64)
     rng = stream(4, "dup")
     x = rng.random((6, 5))

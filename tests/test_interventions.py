@@ -44,7 +44,7 @@ def test_target_validation():
     with pytest.raises(UsageError):
         TargetBlocks((5,)).validate(4)
     with pytest.raises(UsageError):
-        InterventionKind("momentum", 2.0).validate()
+        InterventionKind("momentum", 2.0)
     with pytest.raises(UsageError, match="freeze_protocol"):
         retrain_with_intervention(InterventionKind("freeze"), TargetBlocks((1,)), 4)
 
@@ -59,7 +59,6 @@ def test_identity_intervention_reproduces_anchor(paired):
                           "skewed")
     assert net_bytes(fam.nets["retrained", "noop"]) == net_bytes(fam.nets["skewed"])
     assert net_bytes(fam.nets["retrained", "noop"]) == net_bytes(direct)
-    assert fam.updates["retrained", "noop"] == 30
     # a warm start is the shared init of the retrainings too
     donor = nc.build_net(spec, seed=404)
     warm = train_family(spec, paired, quick_plan(30, master_seed=12), [],
@@ -111,17 +110,17 @@ def test_freeze_protocol_contract(paired):
     # with the slow reference loop
     spec = mlp4_spec()
     plan = quick_plan(steps=40, master_seed=15)
-    t1 = t2 = 4
+    t = 2  # 5% of 40 steps
     keep = spec.m - 1
-    freeze = freeze_protocol(spec.m, plan.steps, keep, t1=t1, t2=t2)
-    assert freeze.phases == ((0, (keep,)), (t1, (0, 1, 2, 3)), (t1 + t2, (keep,)))
+    freeze = freeze_protocol(spec.m, plan.steps, keep)
+    assert freeze.phases == ((0, (keep,)), (t, (0, 1, 2, 3)), (2 * t, (keep,)))
     snapshot = {}
     step = Optimizer.step
 
-    def watched(self, net, grads, blocks, t):
-        if t == t1 + t2 and tuple(blocks) == (keep,):
+    def watched(self, net, grads, blocks, step_t):
+        if step_t == 2 * t and tuple(blocks) == (keep,):
             snapshot.update({b: net.block_bytes(b) for b in range(spec.m)})
-        return step(self, net, grads, blocks, t)
+        return step(self, net, grads, blocks, step_t)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Optimizer, "step", watched)
@@ -138,7 +137,7 @@ def test_freeze_protocol_contract(paired):
 
 def test_frozen_block_write_in_last_phase_is_caught(paired):
     spec = mlp4_spec()
-    freeze = freeze_protocol(spec.m, 20, keep_block=1, t1=2, t2=2)
+    freeze = freeze_protocol(spec.m, 20, keep_block=1)
     step = Optimizer.step
 
     def leaky(self, net, grads, blocks, t):
@@ -156,7 +155,7 @@ def test_frozen_block_write_in_last_phase_is_caught(paired):
 
 def test_freeze_protocol_deterministic(paired):
     spec = mlp4_spec()
-    freeze = freeze_protocol(spec.m, 40, keep_block=1, t1=3, t2=3)
+    freeze = freeze_protocol(spec.m, 40, keep_block=1)
     runs = [retrain(spec, paired, 40, 16, a=freeze, b=freeze) for _ in range(2)]
     a = net_bytes(runs[0].nets["retrained", "a"])
     assert net_bytes(runs[1].nets["retrained", "a"]) == a
@@ -164,15 +163,15 @@ def test_freeze_protocol_deterministic(paired):
 
 
 def test_freeze_phase_validation():
-    with pytest.raises(ConfigError):
-        freeze_protocol(4, 40, 0, t1=0, t2=0)
-    with pytest.raises(ConfigError):
-        freeze_protocol(4, 40, 0, t1=30, t2=30)
     with pytest.raises(ConfigError, match="non-empty"):
         freeze_protocol(4, 10, 0)  # 5% of 10 steps rounds to 0
     with pytest.raises(UsageError, match="keep_block"):
         freeze_protocol(4, 40, 4)
+    assert freeze_protocol(4, 11, 2).phases == ((0, (3,)), (1, (0, 1, 2, 3)), (2, (2,)))
     assert freeze_protocol(4, 40, 2).phases == ((0, (3,)), (2, (0, 1, 2, 3)), (4, (2,)))
+    # 5% of the steps is rounded half to even: 1.5 -> 2, 2.5 -> 2
+    assert freeze_protocol(4, 30, 2).phases[1][0] == 2
+    assert freeze_protocol(4, 50, 2).phases[1][0] == 2
 
 
 def test_regression_dummy_coding():

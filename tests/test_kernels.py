@@ -390,7 +390,7 @@ def small_spec():
         ],
         4,
         (3, 10, 10),
-    ).validate()
+    )
 
 
 NETS = {

@@ -82,7 +82,7 @@ def test_minicnn6_family_evaluation_holds_one_chunk():
     nets = {role: net.copy() for role in cf.ROLES}
     nets.update(((role, A.canonical()), net.copy())
                 for role in cf.ROLES for A in sets if not A.is_empty)
-    fam = cf.FamilyOutcome(nets=nets, updates={}, sets=sets)
+    fam = cf.FamilyOutcome(nets=nets, sets=sets)
     clean = sl.gen_clean_synthetic(task, 4096, seed=3)
     mark = sl.WatermarkSkewSpec(patch_size=10, blend_strength=sl.STRONG)
     views = (clean, sl.make_fully_skewed(clean, mark))

@@ -26,7 +26,7 @@ def small_spec(class_count=4):
         ],
         class_count,
         (1, 8, 8),
-    ).validate()
+    )
 
 
 def net_bytes(net):
@@ -48,29 +48,24 @@ def test_different_seeds_differ():
 
 
 def test_shape_mismatch_names_layer_pair():
-    spec = nc.NetSpec(
-        [[nc.Dense(4, 3)], [nc.Dense(5, 2)]], 2, (4,)
-    )
     with pytest.raises(UsageError, match="b1.l0"):
-        spec.validate()
+        nc.NetSpec([[nc.Dense(4, 3)], [nc.Dense(5, 2)]], 2, (4,))
 
 
 def test_first_block_must_start_parameterized():
-    spec = nc.NetSpec([[nc.ReLU(), nc.Dense(4, 3)], [nc.Dense(3, 2)]], 2, (4,))
     with pytest.raises(UsageError, match="first block"):
-        spec.validate()
+        nc.NetSpec([[nc.ReLU(), nc.Dense(4, 3)], [nc.Dense(3, 2)]], 2, (4,))
 
 
 def test_last_block_must_end_dense_to_classes():
-    spec = nc.NetSpec([[nc.Dense(4, 3)], [nc.Dense(3, 2), nc.ReLU()]], 2, (4,))
     with pytest.raises(UsageError, match="last block"):
-        spec.validate()
+        nc.NetSpec([[nc.Dense(4, 3)], [nc.Dense(3, 2), nc.ReLU()]], 2, (4,))
 
 
 def test_constant_predictor_error_rate():
     # zero final layer with a bias favouring class 0 predicts class 0 always
     spec = nc.NetSpec([[nc.Dense(3, 4), nc.ReLU()], [nc.Dense(4, 5)]], 5, (3,))
-    net = nc.build_net(spec.validate(), seed=1)
+    net = nc.build_net(spec, seed=1)
     net.params["b1.l0.w"][:] = 0.0
     net.params["b1.l0.b"][:] = 0.0
     net.params["b1.l0.b"][0] = 1.0
@@ -83,7 +78,7 @@ def test_constant_predictor_error_rate():
 
 def test_argmax_tie_breaks_low():
     spec = nc.NetSpec([[nc.Dense(2, 3)], [nc.Dense(3, 3)]], 3, (2,))
-    net = nc.build_net(spec.validate(), seed=1)
+    net = nc.build_net(spec, seed=1)
     for k in list(net.params):
         net.params[k][:] = 0.0  # all logits identical -> predict class 0
     x = np.ones((4, 2), dtype=np.float32)
@@ -251,7 +246,7 @@ _CNN = nc.NetSpec([[nc.Conv2d(1, 4, 3, pad=1), nc.ReLU(), nc.MaxPool(2)],
         "extra-top-level-key", "space-after-separator"])
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_malformed_architecture_text_is_usage_error(old, new, spec):
-    _, raw = checkpoint_bytes(spec.validate(), seed=3)
+    _, raw = checkpoint_bytes(spec, seed=3)
     (length,) = struct.unpack_from("<I", raw, 4)
     text = raw[8 : 8 + length].decode()
     assert old in text
@@ -297,7 +292,7 @@ def test_any_checkpoint_bit_flip_loads_or_is_usage_error(spec, seed, data):
 def test_zero_conv_stride_or_pool_is_usage_error(old, new):
     # one bit flip away from the saved text; the shape arithmetic divides by it
     spec = nc.NetSpec([[nc.Conv2d(1, 2, 3, pad=1), nc.ReLU(), nc.MaxPool(2)],
-                       [nc.GlobalAvgPool(), nc.Dense(2, 3)]], 3, (1, 4, 4)).validate()
+                       [nc.GlobalAvgPool(), nc.Dense(2, 3)]], 3, (1, 4, 4))
     _, raw = checkpoint_bytes(spec, seed=3)
     assert old.encode() in raw
     with pytest.raises(UsageError, match=">= 1"):

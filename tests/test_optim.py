@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sscope.counterfact import TrainPlan
 from sscope.errors import NumericError, UsageError
 from sscope.netcore import Dense, Flatten, NetSpec, ReLU, build_net, loss_and_grad
 from sscope.optim import ADAMW, SGD_NESTEROV, Optimizer, OptimizerConfig, ScheduleConfig, lr_at
@@ -42,8 +43,8 @@ class PerKeyOptimizer:
     stepped. The reference the flat Optimizer must match byte for byte."""
 
     def __init__(self, config, schedule, lr_block_scale=None, wd_block_scale=None):
-        self.config = config.validate()
-        self.schedule = schedule.validate()
+        self.config = config
+        self.schedule = schedule
         self.lr_block_scale = dict(lr_block_scale or {})
         self.wd_block_scale = dict(wd_block_scale or {})
         self.state = {}
@@ -77,7 +78,7 @@ class PerKeyOptimizer:
             else:
                 if wd:
                     p *= 1.0 - lr * wd
-                b1, b2 = self.config.betas
+                b1, b2 = 0.9, 0.999
                 st["t"] += 1
                 m, v = st["m"], st["v"]
                 m *= b1
@@ -95,7 +96,7 @@ def dense_net(widths=(1, 2, 2), dtype=np.float64, value=None):
     """A net of one Dense layer per block, widths[0] inputs; every parameter
     set to `value` when one is given."""
     spec = NetSpec([[Dense(a, b)] for a, b in zip(widths, widths[1:])],
-                   widths[-1], (widths[0],)).validate()
+                   widths[-1], (widths[0],))
     net = build_net(spec, seed=0, dtype=dtype)
     if value is not None:
         net.flat[:] = value
@@ -288,7 +289,7 @@ def test_flat_step_matches_per_key_reference(kind, dtype, case):
     sets, lr_scale, wd_scale = UPDATE_CASES[case]
     spec = NetSpec(
         [[Flatten(), Dense(48, 24), ReLU()], [Dense(24, 16), ReLU()],
-         [Dense(16, 16), ReLU()], [Dense(16, 4)]], 4, (3, 4, 4)).validate()
+         [Dense(16, 16), ReLU()], [Dense(16, 4)]], 4, (3, 4, 4))
     sets = sets(spec.m)
     cfg = OptimizerConfig(kind, peak_lr=0.01, weight_decay=0.05)
     sch = ScheduleConfig(total_steps=STEPS, warmup_share=0.1, min_lr=1e-4)
@@ -364,13 +365,14 @@ def test_step_on_a_shared_prefix_gradient_matches_the_full_one(kind, blocks):
 
 def test_config_validation():
     with pytest.raises(UsageError):
-        OptimizerConfig("adagrad", peak_lr=0.1).validate()
+        OptimizerConfig("adagrad", peak_lr=0.1)
     with pytest.raises(UsageError):
-        OptimizerConfig(ADAMW, peak_lr=-1.0).validate()
+        OptimizerConfig(ADAMW, peak_lr=-1.0)
     with pytest.raises(UsageError):
-        ScheduleConfig(total_steps=0).validate()
-    with pytest.raises(UsageError):
-        ScheduleConfig(total_steps=10, min_lr=0.5).validate(peak_lr=0.1)
+        ScheduleConfig(total_steps=0)
+    with pytest.raises(UsageError, match="min_lr"):
+        TrainPlan(16, 0, OptimizerConfig(ADAMW, peak_lr=0.1),
+                  ScheduleConfig(total_steps=10, min_lr=0.5))
     assert math.isclose(
         ScheduleConfig(total_steps=100, warmup_share=0.05).warmup_steps, 5
     )

@@ -1,5 +1,6 @@
 import itertools
 import tempfile
+from hashlib import sha256
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from sscope import skewlab as sl
 from sscope.errors import DataError, UsageError
-from sscope.expcli.presets import TASK_PRESETS
+from sscope.expcli.presets import TASK_PRESETS, task_spec
 from sscope.rng import stream
 from ssd1 import load_ssd1
 
@@ -61,9 +62,19 @@ def test_clean_class_counts_within_binomial_bounds():
     assert counts.min() >= 60 and counts.max() <= 145
 
 
+def glyph_ids(task, n, seed):
+    """The glyph class `gen_clean_synthetic` blends into each clean image."""
+    return stream(seed, "match").integers(0, task.class_count, size=n)
+
+
 def test_clean_glyph_label_uncorrelated():
-    ds = sl.gen_clean_synthetic(watermark_task(class_count=4), 10_000, seed=2)
-    corr = np.corrcoef(ds.glyph_ids, ds.labels)[0, 1]
+    task = watermark_task(class_count=4)
+    ds = sl.gen_clean_synthetic(task, 10_000, seed=2)
+    glyphs = task.watermark.glyphs(task.class_count)
+    want = sl._blend_batch(ds.base_pixels, glyphs[glyph_ids(task, 10_000, 2)],
+                           task.watermark.blend_strength)
+    assert ds.pixels.tobytes() == want.tobytes()
+    corr = np.corrcoef(glyph_ids(task, 10_000, 2), ds.labels)[0, 1]
     assert abs(corr) < 0.05
 
 
@@ -72,18 +83,53 @@ def test_zero_n_rejected():
         sl.gen_clean_synthetic(watermark_task(), 0, seed=1)
 
 
-def render_base_loop(task, labels, rng):
-    """`_render_base` drawing one image at a time: the byte reference for
-    its batched bar drawing."""
+# SHA-256 prefixes of the (pixels, labels, attributes) bytes of each task
+# preset's clean and fully skewed views at seed 0 and n = 64, under the
+# preset's skew: the default watermark, or for tint2 the sampling skew
+GOLDEN_VIEWS = {
+    "bars16": (("e42586cdc1ec24e9", "e34b7e58e45c4a4a", None),
+               ("d2b0e945a1248e89", "e34b7e58e45c4a4a", None)),
+    "bars32": (("366ec190f5967f1b", "e34b7e58e45c4a4a", None),
+               ("874dbb2125fa7580", "e34b7e58e45c4a4a", None)),
+    "blobs16": (("142fdc685116346e", "e34b7e58e45c4a4a", None),
+                ("71131f831f522a8c", "e34b7e58e45c4a4a", None)),
+    "tint2": (("99083fe9d1a98c1a", "ac9f90c9b0afcf57", "8e39438838b79cc4"),
+              ("63daf9f9c06546fd", "ac9f90c9b0afcf57", "ac9f90c9b0afcf57")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_VIEWS))
+def test_preset_views_are_golden(name):
+    """Every rendering constant, the glyph family and both skews keep each
+    byte of the data a trial trains and tests on."""
+    if TASK_PRESETS[name].get("attribute_groups"):
+        task, skew = task_spec(name, None), sl.SamplingSkewSpec(num_groups=2)
+    else:
+        skew = sl.WatermarkSkewSpec()
+        task = task_spec(name, skew)
+    clean = sl.gen_clean_synthetic(task, 64, seed=0)
+    fully = sl.make_fully_skewed(clean, skew)
+
+    def digest(a):
+        return None if a is None else sha256(a.tobytes()).hexdigest()[:16]
+
+    got = tuple((digest(v.pixels), digest(v.labels), digest(v.attributes))
+                for v in (clean, fully))
+    assert got == GOLDEN_VIEWS[name]
+
+
+def render_base_loop(task, labels, rng, w=1):
+    """`_render_base` drawing one image at a time, with background noise up
+    to 0.9, feature contrast 0.45 and bars w pixels wide: the byte reference
+    for its batched bar drawing."""
     n = len(labels)
     s = task.size
-    img = (rng.random((n, task.channels, s, s)) * task.noise).astype(np.float32)
+    img = (rng.random((n, task.channels, s, s)) * 0.9).astype(np.float32)
     jitter = rng.integers(-1, 2, size=n)
-    amp = np.float32(task.feature_contrast)
+    amp = np.float32(0.45)
     if task.kind == "bars":
         verts, horiz = sl._bar_positions(task)
         n_vert = len(verts)
-        w = task.bar_width
         for i in range(n):
             k = labels[i]
             if k < n_vert:
@@ -106,22 +152,25 @@ def render_base_loop(task, labels, rng):
     return img
 
 
+# name -> (task, bar width): the tasks render one-pixel bars, and the wider
+# ones check the batched band drawing by patching the width constant
 RENDER_TASKS = {
-    **{name: sl.SyntheticTaskSpec(**kw) for name, kw in TASK_PRESETS.items()},
-    "bars16-width2": sl.SyntheticTaskSpec(bar_width=2),
-    "bars32-width3-rgb": sl.SyntheticTaskSpec(size=32, bar_width=3, channels=3),
-    "bars16-one-class": sl.SyntheticTaskSpec(class_count=1),  # no horizontal bar
-    "bars16-three-classes": sl.SyntheticTaskSpec(class_count=3, channels=2),
+    **{name: (sl.SyntheticTaskSpec(**kw), 1) for name, kw in TASK_PRESETS.items()},
+    "bars16-width2": (sl.SyntheticTaskSpec(), 2),
+    "bars32-width3-rgb": (sl.SyntheticTaskSpec(size=32, channels=3), 3),
+    "bars16-one-class": (sl.SyntheticTaskSpec(class_count=1), 1),  # no horizontal bar
+    "bars16-three-classes": (sl.SyntheticTaskSpec(class_count=3, channels=2), 1),
 }
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
 @pytest.mark.parametrize("name", sorted(RENDER_TASKS))
-def test_render_base_matches_per_image_loop(name, seed):
-    task = RENDER_TASKS[name].validate()
+def test_render_base_matches_per_image_loop(name, seed, monkeypatch):
+    task, width = RENDER_TASKS[name]
+    monkeypatch.setattr(sl, "_BAR_WIDTH", width)
     labels = stream(seed, "labels").integers(0, task.class_count, size=300)
     got = sl._render_base(task, labels, stream(seed, "render"))
-    want = render_base_loop(task, labels, stream(seed, "render"))
+    want = render_base_loop(task, labels, stream(seed, "render"), width)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
@@ -139,7 +188,7 @@ def test_attribute_tint_matches_out_of_place_formula(groups, watermark, seed):
     labels = stream(seed, "labels").integers(0, task.class_count, size=300)
     base = render_base_loop(task, labels, stream(seed, "render"))
     attributes = stream(seed, "attrs").integers(0, groups, size=300)
-    tint = (attributes / max(groups - 1, 1)) * task.attribute_tint
+    tint = (attributes / max(groups - 1, 1)) * 0.3
     want = np.clip(base + tint[:, None, None, None].astype(np.float32), 0, 1)
     assert got.base_pixels.dtype == want.dtype
     assert got.base_pixels.tobytes() == want.tobytes()
@@ -173,12 +222,23 @@ def test_blend_formula_value():
 
 
 def test_blend_oversized_patch_rejected():
+    clean = sl.gen_clean_synthetic(watermark_task(), 4, seed=1)
     with pytest.raises(UsageError, match="exceeds image dims"):
-        sl.WatermarkSkewSpec(patch_size=10).validate((8, 8))
+        sl.make_fully_skewed(clean, sl.WatermarkSkewSpec(patch_size=17))
     with pytest.raises(UsageError, match="exceeds image dims"):
-        sl.gen_clean_synthetic(
-            watermark_task(watermark=sl.WatermarkSkewSpec(patch_size=17)), 4, seed=1
-        )
+        watermark_task(watermark=sl.WatermarkSkewSpec(patch_size=17))
+
+
+@pytest.mark.parametrize("size", [16, 32])
+def test_blobs_need_room_outside_the_watermark(size):
+    # the widest window that leaves the blob strips is size - 5
+    fits = sl.WatermarkSkewSpec(patch_size=size - 5)
+    sl.gen_clean_synthetic(watermark_task(kind="blobs", size=size, watermark=fits),
+                           8, seed=1)
+    for p in range(size - 4, size + 1):
+        with pytest.raises(UsageError, match=f"patch_size {p} leaves no room"):
+            watermark_task(kind="blobs", size=size,
+                           watermark=sl.WatermarkSkewSpec(patch_size=p))
 
 
 def test_fully_skewed_watermark_is_perfectly_predictive():
@@ -195,7 +255,7 @@ def test_matching_glyph_means_unchanged_image():
     task = watermark_task()
     clean = sl.gen_clean_synthetic(task, 256, seed=3)
     skewed = sl.make_fully_skewed(clean, task.watermark)
-    match = clean.glyph_ids == clean.labels
+    match = glyph_ids(task, 256, 3) == clean.labels
     assert match.any()
     np.testing.assert_array_equal(
         skewed.pixels[match], clean.pixels[match]
@@ -230,7 +290,6 @@ def fully_skewed_sampling_loop(clean, skew):
     the byte reference for its per-label fancy-index copy."""
     labels, attrs = clean.labels, clean.attributes
     pixels, new_attrs = clean.pixels.copy(), attrs.copy()
-    base = None if clean.base_pixels is None else clean.base_pixels.copy()
     for y in np.unique(labels):
         donors = np.nonzero((labels == y) & (attrs == skew.aligned_group(y)))[0]
         cross = np.nonzero((labels == y) & (attrs != skew.aligned_group(y)))[0]
@@ -238,9 +297,7 @@ def fully_skewed_sampling_loop(clean, skew):
             d = donors[j % len(donors)]
             pixels[i] = clean.pixels[d]
             new_attrs[i] = attrs[d]
-            if base is not None:
-                base[i] = clean.base_pixels[d]
-    return pixels, new_attrs, base
+    return pixels, new_attrs
 
 
 @pytest.mark.parametrize("seed", [0, 5, 13])
@@ -256,10 +313,9 @@ def test_sampling_skew_matches_per_item_loop(seed, n, label_0_aligned):
         clean.attributes[clean.labels == 0] = 0
     skew = sl.SamplingSkewSpec(num_groups=2)
     got = sl.make_fully_skewed(clean, skew)
-    pixels, attrs, base = fully_skewed_sampling_loop(clean, skew)
+    pixels, attrs = fully_skewed_sampling_loop(clean, skew)
     assert got.pixels.tobytes() == pixels.tobytes()
     assert got.attributes.tobytes() == attrs.tobytes()
-    assert got.base_pixels.tobytes() == base.tobytes()
     assert got.labels.tobytes() == clean.labels.tobytes()
 
 

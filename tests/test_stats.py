@@ -8,7 +8,6 @@ import pytest
 from sscope.errors import UsageError
 from sscope.stats import (
     FactorTable,
-    Sample,
     f_upper_tail,
     joint_f_test,
     mean_se,
@@ -289,8 +288,3 @@ def test_f_upper_tail_matches_quadrature(f, d1, d2):
     assert f_upper_tail(f, d1, d2) == pytest.approx(
         f_tail_oracle(f, d1, d2), abs=1e-6
     )
-
-
-def test_sample_rejects_nonfinite():
-    with pytest.raises(UsageError):
-        Sample((1.0, math.nan))
