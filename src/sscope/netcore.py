@@ -27,10 +27,13 @@ as the same slice; only the net knows the parameter names, and
 at block 0, and a non-finite activation raises NumericError naming its block);
 `loss_and_grad` runs it keeping each layer's cache, and `evaluate` runs it
 chunk by chunk, so every path computes a net's activations the same way.
-A pass that keeps no caches drops each one as its layer returns, and a conv
-frees its padded input before its GEMM, so a MiniCNN-6 evaluation peaks at
-one chunk's block-1 column matrix (9.4 MB at 256 16x16 images, 18.9 MB at
-the 512-image chunk) next to that conv's input and output.
+A pass that keeps no caches tells each layer so and drops what it returns
+as it returns. A conv in such a pass runs its im2col and GEMM in pieces of
+at least `_PIECE_ROWS` (8192) rows through one reused padded buffer and one
+column buffer, so an evaluation never builds a chunk's column matrix: a
+MiniCNN-6 evaluation of 256 16x16 images peaks at 4.6 MB (block 1's input,
+a 1.2 MB column piece and its output), as a 32-image training pass does,
+and the 512-image chunk at 8.4 MB (block 1's output next to its ReLU's).
 The loop reads a plan of each layer's parameter names and buffer slots that
 the net builds once, and looks the names up in `params` on every call, so a
 rebound name is read at the next pass; the backward pass copies each layer's
@@ -44,9 +47,10 @@ that same layout, so ReLU's elementwise backward never mixes strides.
 numpy's summation order follows the memory layout, so each reduction reads
 the layout it has always read: the conv bias gradient sums an NCHW copy,
 and GlobalAvgPool averages the channels-last activation. Likewise the conv
-GEMMs always multiply a C-contiguous (n*oh*ow, c*k*k) column matrix by the
-(out, c*k*k) weights. A MaxPool window's value and gradient go to its first
-maximum (lowest offset), whatever the window holds.
+GEMMs always multiply a C-contiguous (rows, c*k*k) column matrix, whole or
+a piece of its rows, by the (out, c*k*k) weights. A MaxPool window's value
+and gradient go to its first maximum (lowest offset), whatever the window
+holds.
 
 The conv forward builds that column matrix with one gather: a flat index,
 built once per geometry and shared read-only by every net, lists for one
@@ -113,7 +117,7 @@ class Dense:
         limit = np.sqrt(6.0 / (self.in_dim + self.out_dim))
         return {"w": rng.uniform(-limit, limit, size=w_shape), "b": np.zeros(b_shape)}
 
-    def forward(self, x, params):
+    def forward(self, x, params, keep=True):
         y = x @ params["w"]
         y += params["b"]
         return y, x
@@ -143,6 +147,24 @@ def _col_index(c, hp, wp, k, s, oh, ow):
     idx = ((rows * wp + cols) * c + ch).reshape(-1)
     idx.flags.writeable = False
     return idx
+
+
+# The fewest GEMM rows in a piece of a convolution that keeps no cache: the
+# rows of block 1's GEMM on a 32-image 16x16 training batch. A BLAS computes
+# a row's dot products the same way in a piece as in the whole matrix only
+# when the piece is not small (OpenBLAS 0.3.31 on Haswell: 256 rows and up
+# matched, 64 and fewer did not), so pieces stay at least this large;
+# tests/test_kernels.py checks the bytes.
+_PIECE_ROWS = 8192
+
+
+def _pieces(n, rows):
+    """The image bounds (0, ..., n) of the pieces in which a convolution that
+    keeps no cache runs n images of `rows` GEMM rows each: as many
+    near-equal pieces as leave each at least _PIECE_ROWS rows, or one."""
+    least = -(-_PIECE_ROWS // rows)  # images in the smallest piece
+    count = max(n // least, 1)
+    return [i * n // count for i in range(count + 1)]
 
 
 def _add_bias(y, b):
@@ -190,29 +212,43 @@ class Conv2d:
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         return {"w": rng.uniform(-limit, limit, size=w_shape), "b": np.zeros(b_shape)}
 
-    def forward(self, x, params):
-        # im2col + GEMM; the column matrix is cached for the backward pass.
-        # The input is padded channels-last and flattened per image, so one
-        # gather of a cached index fills the (n, oh, ow, c, kh, kw) columns
-        # (see _col_index); the bias goes in through one wide add. Every
-        # index is in range, so mode="wrap" gathers the same elements as the
-        # default mode, whose per-element range check costs about a quarter
-        # of the gather. The padded input is released before the GEMM, so
-        # the column matrix and the output are the only large arrays the
-        # layer holds at once.
+    def forward(self, x, params, keep=True):
+        # im2col + GEMM. The input is padded channels-last and flattened per
+        # image, so one gather of a cached index fills the (n, oh, ow, c,
+        # kh, kw) columns (see _col_index); the bias goes in through one
+        # wide add. Every index is in range, so mode="wrap" gathers the same
+        # elements as the default mode, whose per-element range check costs
+        # about a quarter of the gather. A pass that keeps the cache gets the
+        # whole column matrix for its backward pass, built in one piece; a
+        # pass that keeps none runs the images in pieces (see _pieces)
+        # through one padded and one column buffer, each GEMM writing its
+        # rows of the output, so it holds one piece's columns, not the
+        # chunk's. The padded buffer is released before the last GEMM, so in
+        # one piece the column matrix and the output are the only large
+        # arrays the layer holds at once.
         _, oh, ow = self.out_shape(x.shape[1:])
         n, c, h, w = x.shape
         k, s, p = self.kernel, self.stride, self.pad
-        xp = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=x.dtype)
-        xp[:, p : p + h, p : p + w, :] = x.transpose(0, 2, 3, 1)
+        bounds = (0, n) if keep else _pieces(n, oh * ow)
+        most = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
+        xp = np.zeros((most, h + 2 * p, w + 2 * p, c), dtype=x.dtype)
+        col = np.empty((most, oh * ow * c * k * k), dtype=x.dtype)
         idx = _col_index(c, h + 2 * p, w + 2 * p, k, s, oh, ow)
-        col = xp.reshape(n, -1).take(idx, axis=1, mode="wrap")
-        del xp
-        col = col.reshape(n * oh * ow, c * k * k)
         wmat = params["w"].reshape(self.out_ch, c * k * k)
-        y = col @ wmat.T
+        y = None
+        for lo, hi in zip(bounds, bounds[1:]):
+            xp[: hi - lo, p : p + h, p : p + w, :] = x[lo:hi].transpose(0, 2, 3, 1)
+            xp[: hi - lo].reshape(hi - lo, -1).take(idx, axis=1, mode="wrap",
+                                                    out=col[: hi - lo])
+            if hi == n:
+                del xp  # no piece is left to pad
+            if y is None:
+                y = np.empty((n * oh * ow, self.out_ch), dtype=x.dtype)
+            np.matmul(col[: hi - lo].reshape(-1, c * k * k), wmat.T,
+                      out=y[lo * oh * ow : hi * oh * ow])
         _add_bias(y, params["b"])
-        return y.reshape(n, oh, ow, self.out_ch).transpose(0, 3, 1, 2), (col, x.shape)
+        cache = (col.reshape(n * oh * ow, c * k * k), x.shape) if keep else None
+        return y.reshape(n, oh, ow, self.out_ch).transpose(0, 3, 1, 2), cache
 
     def backward(self, dy, cache, params, need_dx=True):
         col, (n, c, h, w) = cache
@@ -243,7 +279,7 @@ class ReLU:
     def out_shape(self, in_shape):
         return in_shape
 
-    def forward(self, x, params):
+    def forward(self, x, params, keep=True):
         # the output is the cache: y > 0 exactly where x > 0
         y = np.maximum(x, 0)
         return y, y
@@ -273,7 +309,7 @@ class MaxPool:
         k = self.kernel
         return [a[:, :, i::k, j::k] for i in range(k) for j in range(k)]
 
-    def forward(self, x, params):
+    def forward(self, x, params, keep=True):
         views = self._windows(x)
         y = views[0].copy(order="K")
         for v in views[1:]:
@@ -317,7 +353,7 @@ class GlobalAvgPool:
             raise UsageError(f"GlobalAvgPool cannot consume shape {in_shape}")
         return (in_shape[0],)
 
-    def forward(self, x, params):
+    def forward(self, x, params, keep=True):
         return x.mean(axis=(2, 3)), x
 
     def backward(self, dy, cache, params, need_dx=True):
@@ -333,7 +369,7 @@ class Flatten:
     def out_shape(self, in_shape):
         return (int(np.prod(in_shape)),)
 
-    def forward(self, x, params):
+    def forward(self, x, params, keep=True):
         return x.reshape(x.shape[0], -1), x.shape
 
     def backward(self, dy, cache, params, need_dx=True):
@@ -520,16 +556,18 @@ class BlockNet:
     def _forward(self, x, lo=0, hi=None, caches=None):
         """`forward`, appending each layer's (layer, parameters, slots, cache)
         to `caches` when a list is given (the backward pass reads them).
-        Without the list each cache is dropped as soon as its layer returns,
-        so an evaluation holds one layer's cache at a time."""
+        Without the list each layer is told it keeps no cache (a conv then
+        runs in pieces), and what it returns is dropped as soon as it
+        returns, so an evaluation holds one layer's cache at a time."""
         if lo == 0:
             x = self._ingest(x)
         params = self.params
+        keep = caches is not None
         for bi in range(lo, self.m if hi is None else hi):
             for layer, w, b, slots in self._plan[bi]:
                 p = {"w": params[w], "b": params[b]} if w else {}
-                x, cache = layer.forward(x, p)
-                if caches is not None:
+                x, cache = layer.forward(x, p, keep)
+                if keep:
                     caches.append((layer, p, slots, cache))
                 del cache
             if not np.isfinite(x).all():
@@ -635,7 +673,10 @@ def evaluate(net: BlockNet, pixels, labels, batch_size=512,
     pixels is the activation entering block `start`, which is the raw images
     when start is 0 (see `BlockNet.forward`). The forward pass runs in chunks
     of batch_size images, so the activation must come from the same chunks
-    for the result to match a call with start 0 byte for byte.
+    for the result to match a call with start 0 byte for byte. Within a
+    chunk a conv runs its GEMM in row pieces (see `Conv2d.forward`), which
+    changes no byte: every piece has at least `_PIECE_ROWS` rows, and the
+    logits equal those of one GEMM per conv.
     """
     if not 0 <= start < net.m:
         raise UsageError(f"start block {start} outside [0, {net.m})")

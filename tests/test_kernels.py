@@ -243,6 +243,9 @@ def test_conv2d_matches_reference(cfg, dtype):
                 y, cache = layer.forward(xin, params)
                 assert same(y, y_ref)
                 assert same(cache[0], cache_ref[0])  # the column matrix
+                # a pass that keeps no cache (64 16x16 images run in two pieces)
+                y, none = layer.forward(xin, params, keep=False)
+                assert same(y, y_ref) and none is None
                 for dyin in layouts(dy):
                     dx, g = layer.backward(dyin, cache, params)
                     assert same(dx, dx_ref)
@@ -450,3 +453,49 @@ def test_minicnn6_matches_reference_at_training_and_evaluation_sizes(dtype):
     ref_net = net.copy()
     ref_net.forward = lambda chunk, start=0: reference_forward(net, chunk, spec.m)
     assert evaluate_logits(net, x, labels) == evaluate_logits(ref_net, x, labels)
+
+
+# Image counts whose convolutions run in pieces when no cache is kept, most
+# of them in pieces of unequal size; 33 bars16 and 9 bars32 images run in one.
+PIECED = {"minicnn6-bars16": (33, 129, 300, 600), "minicnn6-bars32": (9, 17, 100)}
+
+
+def whole_gemm_forward(net, x):
+    """The logits with each conv run as a pass that keeps its caches runs
+    it: one GEMM over the whole column matrix."""
+    x = net._ingest(x)
+    for _, _, layer, params in plan_layers(net):
+        x, _ = layer.forward(x, params)
+    return x
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("name", sorted(PIECED))
+def test_minicnn6_conv_pieces_match_one_gemm(name, dtype, monkeypatch):
+    """An evaluation's convolutions run their GEMMs in row pieces of at
+    least _PIECE_ROWS rows, and the logits are byte for byte those of one
+    GEMM per conv. A BLAS whose row results depend on the piece fails here."""
+    spec = NETS[name]()
+    rng = np.random.default_rng(len(name))
+    net = with_random_biases(nc.build_net(spec, seed=6, dtype=dtype), rng)
+    used = []  # (GEMM rows per image, piece bounds) of every conv called
+    pieces = nc._pieces
+
+    def spy(n, rows):
+        used.append((rows, pieces(n, rows)))
+        return used[-1][1]
+
+    monkeypatch.setattr(nc, "_pieces", spy)
+    ragged = False
+    for n in PIECED[name]:
+        x = rng.random((n, *spec.input_shape)).astype(dtype)
+        used.clear()
+        assert same(net.forward(x), whole_gemm_forward(net, x)), n
+        assert len(used) == 5  # every conv of MiniCNN-6
+        for rows, bounds in used:
+            sizes = np.diff(bounds) * rows
+            assert bounds[0] == 0 and bounds[-1] == n
+            assert len(sizes) == max(n * rows // nc._PIECE_ROWS, 1)
+            assert len(sizes) == 1 or sizes.min() >= nc._PIECE_ROWS
+            ragged |= len(set(sizes)) > 1
+    assert ragged

@@ -52,50 +52,74 @@ def test_sampling_trial_data_holds_two_training_arrays():
     assert traced_peak(lambda: build_and_one_epoch(config)) < bound
 
 
-def test_minicnn6_evaluation_holds_one_layer_cache():
-    """At its peak an evaluation chunk holds block 1's conv input, its column
-    matrix and its output; the padded input and the column matrix are freed
-    before the next allocation."""
-    task = task_spec("bars16", None)
+def block1_conv(net, task, n):
+    """Bytes of MiniCNN-6's block-1 conv on n images: its input, one piece's
+    padded input and column matrix, and its output. n splits into whole
+    pieces of _PIECE_ROWS GEMM rows."""
+    conv = net.spec.blocks[1][0]
+    c, h, w = conv.in_ch, task.size, task.size  # pad=1 keeps the size
+    images = nc._PIECE_ROWS // (h * w)
+    padded = images * (h + 2) * (w + 2) * c * F32
+    columns = nc._PIECE_ROWS * c * conv.kernel**2 * F32
+    return n * c * h * w * F32, padded + columns, n * conv.out_ch * h * w * F32
+
+
+def check_evaluation_holds_one_layer_cache(task_name):
+    task = task_spec(task_name, None)
     net = nc.build_net(net_spec("minicnn6", task), seed=0)
     n = 256
     ds = sl.gen_clean_synthetic(task, n, seed=3)
     nc.evaluate(net, ds.pixels[:8], ds.labels[:8])
-    conv = net.spec.blocks[1][0]
-    c, h, w = conv.in_ch, task.size, task.size  # pad=1 keeps the size
-    columns = n * h * w * c * conv.kernel**2 * F32
-    conv_input = n * c * h * w * F32
-    conv_output = n * conv.out_ch * h * w * F32
+    conv_input, piece, conv_output = block1_conv(net, task, n)
     small = 256 * 1024  # bias tiles, logits, argmax and the like
-    bound = columns + conv_input + conv_output + small
+    bound = max(conv_input + piece, conv_output) + conv_output + small
     assert traced_peak(lambda: nc.evaluate(net, ds.pixels, ds.labels)) < bound
 
 
-def test_minicnn6_family_evaluation_holds_one_chunk():
-    """evaluate_family walks each view in evaluate's 512-image chunks and
-    keeps one anchor's activations of one chunk at a time, so at 4096 images
-    it peaks at a single chunk's block-1 convolution, as in the test above,
-    next to the activations the prefix holds."""
-    task = task_spec("bars16", None)
+def test_minicnn6_evaluation_holds_one_layer_cache():
+    """At its peak an evaluation chunk holds block 1's conv input, one
+    piece's padded input and columns, and the conv's output; or that output
+    next to its ReLU's, once the input is freed. The column matrix is built
+    a piece at a time, never for the whole chunk."""
+    check_evaluation_holds_one_layer_cache("bars16")
+
+
+def test_minicnn6_bars32_evaluation_holds_one_layer_cache():
+    """As above on 32x32 images, where the ReLU's moment is the peak."""
+    check_evaluation_holds_one_layer_cache("bars32")
+
+
+def check_family_evaluation_holds_one_chunk(task_name, images):
+    task = task_spec(task_name, None)
     net = nc.build_net(net_spec("minicnn6", task), seed=0)
     sets = [cf.InterventionSet.suffix(net.m, i) for i in range(net.m + 1)]
     nets = {role: net.copy() for role in cf.ROLES}
     nets.update(((role, A.canonical()), net.copy())
                 for role in cf.ROLES for A in sets if not A.is_empty)
     fam = cf.FamilyOutcome(nets=nets, sets=sets)
-    clean = sl.gen_clean_synthetic(task, 4096, seed=3)
+    clean = sl.gen_clean_synthetic(task, images, seed=3)
     mark = sl.WatermarkSkewSpec(patch_size=10, blend_strength=sl.STRONG)
     views = (clean, sl.make_fully_skewed(clean, mark))
     cf.evaluate_family(fam, [sl.gen_clean_synthetic(task, 8, seed=3)])
     n = 512  # evaluate's chunk
-    conv = net.spec.blocks[1][0]
-    c, h, w = conv.in_ch, task.size, task.size  # pad=1 keeps the size
-    columns = n * h * w * c * conv.kernel**2 * F32
-    conv_input = n * c * h * w * F32
-    conv_output = n * conv.out_ch * h * w * F32
+    conv_input, piece, conv_output = block1_conv(net, task, n)
     # the prefix's outputs of blocks 1..m-2, from one image's
     held = sum(n * net.forward(clean.pixels[:1], 0, b).size * F32
                for b in range(2, net.m))
     small = 256 * 1024  # bias tiles, logits, argmax and the like
-    bound = columns + conv_input + conv_output + held + small
+    bound = conv_input + max(piece, conv_output) + conv_output + held + small
     assert traced_peak(lambda: cf.evaluate_family(fam, views)) < bound
+
+
+def test_minicnn6_family_evaluation_holds_one_chunk():
+    """evaluate_family walks each view in evaluate's 512-image chunks and
+    keeps one anchor's activations of one chunk at a time, so at 4096 images
+    it peaks at a single chunk's block-1 convolution, as in the tests above,
+    next to the activations the prefix holds (the conv's input among
+    them)."""
+    check_family_evaluation_holds_one_chunk("bars16", 4096)
+
+
+def test_minicnn6_bars32_family_evaluation_holds_one_chunk():
+    """As above on 32x32 images, over two chunks."""
+    check_family_evaluation_holds_one_chunk("bars32", 1024)
