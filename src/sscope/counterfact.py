@@ -65,6 +65,7 @@ from .netcore import (
     BlockNet,
     EvalReport,
     NetSpec,
+    Workspace,
     build_net,
     evaluate,
     loss_and_grad,
@@ -289,16 +290,18 @@ def _initial_net(spec, plan, dtype, init_from):
 
 class _Prefix:
     """One net's forward activations on one batch, block by block, as asked
-    for."""
+    for; each block's pass takes its buffers from `work` when one is given,
+    and its result is an array of its own (see `BlockNet.forward`)."""
 
-    def __init__(self, net, x):
+    def __init__(self, net, x, work=None):
         self.net = net
+        self.work = work
         self.acts = [net._ingest(x)]  # acts[b] is the activation entering block b
 
     def entering(self, s):
         while len(self.acts) <= s:
             b = len(self.acts) - 1
-            self.acts.append(self.net.forward(self.acts[b], b, b + 1))
+            self.acts.append(self.net.forward(self.acts[b], b, b + 1, work=self.work))
         return self.acts[s]
 
 
@@ -484,7 +487,8 @@ def evaluate_family(fam: FamilyOutcome, views, batch_size=512) -> dict:
     activation entering its start block: m - 1 for the anchor, min(A) for a
     partner. A retraining shares no blocks with an anchor, so it reads the
     raw chunk from block 0. One chunk's prefix lives at a time, so the
-    memory held does not grow with the view. A full-set partner equals the
+    memory held does not grow with the view, and every pass of the call
+    takes its buffers from one `Workspace`. A full-set partner equals the
     opposite anchor (see `train_family`), so it is not scored: its reports
     are that anchor's.
     """
@@ -500,16 +504,20 @@ def evaluate_family(fam: FamilyOutcome, views, batch_size=512) -> dict:
         groups.append((fam.nets[role], members))
     groups += [(net, [(key, 0)]) for key, net in fam.nets.items()
                if isinstance(key, tuple) and key[0] == "retrained"]
+    anchor = fam.nets[ROLES[0]]
+    work = Workspace(anchor.spec, anchor.dtype,
+                     [len(view.labels) for view in views], batch_size)
     reports = {}
     for view in views:
         wrong = {}
         for lo in range(0, len(view.labels), batch_size):
             chunk = slice(lo, lo + batch_size)
             for source, members in groups:
-                prefix = _Prefix(source, view.pixels[chunk])
+                prefix = _Prefix(source, view.pixels[chunk], work)
                 for key, s in members:
                     report = evaluate(fam.nets[key], prefix.entering(s),
-                                      view.labels[chunk], batch_size, start=s)
+                                      view.labels[chunk], batch_size, start=s,
+                                      work=work)
                     wrong[key] = wrong.get(key, 0) + report.mispredictions
         for key, count in wrong.items():
             reports.setdefault(key, []).append(EvalReport(count, len(view.labels)))

@@ -29,11 +29,19 @@ at block 0, and a non-finite activation raises NumericError naming its block);
 chunk by chunk, so every path computes a net's activations the same way.
 A pass that keeps no caches tells each layer so and drops what it returns
 as it returns. A conv in such a pass runs its im2col and GEMM in pieces of
-at least `_PIECE_ROWS` (8192) rows through one reused padded buffer and one
-column buffer, so an evaluation never builds a chunk's column matrix: a
-MiniCNN-6 evaluation of 256 16x16 images peaks at 4.6 MB (block 1's input,
-a 1.2 MB column piece and its output), as a 32-image training pass does,
-and the 512-image chunk at 8.4 MB (block 1's output next to its ReLU's).
+at least `_PIECE_ROWS` (8192) rows through one padded buffer and one column
+buffer, so an evaluation never builds a chunk's column matrix. Evaluation
+passes take every buffer (outputs, padded inputs, column pieces, window
+masks) from one `Workspace` per `evaluate` or `evaluate_family` call: one
+byte buffer, sized from the layer shapes, that each layer uses from the end
+its input is not on, a ReLU writing over the conv output before it. So
+every layer, net and chunk of the call reuses the same pages instead of
+freeing them and faulting them in again. For a MiniCNN-6 chunk of 256
+16x16 images the workspace is 4.5 MB (block 1's input and output, a 1.2 MB
+column piece and its padded input), and the evaluation peaks at 4.6 MB, as
+a 32-image training pass does; the 512-image chunk peaks at 7.7 MB. A
+MiniCNN-6 suffix-family grid of the benchmark (`cnn-suffix-family`) takes
+about 2.3k minor page faults where it took 16.8k.
 The loop reads a plan of each layer's parameter names and buffer slots that
 the net builds once, and looks the names up in `params` on every call, so a
 rebound name is read at the next pass; the backward pass copies each layer's
@@ -85,6 +93,7 @@ __all__ = [
     "NetSpec",
     "BlockNet",
     "EvalReport",
+    "Workspace",
     "build_net",
     "loss_and_grad",
     "evaluate",
@@ -117,8 +126,9 @@ class Dense:
         limit = np.sqrt(6.0 / (self.in_dim + self.out_dim))
         return {"w": rng.uniform(-limit, limit, size=w_shape), "b": np.zeros(b_shape)}
 
-    def forward(self, x, params, keep=True):
-        y = x @ params["w"]
+    def forward(self, x, params, keep=True, work=None):
+        out = None if work is None else work.out((len(x), self.out_dim), x.dtype)
+        y = np.matmul(x, params["w"], out=out)
         y += params["b"]
         return y, x
 
@@ -167,17 +177,39 @@ def _pieces(n, rows):
     return [i * n // count for i in range(count + 1)]
 
 
-def _add_bias(y, b):
+def _tile_rows(rows, out):
+    """The largest power of two that is at most 512/out and divides rows."""
+    return min(1 << (max(512 // out, 1).bit_length() - 1), rows & -rows)
+
+
+def _allocators(work):
+    """(output, temporary) allocators of a layer's forward pass: the
+    workspace's, or np.empty for both without one."""
+    return (np.empty, np.empty) if work is None else (work.out, work.temp)
+
+
+def _like(empty, x, dtype=None):
+    """An array from `empty` of x's shape and dtype (or `dtype`), laid out in
+    x's memory order, as a ufunc lays out the output it allocates for x
+    (np.empty_like does this for np.empty)."""
+    if empty is np.empty:
+        return np.empty_like(x, dtype)
+    order = sorted(range(x.ndim), key=x.strides.__getitem__, reverse=True)
+    buf = empty(tuple(x.shape[a] for a in order), x.dtype if dtype is None else dtype)
+    return buf.transpose(sorted(range(x.ndim), key=order.__getitem__))
+
+
+def _add_bias(y, b, empty=np.empty):
     """y += b on a C-contiguous (rows, out) y, as one add of b tiled r times
-    over a (rows//r, r*out) view of y. r is the largest power of two that is
-    at most 512/out and divides rows, so the add's inner loop is long; the
-    tile is filled by broadcast, which is cheaper than np.tile."""
+    over a (rows//r, r*out) view of y, r = _tile_rows(rows, out), so the
+    add's inner loop is long; the tile, taken from `empty`, is filled by
+    broadcast, which is cheaper than np.tile."""
     rows, out = y.shape
-    r = min(1 << (max(512 // out, 1).bit_length() - 1), rows & -rows)
+    r = _tile_rows(rows, out)
     if r == 1:
         y += b
         return
-    tile = np.empty((r, out), dtype=y.dtype)
+    tile = empty((r, out), y.dtype)
     tile[...] = b
     y.reshape(rows // r, r * out)[...] += tile.reshape(-1)
 
@@ -212,7 +244,7 @@ class Conv2d:
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         return {"w": rng.uniform(-limit, limit, size=w_shape), "b": np.zeros(b_shape)}
 
-    def forward(self, x, params, keep=True):
+    def forward(self, x, params, keep=True, work=None):
         # im2col + GEMM. The input is padded channels-last and flattened per
         # image, so one gather of a cached index fills the (n, oh, ow, c,
         # kh, kw) columns (see _col_index); the bias goes in through one
@@ -223,32 +255,46 @@ class Conv2d:
         # pass that keeps none runs the images in pieces (see _pieces)
         # through one padded and one column buffer, each GEMM writing its
         # rows of the output, so it holds one piece's columns, not the
-        # chunk's. The padded buffer is released before the last GEMM, so in
-        # one piece the column matrix and the output are the only large
-        # arrays the layer holds at once.
+        # chunk's. With a workspace, the output is taken from it first, then
+        # the padded and column buffers and the bias tile, which it frees
+        # once the layer returns; for 256 16x16 images block 1's conv is
+        # the 4.5 MB a MiniCNN-6 workspace holds (see Workspace).
         _, oh, ow = self.out_shape(x.shape[1:])
         n, c, h, w = x.shape
         k, s, p = self.kernel, self.stride, self.pad
+        out, temp = _allocators(work)
+        y = out((n * oh * ow, self.out_ch), x.dtype)
         bounds = (0, n) if keep else _pieces(n, oh * ow)
         most = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
-        xp = np.zeros((most, h + 2 * p, w + 2 * p, c), dtype=x.dtype)
-        col = np.empty((most, oh * ow * c * k * k), dtype=x.dtype)
+        if work is None:
+            xp = np.zeros((most, h + 2 * p, w + 2 * p, c), x.dtype)
+        else:  # its bytes held another buffer, and the frame must be zeros
+            xp = temp((most, h + 2 * p, w + 2 * p, c), x.dtype)
+            xp[...] = 0
+        col = temp((most, oh * ow * c * k * k), x.dtype)
         idx = _col_index(c, h + 2 * p, w + 2 * p, k, s, oh, ow)
         wmat = params["w"].reshape(self.out_ch, c * k * k)
-        y = None
         for lo, hi in zip(bounds, bounds[1:]):
             xp[: hi - lo, p : p + h, p : p + w, :] = x[lo:hi].transpose(0, 2, 3, 1)
             xp[: hi - lo].reshape(hi - lo, -1).take(idx, axis=1, mode="wrap",
                                                     out=col[: hi - lo])
-            if hi == n:
-                del xp  # no piece is left to pad
-            if y is None:
-                y = np.empty((n * oh * ow, self.out_ch), dtype=x.dtype)
             np.matmul(col[: hi - lo].reshape(-1, c * k * k), wmat.T,
                       out=y[lo * oh * ow : hi * oh * ow])
-        _add_bias(y, params["b"])
+        _add_bias(y, params["b"], temp)
         cache = (col.reshape(n * oh * ow, c * k * k), x.shape) if keep else None
         return y.reshape(n, oh, ow, self.out_ch).transpose(0, 3, 1, 2), cache
+
+    def scratch(self, n, in_shape, itemsize):
+        """Bytes of the temporaries a pass that keeps no cache takes for n
+        images: one piece's padded input and columns, and the bias tile."""
+        c, h, w = in_shape
+        _, oh, ow = self.out_shape(in_shape)
+        bounds = _pieces(n, oh * ow)
+        most = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
+        k, p = self.kernel, self.pad
+        return (most * (h + 2 * p) * (w + 2 * p) * c * itemsize,
+                most * oh * ow * c * k * k * itemsize,
+                _tile_rows(n * oh * ow, self.out_ch) * self.out_ch * itemsize)
 
     def backward(self, dy, cache, params, need_dx=True):
         col, (n, c, h, w) = cache
@@ -279,9 +325,11 @@ class ReLU:
     def out_shape(self, in_shape):
         return in_shape
 
-    def forward(self, x, params, keep=True):
-        # the output is the cache: y > 0 exactly where x > 0
-        y = np.maximum(x, 0)
+    def forward(self, x, params, keep=True, work=None):
+        # the output is the cache: y > 0 exactly where x > 0. With a
+        # workspace it overwrites an input that the pass made itself.
+        y = None if work is None else x if work.in_place() else _like(work.out, x)
+        y = np.maximum(x, 0, out=y)
         return y, y
 
     def backward(self, dy, cache, params, need_dx=True):
@@ -309,20 +357,32 @@ class MaxPool:
         k = self.kernel
         return [a[:, :, i::k, j::k] for i in range(k) for j in range(k)]
 
-    def forward(self, x, params, keep=True):
+    def forward(self, x, params, keep=True, work=None):
+        out, temp = _allocators(work)
         views = self._windows(x)
-        y = views[0].copy(order="K")
+        y = _like(out, views[0])
+        np.copyto(y, views[0])
         for v in views[1:]:
             np.maximum(y, v, out=y)
         # A window's first maximum (lowest offset) is its value. np.maximum
         # returns it except on a tie of -0.0 with +0.0, whose sign it leaves
         # unspecified, so where an input has its sign bit set (after a ReLU,
         # only a negative zero does) zero windows take their first zero.
-        if np.signbit(x).any():
-            zero = y == 0
+        if x.view(f"i{x.itemsize}").min() < 0:  # a sign bit is set
+            zero = np.equal(y, 0, out=_like(temp, y, dtype=bool))
+            hit = _like(temp, y, dtype=bool)
             for v in reversed(views):
-                np.copyto(y, v, where=zero & (v == 0))
+                np.equal(v, 0, out=hit)
+                hit &= zero
+                np.copyto(y, v, where=hit)
         return y, (x, y)
+
+    def scratch(self, n, in_shape, itemsize):
+        """Bytes of the temporaries a pass takes for n images: the two window
+        masks of a zero tie."""
+        c, h, w = in_shape
+        pooled = n * c * (h // self.kernel) * (w // self.kernel)
+        return pooled, pooled
 
     def backward(self, dy, cache, params, need_dx=True):
         # dy goes to each window's first maximum and every other input gets
@@ -353,8 +413,16 @@ class GlobalAvgPool:
             raise UsageError(f"GlobalAvgPool cannot consume shape {in_shape}")
         return (in_shape[0],)
 
-    def forward(self, x, params, keep=True):
-        return x.mean(axis=(2, 3)), x
+    def forward(self, x, params, keep=True, work=None):
+        # x.mean's bytes: the same sum, then a division by the count. x.mean
+        # divides a float32 sum in float64 and rounds back, which gives the
+        # float32 quotient (53 >= 2*24 + 2 bits), so an in-place division
+        # into the output changes no byte
+        n, c, h, w = x.shape
+        out = None if work is None else work.out((n, c), x.dtype)
+        y = np.add.reduce(x, axis=(2, 3), out=out)
+        y /= h * w
+        return y, x
 
     def backward(self, dy, cache, params, need_dx=True):
         x = cache
@@ -369,7 +437,8 @@ class Flatten:
     def out_shape(self, in_shape):
         return (int(np.prod(in_shape)),)
 
-    def forward(self, x, params, keep=True):
+    def forward(self, x, params, keep=True, work=None):
+        # a view of x, or, when x is channels-last, reshape's own copy
         return x.reshape(x.shape[0], -1), x.shape
 
     def backward(self, dy, cache, params, need_dx=True):
@@ -547,31 +616,50 @@ class BlockNet:
             x = x.reshape(x.shape[0], *want)
         return x
 
-    def forward(self, x, lo=0, hi=None):
+    def forward(self, x, lo=0, hi=None, work=None):
         """Run blocks lo..hi-1 (default: all) on the activation entering block
         lo, which is the raw batch when lo is 0; with the defaults this gives
-        the logits. Raises NumericError naming the block on overflow."""
-        return self._forward(x, lo, hi)[0]
+        the logits. The layers take their buffers from `work`, a `Workspace`
+        sized for the pass, when one is given. The result is an array of
+        its own, and x is never written. Raises NumericError naming the
+        block on overflow."""
+        return self._forward(x, lo, hi, work=work)[0]
 
-    def _forward(self, x, lo=0, hi=None, caches=None):
+    def _forward(self, x, lo=0, hi=None, caches=None, work=None):
         """`forward`, appending each layer's (layer, parameters, slots, cache)
         to `caches` when a list is given (the backward pass reads them).
         Without the list each layer is told it keeps no cache (a conv then
         runs in pieces), and what it returns is dropped as soon as it
-        returns, so an evaluation holds one layer's cache at a time."""
+        returns, so an evaluation holds one layer's cache at a time; with a
+        workspace too, the workspace frees every buffer of a layer but its
+        output once the layer returns."""
         if lo == 0:
             x = self._ingest(x)
         params = self.params
         keep = caches is not None
-        for bi in range(lo, self.m if hi is None else hi):
-            for layer, w, b, slots in self._plan[bi]:
+        hi = self.m if hi is None else hi
+        if work is not None:
+            work._begin()
+        for bi in range(lo, hi):
+            plan = self._plan[bi]
+            for li, (layer, w, b, slots) in enumerate(plan):
                 p = {"w": params[w], "b": params[b]} if w else {}
-                x, cache = layer.forward(x, p, keep)
+                if work is not None:  # the pass's result is an array of its own
+                    work._result = bi == hi - 1 and li == len(plan) - 1
+                x, cache = layer.forward(x, p, keep, work)
                 if keep:
                     caches.append((layer, p, slots, cache))
+                elif work is not None:
+                    work._settle(x)
                 del cache
-            if not np.isfinite(x).all():
+            if work is None:
+                finite = np.isfinite(x).all()
+            else:  # no mask to allocate: min and max propagate NaN
+                finite = np.isfinite(x.min()) and np.isfinite(x.max())
+            if not finite:
                 raise NumericError(f"non-finite activation in block {bi}", bi)
+        if work is not None and work._in is not None:
+            x = x.copy(order="K")  # a view into the workspace, as Flatten gives
         return x, caches
 
 
@@ -666,8 +754,113 @@ class EvalReport:
         return Fraction(self.mispredictions, self.n_examples)
 
 
-def evaluate(net: BlockNet, pixels, labels, batch_size=512,
-             start=0) -> EvalReport:
+def _pass_bytes(spec, n, start, itemsize):
+    """The most bytes of a workspace that a pass keeping no cache holds at
+    once, run on n images from block `start` to the logits. Every buffer is
+    rounded up to whole cache lines."""
+    shape = spec.input_shape
+    for layer in (l for block in spec.blocks[:start] for l in block):
+        shape = layer.out_shape(shape)
+    layers = [layer for block in spec.blocks[start:] for layer in block]
+    held = peak = 0  # workspace bytes of the activation a layer reads
+    for i, layer in enumerate(layers):
+        out_shape = layer.out_shape(shape)
+        scratch = getattr(layer, "scratch", None)  # layers with temporaries
+        temps = sum(map(_aligned, scratch(n, shape, itemsize))) if scratch else 0
+        if i == len(layers) - 1:
+            out, after = 0, 0  # the result is an array of its own
+        elif isinstance(layer, Flatten) or isinstance(layer, ReLU) and held:
+            out, after = 0, held  # a view of the input, or in place
+        else:
+            out = after = _aligned(n * math.prod(out_shape) * itemsize)
+        peak = max(peak, held + out + temps)
+        held = after
+        shape = out_shape
+    return peak
+
+
+def _aligned(nbytes):
+    return -(-nbytes // _ALIGN) * _ALIGN
+
+
+_ALIGN = 64  # every workspace buffer starts on a cache line
+
+
+class Workspace:
+    """The buffers of an evaluation's passes: one byte buffer, sized up
+    front from the layer shapes, used as a stack from each end.
+
+    In a pass that keeps no cache, each layer takes its output and then its
+    temporaries (padded input, column piece, bias tile, window masks) from
+    the end that its input is not on. Once it returns, its output is all
+    that stays, and a ReLU overwrites an input that the pass made itself.
+    So the buffer holds one layer's input, output and temporaries at a
+    time, and every pass of an evaluation reuses the same pages instead of
+    allocating, freeing and faulting them in again. A pass's result (the
+    logits, or an activation that `_Prefix` holds across nets) is an array
+    of its own, never in the buffer, and a pass never writes its caller's
+    input.
+
+    A MiniCNN-6 workspace for 256 16x16 images is 4.5 MB, block 1's
+    convolution: its input, its output, one piece's padded input and
+    columns. A layer that takes temporaries lists their bytes in `scratch`,
+    which sizes the buffer; running past its end is an AssertionError.
+    """
+
+    def __init__(self, spec: NetSpec, dtype, lengths, batch_size):
+        """Sized for the passes, from any start block, over datasets of these
+        lengths in chunks of batch_size images (the last chunk ragged)."""
+        itemsize = np.dtype(dtype).itemsize
+        counts = {c for n in lengths for c in (min(n, batch_size), n % batch_size) if c}
+        self.nbytes = max((_pass_bytes(spec, c, s, itemsize)
+                           for c in counts for s in range(spec.m)), default=0)
+        raw = np.empty(self.nbytes + _ALIGN, np.uint8)
+        skip = -raw.ctypes.data % _ALIGN
+        self._buf = raw[skip : skip + self.nbytes]
+        self._base = raw.ctypes.data + skip
+        self._top = [0, 0]  # bytes taken from the low end, from the high end
+        self._in = None  # the end holding a layer's input; None: the caller's
+        self._result = False  # whether the layer's output is the pass's result
+
+    def _begin(self):
+        self._top = [0, 0]
+        self._in = None
+
+    def _settle(self, y):
+        """After a layer: free every buffer but its output y's."""
+        off = y.__array_interface__["data"][0] - self._base
+        if 0 <= off < self._top[0]:
+            self._top, self._in = [_aligned(off + y.nbytes), 0], 0
+        elif 0 <= off < self.nbytes:
+            self._top, self._in = [0, self.nbytes - off], 1
+        else:
+            self._top, self._in = [0, 0], None
+
+    def in_place(self):
+        """Whether a layer may write its output over its input: the pass made
+        the input, and the output is not the pass's result."""
+        return self._in is not None and not self._result
+
+    def out(self, shape, dtype):
+        """The layer's output, taken before its temporaries; the pass's
+        result gets an array of its own."""
+        return np.empty(shape, dtype) if self._result else self.temp(shape, dtype)
+
+    def temp(self, shape, dtype):
+        """A buffer on the end the layer's input is not on, free again once
+        the layer returns."""
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        end = int(self._in == 0)
+        top = self._top[end] + _aligned(nbytes)
+        if top + self._top[1 - end] > self.nbytes:
+            raise AssertionError(f"a pass outgrew its {self.nbytes}-byte workspace")
+        self._top[end] = top
+        lo = top - _aligned(nbytes) if end == 0 else self.nbytes - top
+        return self._buf[lo : lo + nbytes].view(dtype).reshape(shape)
+
+
+def evaluate(net: BlockNet, pixels, labels, batch_size=512, start=0,
+             work=None) -> EvalReport:
     """Error rate over a dataset; argmax ties go to the lowest class.
 
     pixels is the activation entering block `start`, which is the raw images
@@ -676,7 +869,10 @@ def evaluate(net: BlockNet, pixels, labels, batch_size=512,
     for the result to match a call with start 0 byte for byte. Within a
     chunk a conv runs its GEMM in row pieces (see `Conv2d.forward`), which
     changes no byte: every piece has at least `_PIECE_ROWS` rows, and the
-    logits equal those of one GEMM per conv.
+    logits equal those of one GEMM per conv. Every chunk's pass takes its
+    layers' buffers from one `Workspace`: `work`, sized for these chunks,
+    or one that the call makes (4.5 MB for a MiniCNN-6 chunk of 256 16x16
+    images).
     """
     if not 0 <= start < net.m:
         raise UsageError(f"start block {start} outside [0, {net.m})")
@@ -684,9 +880,12 @@ def evaluate(net: BlockNet, pixels, labels, batch_size=512,
     n = len(labels)
     if n == 0:
         raise UsageError("empty dataset")
+    if work is None:
+        work = Workspace(net.spec, net.dtype, [n], batch_size)
     wrong = 0
     for lo in range(0, n, batch_size):
-        pred = net.forward(pixels[lo : lo + batch_size], start).argmax(axis=1)
+        pred = net.forward(pixels[lo : lo + batch_size], start,
+                           work=work).argmax(axis=1)
         wrong += int((pred != labels[lo : lo + batch_size]).sum())
     return EvalReport(wrong, n)
 

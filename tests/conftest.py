@@ -89,8 +89,8 @@ def evaluate_logits(net, x, labels, **kw):
     chunks = []
     forward = net.forward
 
-    def logged(*args):
-        logits = forward(*args)
+    def logged(*args, **kw):
+        logits = forward(*args, **kw)
         chunks.append(logits.tobytes())
         return logits
 

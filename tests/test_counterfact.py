@@ -340,11 +340,11 @@ def check_family_evaluation(pd, spec, sets, dtype, n, batch_size, monkeypatch,
     starts = []  # (net, start block) per call
     logits = {}  # net -> the bytes of each chunk's logits, in call order
 
-    def counted(net, pixels, labels, batch_size, start):
+    def counted(net, pixels, labels, batch_size, start, **kw):
         assert len(labels) <= batch_size  # one chunk per call
         starts.append((id(net), start))
         report, chunks = evaluate_logits(net, pixels, labels,
-                                         batch_size=batch_size, start=start)
+                                         batch_size=batch_size, start=start, **kw)
         logits.setdefault(id(net), []).extend(chunks)
         return report
 
@@ -405,6 +405,36 @@ def test_family_evaluation_scores_retrainings(small_paired, spec_fn, monkeypatch
     check_family_evaluation(small_paired, spec, FAMILIES["suffix"](spec.m),
                             np.float32, n=700, batch_size=512,
                             monkeypatch=monkeypatch, retrainings=retrainings)
+
+
+@pytest.mark.parametrize("spec_fn", [minicnn6_spec, small_cnn_spec, mlp4_spec])
+def test_family_evaluation_leaves_prefix_activations_unchanged(small_paired, spec_fn,
+                                                               monkeypatch):
+    """Every pass of evaluate_family takes its buffers from one workspace, but
+    an activation a prefix holds is an array of its own: after every member
+    of its group (and every later group) is scored, it still holds the bytes
+    its block's pass gave it, and the views' pixels are never written."""
+    spec = spec_fn()
+    fam = train_family(spec, small_paired, quick_plan(steps=4),
+                       FAMILIES["suffix"](spec.m))
+    test_clean = sl.gen_clean_synthetic(watermark_task(), 600, seed=5)
+    views = (test_clean, sl.make_fully_skewed(test_clean, watermark_task().watermark))
+    pixels = [view.pixels.tobytes() for view in views]
+    made = []  # (activation, its bytes when its pass returned), kept alive
+    entering = cf._Prefix.entering
+
+    def recorded(prefix, s):
+        known = len(prefix.acts)
+        x = entering(prefix, s)
+        made.extend((act, act.tobytes()) for act in prefix.acts[known:])
+        return x
+
+    monkeypatch.setattr(cf._Prefix, "entering", recorded)
+    cf.evaluate_family(fam, views)
+    # blocks 1..m-1 entered, per anchor, per chunk (512 + 88 images), per view
+    assert len(made) == (spec.m - 1) * len(cf.ROLES) * 2 * len(views)
+    assert all(act.tobytes() == before for act, before in made)
+    assert [view.pixels.tobytes() for view in views] == pixels
 
 
 def test_family_evaluation_needs_both_anchors(small_paired):

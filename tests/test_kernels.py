@@ -451,8 +451,75 @@ def test_minicnn6_matches_reference_at_training_and_evaluation_sizes(dtype):
     for lo, hi in ((0, 512), (512, 600)):
         assert same(net.forward(x[lo:hi]), reference_forward(net, x[lo:hi], spec.m))
     ref_net = net.copy()
-    ref_net.forward = lambda chunk, start=0: reference_forward(net, chunk, spec.m)
+    ref_net.forward = lambda chunk, start=0, **kw: reference_forward(net, chunk, spec.m)
     assert evaluate_logits(net, x, labels) == evaluate_logits(ref_net, x, labels)
+
+
+def relu_first_spec():
+    """Blocks that open with the layers that could write or alias a pass's
+    input (a ReLU on the conv output that enters block 1, a Flatten of a
+    channels-last pool output), and one that ends on a Flatten whose output
+    is a view of a buffer the pass made."""
+    return nc.NetSpec(
+        [
+            [nc.Conv2d(2, 3, 3, pad=1)],
+            [nc.ReLU(), nc.MaxPool(2)],
+            [nc.Flatten(), nc.ReLU(), nc.Dense(48, 6), nc.Flatten()],
+            [nc.ReLU(), nc.Dense(6, 4)],
+        ],
+        4,
+        (2, 8, 8),
+    )
+
+
+OWNED = dict(NETS, **{"relu-first": relu_first_spec})
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("name", sorted(OWNED))
+def test_workspace_pass_never_writes_its_input(name, dtype):
+    """A pass that keeps no cache, run through a workspace from any start
+    block, leaves its caller's input byte for byte as it was, returns an
+    array that is not in the workspace, and computes what a pass without a
+    workspace computes."""
+    spec = OWNED[name]()
+    rng = np.random.default_rng(len(name))
+    net = with_random_biases(nc.build_net(spec, seed=8, dtype=dtype), rng)
+    n = 40
+    x = rng.standard_normal((n, *spec.input_shape)).astype(dtype)
+    labels = rng.integers(0, spec.class_count, size=n)
+    work = nc.Workspace(spec, dtype, [n], 16)  # chunks of 16, 16 and 8
+    for start in range(spec.m):
+        made = net.forward(x, 0, start) if start else x  # channels-last after a conv
+        signed = rng.standard_normal(made.shape).astype(dtype)  # a ReLU would change it
+        for entering in (made, signed):
+            before = entering.tobytes()
+            for hi in (start + 1, spec.m):
+                got = net.forward(entering[:16], start, hi, work=work)
+                assert not np.shares_memory(got, work._buf)
+                assert same(got, net.forward(entering[:16], start, hi)), (start, hi)
+            plain = nc.evaluate(net, entering, labels, batch_size=16, start=start)
+            assert nc.evaluate(net, entering, labels, batch_size=16, start=start,
+                               work=work) == plain
+            assert entering.tobytes() == before, start
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("name", ["minicnn6-bars16", "minicnn6-bars32"])
+def test_evaluation_matches_reference_on_a_ragged_chunk(name, dtype):
+    """One evaluate call of a 128-image chunk and a ragged 88-image one, both
+    run through the call's workspace: each chunk's logits are the reference
+    kernels' byte for byte."""
+    spec = NETS[name]()
+    rng = np.random.default_rng(88)
+    net = with_random_biases(nc.build_net(spec, seed=7, dtype=dtype), rng)
+    x = rng.random((128 + 88, *spec.input_shape)).astype(dtype)
+    labels = rng.integers(0, spec.class_count, size=len(x))
+    ref_net = net.copy()
+    ref_net.forward = lambda chunk, start=0, **kw: reference_forward(net, chunk, spec.m)
+    got = evaluate_logits(net, x, labels, batch_size=128)
+    assert len(got[1]) == 2
+    assert got == evaluate_logits(ref_net, x, labels, batch_size=128)
 
 
 # Image counts whose convolutions run in pieces when no cache is kept, most

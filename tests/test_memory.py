@@ -89,8 +89,9 @@ def test_minicnn6_bars32_evaluation_holds_one_layer_cache():
     check_evaluation_holds_one_layer_cache("bars32")
 
 
-def check_family_evaluation_holds_one_chunk(task_name, images):
-    task = task_spec(task_name, None)
+def minicnn6_family(task, images):
+    """A MiniCNN-6 suffix family whose nets all hold one init, and its clean
+    and skewed test views of `images` images."""
     net = nc.build_net(net_spec("minicnn6", task), seed=0)
     sets = [cf.InterventionSet.suffix(net.m, i) for i in range(net.m + 1)]
     nets = {role: net.copy() for role in cf.ROLES}
@@ -99,7 +100,13 @@ def check_family_evaluation_holds_one_chunk(task_name, images):
     fam = cf.FamilyOutcome(nets=nets, sets=sets)
     clean = sl.gen_clean_synthetic(task, images, seed=3)
     mark = sl.WatermarkSkewSpec(patch_size=10, blend_strength=sl.STRONG)
-    views = (clean, sl.make_fully_skewed(clean, mark))
+    return net, fam, (clean, sl.make_fully_skewed(clean, mark))
+
+
+def check_family_evaluation_holds_one_chunk(task_name, images):
+    task = task_spec(task_name, None)
+    net, fam, views = minicnn6_family(task, images)
+    clean = views[0]
     cf.evaluate_family(fam, [sl.gen_clean_synthetic(task, 8, seed=3)])
     n = 512  # evaluate's chunk
     conv_input, piece, conv_output = block1_conv(net, task, n)
@@ -123,3 +130,57 @@ def test_minicnn6_family_evaluation_holds_one_chunk():
 def test_minicnn6_bars32_family_evaluation_holds_one_chunk():
     """As above on 32x32 images, over two chunks."""
     check_family_evaluation_holds_one_chunk("bars32", 1024)
+
+
+def test_minicnn6_family_evaluation_allocates_its_workspace_and_results(monkeypatch):
+    """After a warm call, an evaluate_family call allocates its workspace,
+    the activations one chunk's prefix holds, and each pass's result, and
+    beyond them only what numpy takes for itself: every pass takes its
+    layers' buffers from the workspace, which is block 1's convolution of
+    one chunk (its input, one piece's padded input and columns, its
+    output)."""
+    task = task_spec("bars16", None)
+    net, fam, views = minicnn6_family(task, 600)  # chunks of 512 and 88 images
+    cf.evaluate_family(fam, views)
+    n = 512
+    work = nc.Workspace(net.spec, net.dtype, [600], n)
+    conv_input, piece, conv_output = block1_conv(net, task, n)
+    assert work.nbytes < conv_input + piece + conv_output + 4096  # cache lines, bias tile
+    # the prefix's outputs of blocks 0..m-2, from one image's
+    held = sum(n * net.forward(views[0].pixels[:1], 0, b).size * F32
+               for b in range(1, net.m))
+    # what numpy takes for itself: a copy of the read-only gather index on
+    # each take, and a ufunc's iterator buffer for the broadcast bias add
+    numpy_own = gather_index_bytes(net.spec) + 48 * 1024
+    results = 32 * 1024  # a chunk's logits, argmax and the like
+    assert (traced_peak(lambda: cf.evaluate_family(fam, views))
+            < work.nbytes + held + numpy_own + results)
+
+    grown = []  # (bytes a pass allocated at its peak, bytes of its result)
+    forward = nc.BlockNet.forward
+
+    def traced(self, x, lo=0, hi=None, **kw):
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        y = forward(self, x, lo, hi, **kw)
+        grown.append((tracemalloc.get_traced_memory()[1] - before, y.nbytes))
+        return y
+
+    monkeypatch.setattr(nc.BlockNet, "forward", traced)
+    traced_peak(lambda: cf.evaluate_family(fam, views))
+    # per view, chunk and anchor: the prefix's m - 1 blocks, then the anchor
+    # and its m - 1 partners (the full-set partner is not scored)
+    assert len(grown) == len(views) * 2 * len(cf.ROLES) * (net.m - 1 + net.m)
+    assert all(peak < result + numpy_own for peak, result in grown)
+
+
+def gather_index_bytes(spec):
+    """Bytes of the largest of a spec's conv gather indices (one image's,
+    see netcore._col_index)."""
+    shape, most = spec.input_shape, 0
+    for layer in (layer for block in spec.blocks for layer in block):
+        if isinstance(layer, nc.Conv2d):
+            _, oh, ow = layer.out_shape(shape)
+            most = max(most, oh * ow * shape[0] * layer.kernel**2 * np.intp(0).itemsize)
+        shape = layer.out_shape(shape)
+    return most
