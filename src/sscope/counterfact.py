@@ -9,11 +9,16 @@ batches from one shared index stream, so every model gets equal exposure
 and the whole procedure is a pure function of (spec, data, plan, A).
 
 Every net of a run follows one `TrainPlan`; nets differ only in the role
-whose batches they see. Each net has one key, its evaluation key: its role
-for an anchor, (anchor role, canonical set) for a partner, ("retrained",
-name) for a retraining. `FamilyOutcome` and `evaluate_family` are keyed by
-it, and messages print it as "anchor:clean", "intervened:clean:2:4" or
-"retrained:freeze@0".
+whose batches they see. Which nets a run holds is its `TrialPlan`, built
+before any net: one `Node` per net, with its evaluation key, data role,
+update blocks, the anchor whose arrays it aliases, its `Retraining`, its
+evaluation start block (m - 1 for an anchor, min(A) for a partner, 0 for a
+retraining) and, for a degenerate set's partner, its twin. `_lockstep`
+builds and trains the nets, `evaluate_family` scores them and
+`expcli.runner` records them, all in plan order. A key is an anchor's role,
+(anchor role, canonical set) for a partner or ("retrained", name) for a
+retraining; messages print a node as "anchor:clean", "intervened:clean:2:4"
+or "retrained:freeze@0".
 
 Each step computes every gradient before any update is applied. Below
 s = min(A) a partner holds exactly its anchor's weights and reads the same
@@ -24,24 +29,19 @@ Its backward pass stops at block s too, since nothing below is updated.
 With `debug_sync`, one partner per step (in rotation) has its gradients
 recomputed through its whole network from the raw view, and they must
 match the shared-prefix ones byte for byte. When training ends, each
-partner gets its own copy of the shared blocks.
-
-Evaluation shares the prefix through the same `_Prefix` (`evaluate_family`):
-it walks each test view in the chunks `evaluate` uses, and per chunk it runs
-each anchor's blocks once, keeping their activations only while that chunk
-is scored. The anchor and each partner are scored on the chunk from the
-activation entering their start block: m - 1 for the anchor, min(A) for a
-partner. Every report equals a plain `evaluate(net, view.pixels,
-view.labels)` byte for byte.
+partner gets its own copy of the shared blocks. Evaluation shares the
+prefix through the same `_Prefix`, per chunk of each test view.
 
 Two degenerate equivalences hold bit-exactly and are used as oracles: A = {}
 reproduces the anchor, and A = [m] reproduces a direct training run on the
-opposite role with the same seed. A family relies on the second one: it
-trains the full-set partner once, as the opposite anchor, and returns a copy
-of that anchor for it, with that anchor's evaluation reports. `train_pair`
-still trains it independently, and the tests compare that run with
-`train_single`. With `debug_sync`, a family trains its full-set partners
-for real as well, and they must end byte-equal to the opposite anchors.
+opposite role with the same seed. A family relies on both: the partners of
+these sets are stand-ins for their twins (their own anchor for A = {}, the
+opposite anchor for A = [m]). A stand-in is not trained; it gets a copy of
+its twin's net and its twin's evaluation reports. With `debug_sync`, a
+family trains its stand-ins for real, and they must end byte-equal to their
+twins. `train_pair` trains its partner whatever the set, and the tests
+compare that run with `train_single`; these two have no caller in the
+package and remain for the tests and for the benchmark's tracer.
 
 A family can also hold retrainings (`Retraining`): reruns of the skewed
 anchor's training from the shared init, each with its own per-block LR/WD
@@ -49,9 +49,7 @@ scale factors and an optional phase schedule of update sets. They draw the
 same batches as the anchors, so a retraining with every factor 1 and no
 phases reproduces the skewed anchor byte for byte. When a phased trainee
 enters its last phase, the engine records the bytes of the blocks that phase
-leaves untouched, and they must be unchanged when training ends. A
-retraining shares no block with an anchor, so `evaluate_family` scores it
-from block 0 on the raw chunk, in the same loop.
+leaves untouched, and they must be unchanged when training ends.
 """
 
 from __future__ import annotations
@@ -79,6 +77,8 @@ __all__ = [
     "InterventionSet",
     "TrainPlan",
     "Retraining",
+    "TrialPlan",
+    "trial_plan",
     "FamilyOutcome",
     "train_single",
     "train_pair",
@@ -203,17 +203,6 @@ def _other_role(role):
     return "skewed" if role == "clean" else "clean"
 
 
-def _check_role(role):
-    if role not in ROLES:
-        raise UsageError(f"role must be one of {ROLES}, got {role!r}")
-
-
-def _check_sets(spec, sets):
-    for A in sets:
-        if A.m != spec.m:
-            raise UsageError(f"intervention set has m={A.m}, spec has m={spec.m}")
-
-
 @dataclass(frozen=True)
 class Retraining:
     """A rerun of the skewed anchor's training from the shared init, with
@@ -235,57 +224,83 @@ class Retraining:
         return blocks
 
 
-# --------------------------------------------------------------------------
-# trainees
+@dataclass(frozen=True)
+class Node:
+    """One net of a trial plan (see the module docstring)."""
 
-@dataclass
-class _Trainee:
-    key: object  # its evaluation key (see the module docstring)
-    net: BlockNet
-    data_role: str
-    update_blocks: list
-    anchor: _Trainee | None = None  # a partner's blocks outside A alias this net
+    key: object  # its evaluation key
+    kind: str  # "anchor", "intervened" (a partner) or "retrained"
+    role: str  # the data role whose batches it trains on
+    blocks: tuple  # the blocks it updates
+    start: int | None  # the block its evaluation starts at; None for A = {}
+    anchor: object = None  # a partner's anchor, whose arrays its other blocks alias
     retraining: Retraining = Retraining()
-    optimizer: Optimizer | None = None
+    twin: object = None  # the anchor a degenerate set's partner reproduces
+
+    @property
+    def label(self):
+        """The node as messages print it, e.g. "intervened:clean:2:4"."""
+        parts = (self.key,) if self.kind == "anchor" else self.key
+        return ":".join(parts if self.kind == "retrained" else (self.kind, *parts))
 
 
-def _label(key):
-    """A trainee's key as messages print it: "anchor:clean",
-    "intervened:clean:2:4" or "retrained:freeze@0"."""
-    if isinstance(key, str):
-        return f"anchor:{key}"
-    return ":".join(key if key[0] == "retrained" else ("intervened", *key))
+@dataclass(frozen=True)
+class TrialPlan:
+    """The nodes of one lockstep run, in the order they are built, trained,
+    scored and recorded. A node with a twin is a stand-in: it trains only
+    under `debug_sync`, and must then end byte-equal to its twin; otherwise
+    it gets a copy of its twin's net."""
+
+    nodes: tuple
+    debug_sync: bool = False
+
+    @property
+    def trained(self):
+        return [n for n in self.nodes if n.twin is None or self.debug_sync]
 
 
-def _anchor(net, role):
-    return _Trainee(key=role, net=net, data_role=role,
-                    update_blocks=list(range(net.m)))
+def _anchor_node(role, m):
+    if role not in ROLES:
+        raise UsageError(f"role must be one of {ROLES}, got {role!r}")
+    return Node(role, "anchor", role, tuple(range(m)), start=m - 1)
 
 
-def _partner(anchor, A):
-    """A partner of `anchor` with its own copy of the anchor's buffer, whose
-    blocks outside A read the anchor's arrays until training ends."""
-    net = anchor.net.copy()
+def _partner_node(anchor, A, m, twin=None):
+    if A.m != m:
+        raise UsageError(f"intervention set has m={A.m}, spec has m={m}")
+    return Node((anchor, A.canonical()), "intervened", _other_role(anchor),
+                tuple(A.sorted()), start=min(A.members, default=None),
+                anchor=anchor, twin=twin)
+
+
+def trial_plan(m, sets, retrainings=None, debug_sync=False) -> TrialPlan:
+    """A family's plan: both anchors, a partner of each per distinct set,
+    then a skewed-role node per named `Retraining`. Creates no nets."""
+    nodes = [_anchor_node(role, m) for role in ROLES]
+    for A in {A.canonical(): A for A in sets}.values():
+        for role in ROLES:
+            twin = (role if A.is_empty
+                    else _other_role(role) if len(A.members) == m else None)
+            nodes.append(_partner_node(role, A, m, twin))
+    nodes += [Node(("retrained", name), "retrained", "skewed", tuple(range(m)),
+                   start=0, retraining=r)
+              for name, r in (retrainings or {}).items()]
+    return TrialPlan(tuple(nodes), debug_sync)
+
+
+# --------------------------------------------------------------------------
+# the lockstep
+
+def _partner(anchor, blocks):
+    """A partner net: a copy of `anchor`'s buffer whose blocks outside
+    `blocks` read the anchor's arrays until training ends."""
+    net = anchor.copy()
     net.params.update(
-        (k, anchor.net.params[k])
-        for b in range(net.m) if b not in A.members
+        (k, anchor.params[k])
+        for b in range(net.m) if b not in blocks
         for k in net.block_keys(b)
     )
-    return _Trainee(
-        key=(anchor.key, A.canonical()),
-        net=net,
-        data_role=_other_role(anchor.data_role),
-        update_blocks=A.sorted(),
-        anchor=anchor,
-    )
-
-
-def _initial_net(spec, plan, dtype, init_from):
-    if init_from is not None:
-        if init_from.spec != spec:
-            raise UsageError("warmstart checkpoint spec differs from requested spec")
-        return BlockNet(spec, init_from.params, dtype)
-    return build_net(spec, seed=plan.master_seed, dtype=dtype)
+    return net
 
 
 class _Prefix:
@@ -305,22 +320,30 @@ class _Prefix:
         return self.acts[s]
 
 
-def _lockstep(pd, plan, trainees, debug_sync=False):
-    """Run the shared training loop; trainees share one batch index stream.
+def _lockstep(pd, plan, trial, init):
+    """Train the nets of `trial` from copies of `init` in one shared loop
+    over one batch index stream; returns every node's net by key, in plan
+    order.
 
     As a phased trainee enters its last phase, the bytes of the blocks that
     phase leaves untouched are recorded; an AssertionError names the trainee
     and the block unless they are unchanged when training ends.
     """
     # steps run one at a time, so every optimizer shares one scratch buffer
-    net = trainees[0].net
-    work = np.empty((2, net.flat.size), net.dtype)
-    for tr in trainees:
-        tr.optimizer = Optimizer(plan.optimizer, plan.schedule,
-                                 lr_block_scale=dict(tr.retraining.lr_scales),
-                                 wd_block_scale=dict(tr.retraining.wd_scales),
-                                 work=work)
-    frozen = []  # (trainee, block, its bytes as the trainee's last phase began)
+    work = np.empty((2, init.flat.size), init.dtype)
+    nets = {}
+    trainees = []  # (node, net, net read below its blocks, prefix key, optimizer)
+    for node in trial.trained:
+        source = node.anchor or node.key
+        nets[node.key] = (init.copy() if node.anchor is None
+                          else _partner(nets[node.anchor], node.blocks))
+        trainees.append((
+            node, nets[node.key], nets[source], (source, node.role),
+            Optimizer(plan.optimizer, plan.schedule,
+                      lr_block_scale=dict(node.retraining.lr_scales),
+                      wd_block_scale=dict(node.retraining.wd_scales),
+                      work=work)))
+    frozen = []  # (node, net, block, its bytes as the node's last phase began)
     t = 0
     epoch = 0
     while t < plan.steps:
@@ -330,180 +353,146 @@ def _lockstep(pd, plan, trainees, debug_sync=False):
                 break
             views = {"clean": batch.clean_x, "skewed": batch.skew_x}
             prefixes = {}
-            computed = []  # (trainee, update blocks, gradient)
-            for tr in trainees:
-                phases = tr.retraining.phases
-                blocks = tr.retraining.blocks_at(t, tr.update_blocks)
+            computed = []  # (node, net, optimizer, update blocks, gradient)
+            for node, net, source, view, optimizer in trainees:
+                phases = node.retraining.phases
+                blocks = node.retraining.blocks_at(t, node.blocks)
                 if phases and t == phases[-1][0]:
-                    frozen += [(tr, b, tr.net.block_bytes(b))
-                               for b in range(tr.net.m) if b not in blocks]
+                    frozen += [(node, net, b, net.block_bytes(b))
+                               for b in range(net.m) if b not in blocks]
                 if not blocks:
                     continue
                 s = min(blocks)
-                source = tr.anchor or tr
-                key = (source.key, tr.data_role)
                 try:
-                    if key not in prefixes:
-                        prefixes[key] = _Prefix(source.net, views[tr.data_role])
-                    x = prefixes[key].entering(s)
-                    _, grad = loss_and_grad(tr.net, x, batch.labels, start=s)
+                    if view not in prefixes:
+                        prefixes[view] = _Prefix(source, views[node.role])
+                    x = prefixes[view].entering(s)
+                    _, grad = loss_and_grad(net, x, batch.labels, start=s)
                 except NumericError as exc:
-                    raise _diverged(tr, exc, t) from exc
-                computed.append((tr, blocks, grad))
-            if debug_sync:
+                    raise _diverged(node, exc, t) from exc
+                computed.append((node, net, optimizer, blocks, grad))
+            if trial.debug_sync:
                 partners = [c for c in computed if c[0].anchor is not None]
                 if partners:
-                    tr, blocks, grad = partners[t % len(partners)]
-                    _check_shared_path(tr, views[tr.data_role], batch.labels,
+                    node, net, _, blocks, grad = partners[t % len(partners)]
+                    _check_shared_path(node, net, views[node.role], batch.labels,
                                        blocks, grad, t)
-            for tr, blocks, grad in computed:
+            for node, net, optimizer, blocks, grad in computed:
                 try:
-                    tr.optimizer.step(tr.net, grad, blocks, t)
+                    optimizer.step(net, grad, blocks, t)
                 except NumericError as exc:
-                    raise _diverged(tr, exc, t) from exc
+                    raise _diverged(node, exc, t) from exc
             t += 1
         epoch += 1
-    for tr, b, before in frozen:
-        if tr.net.block_bytes(b) != before:
+    for node, net, b, before in frozen:
+        if net.block_bytes(b) != before:
             raise AssertionError(
-                f"{_label(tr.key)}: frozen block {b} changed during its last phase")
-    for tr in trainees:
-        if tr.anchor is not None:
-            sync_blocks(tr.net, tr.anchor.net,
-                        [b for b in range(tr.net.m) if b not in tr.update_blocks])
-    return {tr.key: tr for tr in trainees}
+                f"{node.label}: frozen block {b} changed during its last phase")
+    for node in trial.nodes:
+        net = nets.get(node.key)
+        if net is None:  # a stand-in, not trained
+            nets[node.key] = nets[node.twin].copy()
+            continue
+        if node.anchor is not None:
+            sync_blocks(net, nets[node.anchor],
+                        [b for b in range(net.m) if b not in node.blocks])
+        twin = nets.get(node.twin)
+        if twin is not None and net.flat.tobytes() != twin.flat.tobytes():
+            raise AssertionError(f"{node.label} differs from anchor:{node.twin}, "
+                                 "which it must reproduce")
+    return {node.key: nets[node.key] for node in trial.nodes}
 
 
-def _diverged(tr, exc, t):
-    """The TrainingDiverged for trainee tr's NumericError at step t."""
-    return TrainingDiverged(f"{_label(tr.key)}: {exc} at step {t}", step=t,
+def _diverged(node, exc, t):
+    """The TrainingDiverged for a node's NumericError at step t."""
+    return TrainingDiverged(f"{node.label}: {exc} at step {t}", step=t,
                             block=exc.block_index)
 
 
-def _check_shared_path(tr, view, labels, blocks, shared_grad, t):
+def _check_shared_path(node, net, view, labels, blocks, shared_grad, t):
     """Recompute a partner's gradient over its whole net from the raw view;
     each updated block's slice must equal the shared-prefix gradient's byte
     for byte."""
     try:
-        _, full = loss_and_grad(tr.net, view, labels)
+        _, full = loss_and_grad(net, view, labels)
     except NumericError as exc:
-        raise _diverged(tr, exc, t) from exc
-    offsets = tr.net.block_offsets
+        raise _diverged(node, exc, t) from exc
+    offsets = net.block_offsets
     for b in blocks:
         lo, hi = offsets[b], offsets[b + 1]
         if full[lo:hi].tobytes() != shared_grad[lo:hi].tobytes():
             raise AssertionError(
-                f"shared-prefix gradient of {_label(tr.key)} in block {b} differs "
+                f"shared-prefix gradient of {node.label} in block {b} differs "
                 f"from its full pass at step {t}"
             )
 
 
 # --------------------------------------------------------------------------
-# public training entry points
+# public entry points: each training one builds a plan and trains it
+
+@dataclass(frozen=True)
+class FamilyOutcome:
+    nets: dict  # evaluation key -> BlockNet, in plan order
+    plan: TrialPlan
+
+
+def _train(spec, pd, plan, trial, dtype, init_from):
+    """Train `trial` from the warm-start net `init_from`, else from scratch."""
+    if init_from is None:
+        init = build_net(spec, seed=plan.master_seed, dtype=dtype)
+    elif init_from.spec != spec:
+        raise UsageError("warmstart checkpoint spec differs from requested spec")
+    else:
+        init = BlockNet(spec, init_from.params, dtype)
+    return FamilyOutcome(_lockstep(pd, plan, trial, init), trial)
+
 
 def train_single(spec: NetSpec, pd: PairedDataset, plan: TrainPlan, role: str,
                  dtype=np.float32, init_from=None) -> BlockNet:
     """Direct training of one network on dataset role `role`."""
-    _check_role(role)
-    net = _initial_net(spec, plan, dtype, init_from)
-    _lockstep(pd, plan, [_anchor(net, role)])
-    return net
-
-
-@dataclass(frozen=True)
-class FamilyOutcome:
-    nets: dict  # evaluation key -> BlockNet
-    sets: list
-
-
-def _outcome(done, sets):
-    return FamilyOutcome(nets={key: tr.net for key, tr in done.items()}, sets=sets)
+    trial = TrialPlan((_anchor_node(role, spec.m),))
+    return _train(spec, pd, plan, trial, dtype, init_from).nets[role]
 
 
 def train_pair(spec: NetSpec, pd: PairedDataset, plan: TrainPlan, role: str,
                A: InterventionSet, dtype=np.float32, debug_sync=False,
                init_from=None) -> FamilyOutcome:
     """Train an anchor on `role` and one counterfactually intervened partner
-    in lockstep; the partner is trained even for the full set."""
-    _check_role(role)
-    _check_sets(spec, [A])
-    anchor = _anchor(_initial_net(spec, plan, dtype, init_from), role)
-    partner = _partner(anchor, A)  # shared initial weights
-    return _outcome(_lockstep(pd, plan, [anchor, partner], debug_sync=debug_sync),
-                    [A])
+    in lockstep; the partner is trained even for a degenerate set."""
+    nodes = (_anchor_node(role, spec.m), _partner_node(role, A, spec.m))
+    return _train(spec, pd, plan, TrialPlan(nodes, debug_sync), dtype, init_from)
 
 
 def train_family(spec: NetSpec, pd: PairedDataset, plan: TrainPlan, sets,
                  dtype=np.float32, debug_sync=False, init_from=None,
                  retrainings=None) -> FamilyOutcome:
-    """Both anchors plus one intervened model per (direction, set), and one
-    skewed-role net per named `Retraining`, trained in a single lockstep
-    pass so each anchor is trained exactly once.
-
-    The partner of the full set A = [m] is not trained: it would retrain
-    every block from the shared init on the opposite role's batches, which
-    is what the opposite anchor does, so it gets its own copy of that
-    anchor's net. With `debug_sync` it trains for real,
-    and an AssertionError names it unless it ends byte-equal to the
-    opposite anchor.
-
-    A retraining trains on the skewed role from the shared init."""
-    sets = list(sets)
-    _check_sets(spec, sets)
-    init = _initial_net(spec, plan, dtype, init_from)
-    anchors = [_anchor(init.copy(), role) for role in ROLES]
-    trainees = list(anchors)
-    full = InterventionSet.full(spec.m)
-    for A in {A.canonical(): A for A in sets}.values():
-        if A != full or debug_sync:  # else the opposite anchor stands in, below
-            trainees += [_partner(anchor, A) for anchor in anchors]
-    trainees += [
-        _Trainee(key=("retrained", name), net=init.copy(), data_role="skewed",
-                 update_blocks=list(range(spec.m)), retraining=r)
-        for name, r in (retrainings or {}).items()
-    ]
-    out = _outcome(_lockstep(pd, plan, trainees, debug_sync=debug_sync), sets)
-    if full in sets:
-        for role in ROLES:
-            key, twin = (role, full.canonical()), _other_role(role)
-            if not debug_sync:
-                out.nets[key] = out.nets[twin].copy()
-            elif out.nets[key].flat.tobytes() != out.nets[twin].flat.tobytes():
-                raise AssertionError(f"{_label(key)} differs from {_label(twin)}, "
-                                     "which it must reproduce")
-    return out
+    """Train the nets of `trial_plan(spec.m, sets, retrainings, debug_sync)`
+    in one lockstep run, so each anchor is trained exactly once."""
+    trial = trial_plan(spec.m, sets, retrainings, debug_sync)
+    return _train(spec, pd, plan, trial, dtype, init_from)
 
 
 def evaluate_family(fam: FamilyOutcome, views, batch_size=512) -> dict:
-    """One EvalReport per view for both anchors, every partner of a
-    non-empty set and every retraining, under the net's key in `fam.nets`;
-    each equals `evaluate(net, view.pixels, view.labels, batch_size)` byte
-    for byte.
+    """One EvalReport per view for every node of `fam.plan`, under its key,
+    equal byte for byte to `evaluate(net, view.pixels, view.labels,
+    batch_size)`.
 
-    Each view is scored in `evaluate`'s chunks of batch_size images, and a
-    net's mispredictions are summed over the chunks. A partner holds its
-    anchor's bytes below min(A), so per chunk one `_Prefix` per anchor runs
-    the anchor's blocks once, and every net is scored on the chunk from the
-    activation entering its start block: m - 1 for the anchor, min(A) for a
-    partner. A retraining shares no blocks with an anchor, so it reads the
-    raw chunk from block 0. One chunk's prefix lives at a time, so the
-    memory held does not grow with the view, and every pass of the call
-    takes its buffers from one `Workspace`. A full-set partner equals the
-    opposite anchor (see `train_family`), so it is not scored: its reports
-    are that anchor's.
+    Each view is scored in `evaluate`'s chunks, and a net's mispredictions
+    are summed over them. Per chunk, one `_Prefix` per net that others read
+    (an anchor) or that reads no other (a retraining) runs its blocks once,
+    and every net reading it is scored from the activation entering its
+    start block. One chunk's prefix lives at a time, and every pass takes
+    its buffers from one `Workspace`. A stand-in is not scored: its reports
+    are its twin's.
     """
     if not fam.nets.keys() >= set(ROLES):
         raise UsageError("evaluate_family needs both anchors, as train_family gives")
     if any(len(view.labels) == 0 for view in views):
         raise UsageError("empty test view")
-    groups = []  # (the net whose prefix they read, [(key, start block)] of nets)
-    for role in ROLES:
-        members = [(role, fam.nets[role].m - 1)]
-        members += [((role, A.canonical()), min(A.members))
-                    for A in fam.sets if 0 < len(A.members) < A.m]
-        groups.append((fam.nets[role], members))
-    groups += [(net, [(key, 0)]) for key, net in fam.nets.items()
-               if isinstance(key, tuple) and key[0] == "retrained"]
+    groups = {}  # the key of the net whose prefix they read -> its scored nodes
+    for node in fam.plan.nodes:
+        if node.twin is None:
+            groups.setdefault(node.anchor or node.key, []).append(node)
     anchor = fam.nets[ROLES[0]]
     work = Workspace(anchor.spec, anchor.dtype,
                      [len(view.labels) for view in views], batch_size)
@@ -512,17 +501,16 @@ def evaluate_family(fam: FamilyOutcome, views, batch_size=512) -> dict:
         wrong = {}
         for lo in range(0, len(view.labels), batch_size):
             chunk = slice(lo, lo + batch_size)
-            for source, members in groups:
-                prefix = _Prefix(source, view.pixels[chunk], work)
-                for key, s in members:
-                    report = evaluate(fam.nets[key], prefix.entering(s),
-                                      view.labels[chunk], batch_size, start=s,
-                                      work=work)
-                    wrong[key] = wrong.get(key, 0) + report.mispredictions
+            for source, members in groups.items():
+                prefix = _Prefix(fam.nets[source], view.pixels[chunk], work)
+                for node in members:
+                    report = evaluate(fam.nets[node.key], prefix.entering(node.start),
+                                      view.labels[chunk], batch_size,
+                                      start=node.start, work=work)
+                    wrong[node.key] = wrong.get(node.key, 0) + report.mispredictions
         for key, count in wrong.items():
             reports.setdefault(key, []).append(EvalReport(count, len(view.labels)))
-    for A in fam.sets:
-        if len(A.members) == A.m:
-            for role in ROLES:
-                reports[(role, A.canonical())] = list(reports[_other_role(role)])
+    for node in fam.plan.nodes:
+        if node.twin is not None:
+            reports[node.key] = list(reports[node.twin])
     return reports

@@ -2,16 +2,16 @@
 
 A trial is one (config cell, seed label), and every grid kind runs it
 through one `run_trial`: it builds its own train/test data from a
-trial-split seed, trains both anchors plus whatever the subcommand adds (a
-counterfactual family's partners, or the mitigation retrainings) in one
-`train_family` call, scores every model on the clean and fully-skewed test
-views with one `counterfact.evaluate_family` call, flags divergence, and
-emits RunRecords. There, per (anchor, test view) the anchor's blocks run
-once, each partner is scored from the activation entering block min(A),
-which it shares with its anchor, and each retraining is scored from block
-0. Trials are independent, so they can run in a process pool; records are
-appended by the parent only, each trial's as soon as it returns, so a crash
-keeps every trial finished before it. Pool workers start from a fresh
+trial-split seed, trains the nets of one `counterfact.TrialPlan` (both
+anchors, plus a counterfactual family's partners or the mitigation
+retrainings) in one `train_family` call, scores them on the clean and
+fully-skewed test views with one `evaluate_family` call, flags divergence,
+and emits one RunRecord per plan node, in plan order; a partner of A = {}
+stands in for its anchor and has no record of its own. Whether a trial is
+done is read off the run id of its plan's last recorded node. Trials are
+independent, so they can run in a process pool; records are appended by
+the parent only, each trial's as soon as it returns, so a crash keeps
+every trial finished before it. Pool workers start from a fresh
 interpreter (`spawn`) with one BLAS thread each, unless the user set the
 thread count; the pool's modules are imported only when a grid uses it.
 
@@ -31,7 +31,13 @@ from pathlib import Path
 
 import numpy as np
 
-from ..counterfact import InterventionSet, TrainPlan, evaluate_family, train_family
+from ..counterfact import (
+    InterventionSet,
+    TrainPlan,
+    evaluate_family,
+    train_family,
+    trial_plan,
+)
 from ..errors import ConfigError, UsageError
 from ..interventions import (
     FREEZE,
@@ -120,30 +126,21 @@ _CONFIG_COLUMNS = tuple(f.name for f in fields(RunRecord)
                         if f.name in ExperimentConfig.__dataclass_fields__)
 
 
-def _base_record_fields(config: ExperimentConfig, seed: int):
+def _record(config, seed, role, set_repr, err_clean, err_skew, **extra):
+    columns = {name: getattr(config, name) for name in _CONFIG_COLUMNS}
     f = config.frequency()
-    return dict(
-        {name: getattr(config, name) for name in _CONFIG_COLUMNS},
-        skew_frequency=f"{f.numerator}/{f.denominator}",
-        trial_id=trial_id(config, seed),
-        seed=seed,
-    )
-
-
-def _record(config, seed, role, set_repr, err_clean, err_skew, diverged=False,
-            status="ok", wall_time=0.0, **extra):
+    columns["skew_frequency"] = f"{f.numerator}/{f.denominator}"  # not its name
     return RunRecord(
+        **columns,
         run_id=run_id(config, seed, role, set_repr),
+        trial_id=trial_id(config, seed),
         role=role,
         set=set_repr,
+        seed=seed,
         err_clean_num=err_clean.mispredictions,
         err_clean_den=err_clean.n_examples,
         err_skewfull_num=err_skew.mispredictions,
         err_skewfull_den=err_skew.n_examples,
-        diverged=diverged,
-        status=status,
-        wall_time=wall_time,
-        **_base_record_fields(config, seed),
         **extra,
     )
 
@@ -155,90 +152,96 @@ def mitigation_targets(m: int):
 
 
 def _mitigation_runs(m: int):
-    """(kind, target, set string) of every retraining of a mitigation trial,
-    in the order it runs them. Freezing keeps a single block, so it skips
-    the double targets."""
-    return [
-        (kind, target, f"{kind.label()}@{target.label()}")
+    """Set string -> (kind, target) of every retraining of a mitigation
+    trial, in the order it runs them. Freezing keeps a single block, so it
+    skips the double targets."""
+    return {
+        f"{kind.label()}@{target.label()}": (kind, target)
         for kind in MITIGATION_KINDS
         for target in mitigation_targets(m)
         if not (kind.variant == "freeze" and target.is_double)
-    ]
+    }
+
+
+def _trainees(config: ExperimentConfig, kind: str, m: int):
+    """(intervention sets, retrainings by name) of a trial of this grid kind."""
+    runs = _mitigation_runs(m) if kind == "mitigation" else {}
+    return (intervention_sets(config, m) if kind == "family" else [], {
+        set_repr: freeze_protocol(m, config.steps, target.blocks[0])
+        if iv.variant == "freeze"
+        else retrain_with_intervention(iv, target, m)
+        for set_repr, (iv, target) in runs.items()
+    })
+
+
+def _record_names(node):
+    """(role, set) of the record a plan node becomes; None for a partner of
+    A = {}, which its anchor's record covers."""
+    if node.kind == "anchor":
+        return f"{node.key}_anchor", ""
+    if node.kind == "retrained":
+        return "mitigation", node.key[1]
+    if node.blocks:
+        return f"intervened_{node.anchor[0]}", node.key[1]  # _c or _s
+    return None
 
 
 def run_trial(config: ExperimentConfig, seed: int, kind: str):
     """One trial of a grid of this kind: both anchors, plus the family's
     partners ("family") or one retraining per (intervention kind, target)
     ("mitigation"), trained in one lockstep run and scored by one
-    `evaluate_family`. Returns (records, anchor nets by run id). Every record
-    carries the trial's wall time up to the end of training."""
+    `evaluate_family`. Returns (records, anchor nets by run id): a record
+    per node of the trial's plan, in plan order, each carrying the trial's
+    wall time up to the end of training."""
     started = time.monotonic()
     spec = config.net_spec()
     pd, test_clean, test_full = build_trial_data(config, seed)
-    sets = intervention_sets(config, spec.m) if kind == "family" else []
-    runs = _mitigation_runs(spec.m) if kind == "mitigation" else []
+    sets, retrainings = _trainees(config, kind, spec.m)
     fam = train_family(
         spec, pd, _plan(config, seed), sets,
         dtype=_dtype(config),
         debug_sync=config.debug_sync,
         init_from=_warmstart_net(config),
-        retrainings={
-            set_repr: freeze_protocol(spec.m, config.steps, target.blocks[0])
-            if iv.variant == "freeze"
-            else retrain_with_intervention(iv, target, spec.m)
-            for iv, target, set_repr in runs
-        },
+        retrainings=retrainings,
     )
     wall = time.monotonic() - started
     evals = evaluate_family(fam, (test_clean, test_full))
-    records = []
-    nets = {}
-    for role_name, role in (("clean_anchor", "clean"), ("skewed_anchor", "skewed")):
-        rec = _record(config, seed, role_name, "", *evals[role], wall_time=wall)
-        records.append(rec)
-        nets[rec.run_id] = fam.nets[role]
     err_c = evals["clean"][0].error_fraction
     err_s = evals["skewed"][0].error_fraction
     err_skewfull_of_clean = evals["clean"][1].error_fraction
-    for A in sets:
-        if A.is_empty:
-            continue  # the anchor record already covers the degenerate set
-        key = A.canonical()
-        for direction, role_name in (
-            ("clean", "intervened_c"), ("skewed", "intervened_s")
-        ):
-            ec, es = evals[(direction, key)]
-            diverged = detect_divergence(
-                ec.error_fraction, es.error_fraction, err_s, err_skewfull_of_clean
+    runs = _mitigation_runs(spec.m)
+    records = []
+    nets = {}
+    for node in fam.plan.nodes:
+        names = _record_names(node)
+        if names is None:
+            continue
+        ec, es = evals[node.key]
+        extra = {}
+        if node.kind == "intervened":
+            extra["diverged"] = detect_divergence(
+                ec.error_fraction, es.error_fraction, err_s, err_skewfull_of_clean)
+        elif node.kind == "retrained":
+            iv, target = runs[names[1]]
+            extent = mitigation_extent(ec.error_fraction, err_c, err_s)
+            extra.update(
+                interv_kind=iv.label(),
+                interv_factor="" if iv.variant == "freeze" else repr(iv.factor),
+                interv_targets=target.label(),
+                extent="" if extent is None else repr(extent),
             )
-            records.append(_record(
-                config, seed, role_name, key, ec, es, diverged=diverged,
-                wall_time=wall,
-            ))
-    for iv, target, set_repr in runs:
-        ec, es = evals[("retrained", set_repr)]
-        extent = mitigation_extent(ec.error_fraction, err_c, err_s)
-        records.append(_record(
-            config, seed, "mitigation", set_repr, ec, es, wall_time=wall,
-            interv_kind=iv.label(),
-            interv_factor="" if iv.variant == "freeze" else repr(iv.factor),
-            interv_targets=target.label(),
-            extent="" if extent is None else repr(extent),
-        ))
+        records.append(_record(config, seed, *names, ec, es, wall_time=wall, **extra))
+        if node.kind == "anchor":
+            nets[records[-1].run_id] = fam.nets[node.key]
     return records, nets
 
 
-def _probe_run_id(config: ExperimentConfig, seed: int, kind: str) -> str:
-    """Run id of the last record a trial of this kind writes (idempotence probe)."""
-    if kind == "mitigation":
-        _, _, last = _mitigation_runs(config.net_spec().m)[-1]
-        return run_id(config, seed, "mitigation", last)
-    if kind == "family":
-        sets = [A for A in intervention_sets(config, config.net_spec().m)
-                if not A.is_empty]
-        if sets:
-            return run_id(config, seed, "intervened_s", sets[-1].canonical())
-    return run_id(config, seed, "skewed_anchor", "")
+def _last_record(config: ExperimentConfig, kind: str):
+    """(role, set) of the last record each trial of this grid writes: that
+    of the last node of its plan that becomes a record."""
+    m = config.net_spec().m
+    names = map(_record_names, trial_plan(m, *_trainees(config, kind, m)).nodes)
+    return [n for n in names if n][-1]
 
 
 def _trial_worker(args):
@@ -252,15 +255,13 @@ def run_grid(config: ExperimentConfig, store: ResultsStore, kind="family",
     if kind not in ("family", "anchors", "mitigation"):
         raise UsageError(f"unknown grid kind {kind!r}")
     _warmstart_net(config)  # a bad checkpoint fails before any trial starts
-    if kind == "mitigation":
-        # a too-short run fails before any training
-        freeze_protocol(config.net_spec().m, config.steps, 0)
-        if config.mode == "warmstart":
-            _check_retrain_init(config, store)
+    last = _last_record(config, kind)  # so does a too-short intervene grid
+    if kind == "mitigation" and config.mode == "warmstart":
+        _check_retrain_init(config, store)
     existing = store.existing_run_ids()
     pending = []
     for seed in config.seeds:
-        if _probe_run_id(config, seed, kind) in existing:
+        if run_id(config, seed, *last) in existing:  # the trial is done
             log(f"seed {seed}: already in store (idempotent skip)")
         else:
             pending.append(seed)

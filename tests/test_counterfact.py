@@ -30,6 +30,7 @@ from sscope.interventions import (
     TargetBlocks,
     retrain_with_intervention,
 )
+from sscope.optim import Optimizer
 from sscope.rng import subseed
 from test_optim import PerKeyOptimizer
 
@@ -104,29 +105,34 @@ def test_partner_reads_anchor_arrays_until_sync(small_paired):
     # sees its anchor's in-place updates to the shared blocks, and after
     # sync_blocks only its own copies
     spec = mlp4_spec()
-    anchor = cf._anchor(nc.build_net(spec, seed=3), "clean")
-    partner = cf._partner(anchor, InterventionSet.suffix(spec.m, 2))
+    anchor = nc.build_net(spec, seed=3)
+    partner = cf._partner(anchor, (2, 3))
     x = small_paired.clean.pixels[:8]
-    before = partner.net.forward(x)
-    anchor.net.flat[: anchor.net.block_offsets[2]] *= 0.5  # shared blocks 0, 1
-    shared = partner.net.forward(x)
+    before = partner.forward(x)
+    anchor.flat[: anchor.block_offsets[2]] *= 0.5  # shared blocks 0, 1
+    shared = partner.forward(x)
     assert shared.tobytes() != before.tobytes()
-    assert partner.net.forward(x, 0, 2).tobytes() == anchor.net.forward(x, 0, 2).tobytes()
-    nc.sync_blocks(partner.net, anchor.net, [0, 1])
-    assert partner.net.forward(x).tobytes() == shared.tobytes()
-    anchor.net.flat[:] = 0.0
-    assert partner.net.forward(x).tobytes() == shared.tobytes()
+    assert partner.forward(x, 0, 2).tobytes() == anchor.forward(x, 0, 2).tobytes()
+    nc.sync_blocks(partner, anchor, [0, 1])
+    assert partner.forward(x).tobytes() == shared.tobytes()
+    anchor.flat[:] = 0.0
+    assert partner.forward(x).tobytes() == shared.tobytes()
     for b in range(spec.m):
-        assert all(np.shares_memory(partner.net.params[k], partner.net.flat)
-                   for k in partner.net.block_keys(b))
+        assert all(np.shares_memory(partner.params[k], partner.flat)
+                   for k in partner.block_keys(b))
 
 
-def test_lockstep_optimizers_share_one_work_buffer(small_paired):
-    spec = mlp4_spec()
-    anchor = cf._anchor(nc.build_net(spec, seed=3), "clean")
-    partner = cf._partner(anchor, InterventionSet.suffix(spec.m, 2))
-    done = cf._lockstep(small_paired, quick_plan(steps=3), [anchor, partner])
-    assert done["clean"].optimizer.work is done["clean", "2:4"].optimizer.work
+def test_lockstep_optimizers_share_one_work_buffer(small_paired, monkeypatch):
+    works = []
+
+    def recorded(*args, work, **kw):
+        works.append(work)
+        return Optimizer(*args, work=work, **kw)
+
+    monkeypatch.setattr(cf, "Optimizer", recorded)
+    train_pair(mlp4_spec(), small_paired, quick_plan(steps=3), "clean",
+               InterventionSet.suffix(4, 2))
+    assert len(works) == 2 and works[0] is works[1]
 
 
 def test_pair_outcome_deterministic(small_paired):
@@ -192,12 +198,43 @@ def test_family_full_set_crosses_to_other_anchor(small_paired, monkeypatch):
         assert all(np.shares_memory(v, got.flat) for v in got.params.values())
 
 
-def test_family_empty_set_returns_trivial_copies(small_paired):
+def test_family_empty_set_returns_trivial_copies(small_paired, monkeypatch):
+    # the A = {} partners stand in for their anchors: copies, never built,
+    # unless debug_sync trains them to check that they end as their anchors
     spec = mlp4_spec()
-    fam = train_family(spec, small_paired, quick_plan(steps=20, master_seed=2),
-                       [InterventionSet.empty(spec.m)])
+    partner = cf._partner
+    built = []
+
+    def counted(anchor, blocks):
+        built.append(blocks)
+        return partner(anchor, blocks)
+
+    monkeypatch.setattr(cf, "_partner", counted)
+    plan = quick_plan(steps=20, master_seed=2)
+    fam = train_family(spec, small_paired, plan, [InterventionSet.empty(spec.m)])
+    assert built == []
+    checked = train_family(spec, small_paired, plan, [InterventionSet.empty(spec.m)],
+                           debug_sync=True)
+    assert built == [(), ()]
     for r in cf.ROLES:
-        assert net_bytes(fam.nets[r, "{}"]) == net_bytes(fam.nets[r])
+        got = fam.nets[r, "{}"]
+        assert net_bytes(got) == net_bytes(fam.nets[r])
+        assert net_bytes(checked.nets[r, "{}"]) == net_bytes(got)
+        assert not np.shares_memory(got.flat, fam.nets[r].flat)
+
+
+def test_debug_sync_catches_an_unsynced_empty_set_partner(small_paired, monkeypatch):
+    # an A = {} partner that kept its own copy of block 0 ends as the init's
+    # block 0, not its anchor's
+    spec = mlp4_spec()
+    sync = cf.sync_blocks
+    monkeypatch.setattr(cf, "sync_blocks",
+                        lambda dst, src, members: sync(dst, src, members[1:]))
+    plan = quick_plan(steps=4, master_seed=2)
+    empty = [InterventionSet.empty(spec.m)]
+    train_family(spec, small_paired, plan, empty)  # unchecked, no partner is built
+    with pytest.raises(AssertionError, match=r"intervened:clean:\{\} differs"):
+        train_family(spec, small_paired, plan, empty, debug_sync=True)
 
 
 def test_mismatched_m_rejected(small_paired):
@@ -322,19 +359,108 @@ FAMILIES = {
     "anchors-only": lambda m: [],
 }
 
+# Each family's trial plan, written out by hand, one row per node in plan
+# order: (key, data role, update blocks, anchor, evaluation start, twin).
+ALL4 = (0, 1, 2, 3)
+ANCHORS4 = [("clean", "clean", ALL4, None, 3, None),
+            ("skewed", "skewed", ALL4, None, 3, None)]
+PLANS = {
+    ("anchors-only", 4): ANCHORS4,
+    ("suffix", 4): ANCHORS4 + [
+        (("clean", "0:4"), "skewed", ALL4, "clean", 0, "skewed"),
+        (("skewed", "0:4"), "clean", ALL4, "skewed", 0, "clean"),
+        (("clean", "1:4"), "skewed", (1, 2, 3), "clean", 1, None),
+        (("skewed", "1:4"), "clean", (1, 2, 3), "skewed", 1, None),
+        (("clean", "2:4"), "skewed", (2, 3), "clean", 2, None),
+        (("skewed", "2:4"), "clean", (2, 3), "skewed", 2, None),
+        (("clean", "3:4"), "skewed", (3,), "clean", 3, None),
+        (("skewed", "3:4"), "clean", (3,), "skewed", 3, None),
+        (("clean", "{}"), "skewed", (), "clean", None, "clean"),
+        (("skewed", "{}"), "clean", (), "skewed", None, "skewed"),
+    ],
+    ("single", 4): ANCHORS4 + [
+        (("clean", "1:4"), "skewed", (1, 2, 3), "clean", 1, None),  # -{0}
+        (("skewed", "1:4"), "clean", (1, 2, 3), "skewed", 1, None),
+        (("clean", "-{1}"), "skewed", (0, 2, 3), "clean", 0, None),
+        (("skewed", "-{1}"), "clean", (0, 2, 3), "skewed", 0, None),
+        (("clean", "-{2}"), "skewed", (0, 1, 3), "clean", 0, None),
+        (("skewed", "-{2}"), "clean", (0, 1, 3), "skewed", 0, None),
+        (("clean", "-{3}"), "skewed", (0, 1, 2), "clean", 0, None),
+        (("skewed", "-{3}"), "clean", (0, 1, 2), "skewed", 0, None),
+    ],
+    ("explicit", 4): ANCHORS4 + [
+        (("clean", "{0,2}"), "skewed", (0, 2), "clean", 0, None),
+        (("skewed", "{0,2}"), "clean", (0, 2), "skewed", 0, None),
+        (("clean", "{1,3}"), "skewed", (1, 3), "clean", 1, None),
+        (("skewed", "{1,3}"), "clean", (1, 3), "skewed", 1, None),
+        (("clean", "0:4"), "skewed", ALL4, "clean", 0, "skewed"),
+        (("skewed", "0:4"), "clean", ALL4, "skewed", 0, "clean"),
+    ],
+    ("mitigation", 4): ANCHORS4 + [
+        (("retrained", "lr_up@1"), "skewed", ALL4, None, 0, None),
+        (("retrained", "freeze@0"), "skewed", ALL4, None, 0, None),
+    ],
+    ("suffix", 6): [
+        ("clean", "clean", tuple(range(6)), None, 5, None),
+        ("skewed", "skewed", tuple(range(6)), None, 5, None),
+        (("clean", "0:6"), "skewed", tuple(range(6)), "clean", 0, "skewed"),
+        (("skewed", "0:6"), "clean", tuple(range(6)), "skewed", 0, "clean"),
+        (("clean", "1:6"), "skewed", (1, 2, 3, 4, 5), "clean", 1, None),
+        (("skewed", "1:6"), "clean", (1, 2, 3, 4, 5), "skewed", 1, None),
+        (("clean", "2:6"), "skewed", (2, 3, 4, 5), "clean", 2, None),
+        (("skewed", "2:6"), "clean", (2, 3, 4, 5), "skewed", 2, None),
+        (("clean", "3:6"), "skewed", (3, 4, 5), "clean", 3, None),
+        (("skewed", "3:6"), "clean", (3, 4, 5), "skewed", 3, None),
+        (("clean", "4:6"), "skewed", (4, 5), "clean", 4, None),
+        (("skewed", "4:6"), "clean", (4, 5), "skewed", 4, None),
+        (("clean", "5:6"), "skewed", (5,), "clean", 5, None),
+        (("skewed", "5:6"), "clean", (5,), "skewed", 5, None),
+        (("clean", "{}"), "skewed", (), "clean", None, "clean"),
+        (("skewed", "{}"), "clean", (), "skewed", None, "skewed"),
+    ],
+}
+
+
+def mitigation_retrainings(m):
+    return {
+        "lr_up@1": retrain_with_intervention(LR_UP, TargetBlocks((1,)), m),
+        "freeze@0": freeze_phases(m, keep_block=0, t1=2, t2=2),
+    }
+
+
+def plan_rows(plan):
+    return [(n.key, n.role, n.blocks, n.anchor, n.start, n.twin) for n in plan.nodes]
+
+
+@pytest.mark.parametrize("debug_sync", [False, True])
+@pytest.mark.parametrize("family, m", sorted(PLANS))
+def test_trial_plan_matches_table(family, m, debug_sync):
+    retrainings = mitigation_retrainings(m) if family == "mitigation" else None
+    sets = [] if family == "mitigation" else FAMILIES[family](m)
+    plan = cf.trial_plan(m, sets + sets[:1], retrainings, debug_sync)  # a repeat
+    assert plan_rows(plan) == PLANS[family, m]
+    knobs = {("retrained", name): r for name, r in (retrainings or {}).items()}
+    assert [n.retraining for n in plan.nodes] == [
+        knobs.get(n.key, cf.Retraining()) for n in plan.nodes]
+    # without debug_sync the stand-ins are copies, not trainees
+    assert [n.key for n in plan.trained] == [
+        key for key, *_, twin in PLANS[family, m] if debug_sync or twin is None]
+
 
 def minicnn6_spec():
     return net_spec("minicnn6", task_spec("bars16", None))
 
 
-def check_family_evaluation(pd, spec, sets, dtype, n, batch_size, monkeypatch,
+def check_family_evaluation(pd, spec, family, dtype, n, batch_size, monkeypatch,
                             retrainings=None):
-    """evaluate_family must score each net once per (view, chunk), from block
-    m - 1 for an anchor, min(A) for a partner and 0 for a retraining, except
-    a full-set partner, which takes no call. Every chunk's logits must match
-    a plain evaluate's byte for byte, and so must every report."""
-    fam = train_family(spec, pd, quick_plan(steps=12), sets, dtype=dtype,
-                       retrainings=retrainings)
+    """evaluate_family must score each net once per (view, chunk), from the
+    start block its row of PLANS gives, except a stand-in, which takes no
+    call. Every chunk's logits must match a plain evaluate's byte for byte,
+    and so must every report, a stand-in's too."""
+    table = PLANS[family, spec.m] + (PLANS["mitigation", spec.m][2:] if retrainings
+                                     else [])
+    fam = train_family(spec, pd, quick_plan(steps=12), FAMILIES[family](spec.m),
+                       dtype=dtype, retrainings=retrainings)
     test_clean = sl.gen_clean_synthetic(watermark_task(), n, seed=5)
     views = (test_clean, sl.make_fully_skewed(test_clean, watermark_task().watermark))
     starts = []  # (net, start block) per call
@@ -350,17 +476,9 @@ def check_family_evaluation(pd, spec, sets, dtype, n, batch_size, monkeypatch,
 
     monkeypatch.setattr(cf, "evaluate", counted)
     reports = cf.evaluate_family(fam, views, batch_size)
-    nets = {r: fam.nets[r] for r in cf.ROLES}
-    want_starts = [(id(net), spec.m - 1) for net in nets.values()]
-    for A in sets:
-        if not A.is_empty:
-            for role in cf.ROLES:
-                net = nets[role, A.canonical()] = fam.nets[role, A.canonical()]
-                if A != InterventionSet.full(spec.m):
-                    want_starts.append((id(net), min(A.members)))
-    for name in retrainings or {}:
-        net = nets["retrained", name] = fam.nets["retrained", name]
-        want_starts.append((id(net), 0))
+    nets = {key: fam.nets[key] for key, *_ in table}
+    want_starts = [(id(nets[key]), start) for key, *_, start, twin in table
+                   if twin is None]
     assert reports.keys() == nets.keys()
     chunks_per_view = -(-n // batch_size)
     assert sorted(starts) == sorted(want_starts * len(views) * chunks_per_view)
@@ -371,7 +489,7 @@ def check_family_evaluation(pd, spec, sets, dtype, n, batch_size, monkeypatch,
                                             batch_size=batch_size)
             assert got == plain, name
             want_logits += chunks
-        if id(net) in logits:  # a full-set partner takes no call
+        if id(net) in logits:  # a stand-in takes no call
             assert logits[id(net)] == want_logits, name
 
 
@@ -382,7 +500,7 @@ def test_family_evaluation_matches_plain_evaluate(small_paired, spec_fn, family,
                                                   dtype, monkeypatch):
     # above 512 images, with a ragged last chunk
     spec = spec_fn()
-    check_family_evaluation(small_paired, spec, FAMILIES[family](spec.m), dtype,
+    check_family_evaluation(small_paired, spec, family, dtype,
                             n=700, batch_size=512, monkeypatch=monkeypatch)
 
 
@@ -390,7 +508,7 @@ def test_family_evaluation_follows_evaluate_chunks(small_paired, monkeypatch):
     # at 16-image chunks MiniCNN-6's logits depend on the chunking, so the
     # shared activations must be computed in evaluate's own chunks
     spec = minicnn6_spec()
-    check_family_evaluation(small_paired, spec, FAMILIES["suffix"](spec.m),
+    check_family_evaluation(small_paired, spec, "suffix",
                             np.float32, n=200, batch_size=16,
                             monkeypatch=monkeypatch)
 
@@ -398,11 +516,8 @@ def test_family_evaluation_follows_evaluate_chunks(small_paired, monkeypatch):
 @pytest.mark.parametrize("spec_fn", [small_cnn_spec, mlp4_spec])
 def test_family_evaluation_scores_retrainings(small_paired, spec_fn, monkeypatch):
     spec = spec_fn()
-    retrainings = {
-        "lr_up@1": retrain_with_intervention(LR_UP, TargetBlocks((1,)), spec.m),
-        "freeze@0": freeze_phases(spec.m, keep_block=0, t1=2, t2=2),
-    }
-    check_family_evaluation(small_paired, spec, FAMILIES["suffix"](spec.m),
+    retrainings = mitigation_retrainings(spec.m)
+    check_family_evaluation(small_paired, spec, "suffix",
                             np.float32, n=700, batch_size=512,
                             monkeypatch=monkeypatch, retrainings=retrainings)
 
@@ -517,21 +632,25 @@ def test_debug_sync_catches_a_perturbed_full_set_partner(small_paired, monkeypat
     spec = mlp4_spec()
     full = InterventionSet.full(spec.m)
     partner = cf._partner
+    built = []
 
-    def perturbed(anchor, A):
-        tr = partner(anchor, A)
-        if A == full and anchor.data_role == "clean":
-            tr.net.flat[0] += 1.0
-        return tr
+    def perturbed(anchor, blocks):
+        net = partner(anchor, blocks)
+        built.append(blocks)
+        if len(built) == 1:  # the clean direction's comes first
+            net.flat[0] += 1.0
+        return net
 
     monkeypatch.setattr(cf, "_partner", perturbed)
     plan = quick_plan(steps=6, master_seed=5)
     # unchecked, the partner is never built, so the change cannot show
     fam = train_family(spec, small_paired, plan, [full])
+    assert built == []
     assert net_bytes(fam.nets["clean", full.canonical()]) == net_bytes(
         fam.nets["skewed"])
     with pytest.raises(AssertionError, match="intervened:clean:0:4 differs"):
         train_family(spec, small_paired, plan, [full], debug_sync=True)
+    assert built == [(0, 1, 2, 3)] * 2
 
 
 def test_diverged_partner_reports_step_and_block(small_paired, monkeypatch):

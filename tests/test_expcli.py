@@ -199,14 +199,14 @@ def test_mitigation_trial_is_one_lockstep_run(tmp_path, monkeypatch):
     lockstep = cf._lockstep
     runs = []
 
-    def counted(pd, plan, trainees, debug_sync=False):
-        runs.append([tr.key for tr in trainees])
-        return lockstep(pd, plan, trainees, debug_sync)
+    def counted(pd, plan, trial, init):
+        runs.append([node.key for node in trial.trained])
+        return lockstep(pd, plan, trial, init)
 
     monkeypatch.setattr(cf, "_lockstep", counted)
     config = tiny_config(tmp_path, seeds=[0])  # mlp4: m = 4
     records, _ = runner.run_trial(config, 0, "mitigation")
-    sets = [s for _, _, s in runner._mitigation_runs(4)]
+    sets = list(runner._mitigation_runs(4))
     assert len(sets) == 4 * (4 + 3) + 4  # LR/WD kinds on single and double targets
     assert runs == [["clean", "skewed"] + [("retrained", s) for s in sets]]
     assert [r.set for r in records] == ["", ""] + sets
@@ -215,7 +215,7 @@ def test_mitigation_trial_is_one_lockstep_run(tmp_path, monkeypatch):
     err_c, err_s = (Fraction(r.err_clean_num, r.err_clean_den) for r in records[:2])
     assert [r.role for r in records[:2]] == ["clean_anchor", "skewed_anchor"]
     extents = []
-    for rec, (kind, target, _) in zip(records[2:], runner._mitigation_runs(4)):
+    for rec, (kind, target) in zip(records[2:], runner._mitigation_runs(4).values()):
         extent = mitigation_extent(
             Fraction(rec.err_clean_num, rec.err_clean_den), err_c, err_s)
         assert rec.extent == ("" if extent is None else repr(extent))
@@ -286,6 +286,22 @@ def test_rerun_is_idempotent(tmp_path, monkeypatch, kind):
     assert run_grid(config, store, kind=kind, log=log.append) == 0
     assert log == ["seed 0: already in store (idempotent skip)"]
     assert store.load() == before
+
+
+FAMILY_SHAPES = {
+    "suffix": dict(family="suffix"),
+    "single": dict(family="single"),
+    "explicit-empty": dict(family="explicit", explicit_sets=["{}"]),
+    "explicit-2:4-empty": dict(family="explicit", explicit_sets=["2:4", "{}"]),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(FAMILY_SHAPES))
+@pytest.mark.parametrize("kind", ["anchors", "family", "mitigation"])
+def test_resume_probe_names_the_last_record(tmp_path, kind, shape):
+    config = tiny_config(tmp_path, seeds=[0], **FAMILY_SHAPES[shape])
+    records, _ = runner.run_trial(config, 0, kind)
+    assert run_id(config, 0, *runner._last_record(config, kind)) == records[-1].run_id
 
 
 def test_crash_keeps_finished_trials_and_resumes(tmp_path, monkeypatch):

@@ -97,7 +97,7 @@ def minicnn6_family(task, images):
     nets = {role: net.copy() for role in cf.ROLES}
     nets.update(((role, A.canonical()), net.copy())
                 for role in cf.ROLES for A in sets if not A.is_empty)
-    fam = cf.FamilyOutcome(nets=nets, sets=sets)
+    fam = cf.FamilyOutcome(nets=nets, plan=cf.trial_plan(net.m, sets))
     clean = sl.gen_clean_synthetic(task, images, seed=3)
     mark = sl.WatermarkSkewSpec(patch_size=10, blend_strength=sl.STRONG)
     return net, fam, (clean, sl.make_fully_skewed(clean, mark))
