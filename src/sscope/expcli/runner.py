@@ -79,21 +79,28 @@ def intervention_sets(config: ExperimentConfig, m: int):
 
 
 def build_trial_data(config: ExperimentConfig, seed: int):
-    """Train PairedDataset plus the clean/fully-skewed test views."""
+    """Train PairedDataset plus the clean/fully-skewed test views, each
+    composed once into a plain dataset. The test views come first, so their
+    base is freed before the training base is rendered."""
     tseed = trial_seed(config, seed)
     task = config.task_spec()
     if config.skew_kind == "watermark":
         skew = config.watermark()
     else:
         skew = SamplingSkewSpec(num_groups=task.attribute_groups)
+    test_clean, test_full = _test_views(task, skew, config.test_n,
+                                        subseed(tseed, "data-test"))
     train_clean = gen_clean_synthetic(task, config.train_n, subseed(tseed, "data-train"))
     train_full = make_fully_skewed(train_clean, skew)
     pd = apply_frequency(
         train_clean, train_full, config.frequency(), subseed(tseed, "mask-train")
     )
-    test_clean = gen_clean_synthetic(task, config.test_n, subseed(tseed, "data-test"))
-    test_full = make_fully_skewed(test_clean, skew)
     return pd, test_clean, test_full
+
+
+def _test_views(task, skew, n, seed):
+    clean = gen_clean_synthetic(task, n, seed)
+    return clean.plain(), make_fully_skewed(clean, skew).plain()
 
 
 def _plan(config: ExperimentConfig, seed: int):

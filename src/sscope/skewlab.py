@@ -6,14 +6,22 @@ that selects which indices the mixed "skewed" view serves from the fully
 skewed side. Because the two views are aligned, the skew transform applied
 to a batch of indices is a pure lookup.
 
-What a trial holds: two training image arrays (the clean and the fully
-skewed images) and the two test views. The mixed view is never stored;
-`paired_batches` gathers a batch's fully skewed rows and copies the batch's
-unmasked clean rows over them. A clean view keeps its pre-watermark base,
-which the fully skewed watermark view blends over; without a watermark it
-is its own base (`base_pixels is pixels`). A fully skewed view keeps no
-base, and a sampling-skewed view gathers its images through one source
-index.
+What a trial holds: per split, one read-only base image array (rendered
+and tinted, before any watermark) and, per view, one integer per image. A
+watermark view holds a glyph class per image (clean: a random glyph; fully
+skewed: the label; frequency-mixed: the label where the skew mask is set,
+else the random glyph); a sampling view holds a base row per image (its
+own row, its donor row, or the mask's choice of the two). `compose` builds
+any images of a view from these: it gathers their base rows, then blends
+each row's glyph into its corner. Every training batch, both of its views,
+is composed this way, and so is each SSD1 file a bounded number of images
+at a time; no training view is ever built whole. The two test views are
+composed once, whole, into plain datasets, and their base is dropped.
+Every array a dataset holds is flagged read-only when the dataset is built.
+A `bars16` watermark trial of 1024 training and 256 test images holds
+1.07 MB of training data and 0.53 MB of test views, a `tint2` sampling
+trial of 4096 and 1024 holds 4.40 MB and 2.12 MB, and a `bars32` trial of
+4096 and 4096 holds 16.9 MB and 33.6 MB.
 
 Two skew mechanisms are supported:
 
@@ -37,7 +45,7 @@ Every spec value checks itself once, when it is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -51,6 +59,7 @@ __all__ = [
     "SamplingSkewSpec",
     "SkewFrequency",
     "PairedDataset",
+    "compose",
     "gen_clean_synthetic",
     "make_fully_skewed",
     "apply_frequency",
@@ -74,18 +83,46 @@ _ATTRIBUTE_TINT = 0.3
 _GLYPH_SEED = 1717
 
 
-@dataclass
+@dataclass(frozen=True)
 class ImageDataset:
-    """Column-oriented image dataset; immutable by convention after build."""
+    """n labelled images over one base image array: image i is base row
+    rows[i] (row i when rows is None) with the glyph of class glyphs[i]
+    under `mark` blended into its corner (no glyph when glyphs is None). A
+    plain dataset, with neither, is its base. Every array is read-only."""
 
-    pixels: np.ndarray  # (n, c, h, w) float32
+    base: np.ndarray  # (N, c, h, w) float32
     labels: np.ndarray  # (n,) int64
     class_count: int
     attributes: np.ndarray | None = None
-    base_pixels: np.ndarray | None = None  # a clean view's pre-watermark pixels
+    rows: np.ndarray | None = None
+    glyphs: np.ndarray | None = None
+    mark: WatermarkSkewSpec | None = None
+
+    def __post_init__(self):
+        for a in (self.base, self.labels, self.attributes, self.rows, self.glyphs):
+            if a is not None:
+                a.setflags(write=False)
 
     def __len__(self):
         return len(self.labels)
+
+    @property
+    def is_plain(self):
+        return self.rows is None and self.glyphs is None
+
+    @property
+    def pixels(self) -> np.ndarray:
+        """A plain dataset's images."""
+        if not self.is_plain:
+            raise UsageError("a composed view has no pixel array; compose its images")
+        return self.base
+
+    def plain(self) -> ImageDataset:
+        """The same images as a plain dataset, composed whole: a test view."""
+        if self.is_plain:
+            return self
+        return ImageDataset(compose(self, np.arange(len(self))), self.labels,
+                            self.class_count, self.attributes)
 
 
 # --------------------------------------------------------------------------
@@ -149,17 +186,18 @@ RARE = SkewFrequency(15, 16)
 
 
 # --------------------------------------------------------------------------
-# watermark blending
+# composing images
 
-def _blend_batch(pixels, glyph_per_image, alpha):
-    """Convex-blend each image's p x p glyph into its upper-left corner;
-    glyph_per_image has shape (n, p, p)."""
-    out = pixels.copy()
-    p = glyph_per_image.shape[-1]
-    out[:, :, :p, :p] = (
-        (1.0 - alpha) * out[:, :, :p, :p]
-        + alpha * glyph_per_image[:, None, :, :]
-    ).astype(pixels.dtype)
+def compose(ds: ImageDataset, idx: np.ndarray) -> np.ndarray:
+    """A new array of the images of ds at the integer indices idx: their
+    base rows gathered, then each row's glyph convex-blended into its
+    upper-left p x p corner, in place."""
+    out = ds.base[idx if ds.rows is None else ds.rows[idx]]
+    if ds.glyphs is not None:
+        p, alpha = ds.mark.patch_size, ds.mark.blend_strength
+        glyphs = ds.mark.glyphs(ds.class_count)[ds.glyphs[idx]]
+        corner = out[:, :, :p, :p]
+        corner[...] = (1.0 - alpha) * corner + alpha * glyphs[:, None, :, :]
     return out
 
 
@@ -268,8 +306,8 @@ def _render_base(task, labels, rng):
 
 
 def gen_clean_synthetic(task: SyntheticTaskSpec, n: int, seed: int) -> ImageDataset:
-    """Procedural class-distinctive images; any watermark glyph is assigned
-    uniformly at random, independent of the label."""
+    """Procedural class-distinctive images over a new base; any watermark
+    glyph is assigned uniformly at random, independent of the label."""
     if n <= 0:
         raise UsageError("n must be positive")
     labels = stream(seed, "labels").integers(0, task.class_count, size=n)
@@ -281,18 +319,12 @@ def gen_clean_synthetic(task: SyntheticTaskSpec, n: int, seed: int) -> ImageData
         tint = (attributes / max(task.attribute_groups - 1, 1)) * _ATTRIBUTE_TINT
         base += tint[:, None, None, None].astype(np.float32)
         np.clip(base, 0, 1, out=base)
-    pixels = base
+    glyphs = None
     if task.watermark is not None:
-        glyph_ids = stream(seed, "match").integers(0, task.class_count, size=n)
-        glyphs = task.watermark.glyphs(task.class_count)
-        pixels = _blend_batch(base, glyphs[glyph_ids], task.watermark.blend_strength)
-    return ImageDataset(
-        pixels=pixels,
-        labels=labels.astype(np.int64),
-        class_count=task.class_count,
-        attributes=None if attributes is None else attributes.astype(np.int64),
-        base_pixels=base,
-    )
+        glyphs = stream(seed, "match").integers(0, task.class_count, size=n)
+    return ImageDataset(base, labels.astype(np.int64), task.class_count,
+                        None if attributes is None else attributes.astype(np.int64),
+                        glyphs=glyphs, mark=task.watermark)
 
 
 # --------------------------------------------------------------------------
@@ -308,22 +340,15 @@ def make_fully_skewed(clean: ImageDataset, skew) -> ImageDataset:
 
 
 def _fully_skewed_watermark(clean, skew):
-    _check_patch_fits(skew.patch_size, clean.pixels.shape[2:])
-    base = clean.base_pixels if clean.base_pixels is not None else clean.pixels
-    glyphs = skew.glyphs(clean.class_count)
-    pixels = _blend_batch(base, glyphs[clean.labels], skew.blend_strength)
-    return ImageDataset(
-        pixels=pixels,
-        labels=clean.labels.copy(),
-        class_count=clean.class_count,
-        attributes=None if clean.attributes is None else clean.attributes.copy(),
-    )
+    """The clean view's base rows, each with its label's glyph."""
+    _check_patch_fits(skew.patch_size, clean.base.shape[2:])
+    return replace(clean, glyphs=clean.labels, mark=skew)
 
 
 def _fully_skewed_sampling(clean, skew):
     """Each cross-group item replaced by a same-label aligned-group donor,
-    round-robin over the donors in index order. Whole images are gathered
-    through one source index, so the view holds one new pixel array."""
+    round-robin over the donors in index order: the view reads the donor's
+    base row and glyph."""
     if clean.attributes is None:
         raise DataError("sampling skew needs a dataset with group attributes")
     labels = clean.labels
@@ -337,34 +362,50 @@ def _fully_skewed_sampling(clean, skew):
         source[cross] = donors[np.arange(len(cross)) % len(donors)]
     new_attrs = attrs[source]
     assert (new_attrs == skew.aligned_group(labels)).all()
-    return ImageDataset(
-        pixels=clean.pixels[source],
-        labels=labels.copy(),
-        class_count=clean.class_count,
+    return replace(
+        clean,
         attributes=new_attrs,
+        rows=source,
+        glyphs=None if clean.glyphs is None else clean.glyphs[source],
     )
 
 
 # --------------------------------------------------------------------------
 # paired dataset
 
-@dataclass
+@dataclass(frozen=True)
 class PairedDataset:
-    """The clean and fully skewed views of one training set, index-aligned,
-    and the skew mask. The frequency-mixed "skewed" view is never stored:
-    `paired_batches` builds each batch of it from the two views."""
+    """The clean and fully skewed views of one training set, index-aligned
+    over one base, the skew mask, and the frequency-mixed "skewed" view
+    that the mask picks from the two."""
 
     clean: ImageDataset
     fully_skewed: ImageDataset
     skew_mask: np.ndarray  # (n,) bool
+    skewed: ImageDataset = field(init=False)
 
     def __post_init__(self):
-        if not (
-            len(self.clean) == len(self.fully_skewed) == len(self.skew_mask)
-        ):
+        clean, full, mask = self.clean, self.fully_skewed, self.skew_mask
+        if not len(clean) == len(full) == len(mask):
             raise UsageError("clean/fully_skewed/mask lengths differ")
-        if not (self.clean.labels == self.fully_skewed.labels).all():
+        if not (clean.labels == full.labels).all():
             raise UsageError("labels differ between views at some index")
+        if clean.base is not full.base or clean.rows is not None:
+            raise UsageError("the fully skewed view must be made from the clean view")
+        if (clean.glyphs is None) != (full.glyphs is None) or (
+                clean.glyphs is not None and clean.mark != full.mark):
+            raise UsageError("the clean and fully skewed views differ in watermark")
+        mask.setflags(write=False)
+
+        def pick(a, b):  # b where the mask is set, else a; None stays None
+            return None if b is None else np.where(mask, b, a)
+
+        object.__setattr__(self, "skewed", replace(
+            clean,
+            attributes=pick(clean.attributes, full.attributes),
+            rows=pick(np.arange(len(mask)), full.rows),
+            glyphs=pick(clean.glyphs, full.glyphs),
+        ))
 
     def __len__(self):
         return len(self.clean)
@@ -388,27 +429,18 @@ class PairedBatch:
 
 
 def paired_batches(pd: PairedDataset, batch_size: int, epoch_seed: int):
-    """One epoch of aligned (clean, skewed) batches partitioning the index set.
-
-    A batch's skewed images are the frequency-mixed view's rows: its fully
-    skewed rows are gathered, then its unmasked rows are overwritten with
-    the batch's clean images.
-    """
+    """One epoch of aligned (clean, skewed) batches partitioning the index
+    set; each batch's images are composed from the clean and the mixed view."""
     n = len(pd)
     if batch_size > n:
         raise UsageError(f"batch_size {batch_size} exceeds dataset size {n}")
     order = stream(epoch_seed, "epoch-shuffle").permutation(n)
-    unmasked = ~pd.skew_mask
     for lo in range(0, n, batch_size):
         idx = order[lo : lo + batch_size]
-        clean_x = pd.clean.pixels[idx]
-        skew_x = pd.fully_skewed.pixels[idx]
-        keep = np.flatnonzero(unmasked[idx])
-        skew_x[keep] = clean_x[keep]
         yield PairedBatch(
             indices=idx,
-            clean_x=clean_x,
-            skew_x=skew_x,
+            clean_x=compose(pd.clean, idx),
+            skew_x=compose(pd.skewed, idx),
             labels=pd.clean.labels[idx],
         )
 
@@ -419,17 +451,23 @@ def paired_batches(pd: PairedDataset, batch_size: int, epoch_seed: int):
 # `sscope gen-data` writes it; tests/ssd1.py holds the reference reader.
 
 _MAGIC = b"SSD1"
+# images are composed and quantised about this many pixel values at a time
+_EXPORT_CHUNK = 1 << 18
 
 
 def save_ssd1(ds: ImageDataset, path):
     import struct
 
-    n, c, h, w = ds.pixels.shape
+    n = len(ds)
+    c, h, w = ds.base.shape[1:]
+    step = max(1, _EXPORT_CHUNK // (c * h * w))
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<5I", n, c, h, w, ds.class_count))
         fh.write(struct.pack("<B", 1 if ds.attributes is not None else 0))
-        fh.write(np.rint(ds.pixels * 255.0).astype("<u1").tobytes())
+        for lo in range(0, n, step):
+            images = compose(ds, np.arange(lo, min(lo + step, n)))
+            fh.write(np.rint(images * 255.0).astype("<u1").tobytes())
         fh.write(ds.labels.astype("<u2").tobytes())
         if ds.attributes is not None:
             fh.write(ds.attributes.astype("<u2").tobytes())

@@ -107,7 +107,7 @@ def test_partner_reads_anchor_arrays_until_sync(small_paired):
     spec = mlp4_spec()
     anchor = nc.build_net(spec, seed=3)
     partner = cf._partner(anchor, (2, 3))
-    x = small_paired.clean.pixels[:8]
+    x = sl.compose(small_paired.clean, np.arange(8))
     before = partner.forward(x)
     anchor.flat[: anchor.block_offsets[2]] *= 0.5  # shared blocks 0, 1
     shared = partner.forward(x)
@@ -451,6 +451,12 @@ def minicnn6_spec():
     return net_spec("minicnn6", task_spec("bars16", None))
 
 
+def eval_views(n):
+    """The clean and fully skewed test views of n watermark images."""
+    clean = sl.gen_clean_synthetic(watermark_task(), n, seed=5)
+    return clean.plain(), sl.make_fully_skewed(clean, clean.mark).plain()
+
+
 def check_family_evaluation(pd, spec, family, dtype, n, batch_size, monkeypatch,
                             retrainings=None):
     """evaluate_family must score each net once per (view, chunk), from the
@@ -461,8 +467,7 @@ def check_family_evaluation(pd, spec, family, dtype, n, batch_size, monkeypatch,
                                      else [])
     fam = train_family(spec, pd, quick_plan(steps=12), FAMILIES[family](spec.m),
                        dtype=dtype, retrainings=retrainings)
-    test_clean = sl.gen_clean_synthetic(watermark_task(), n, seed=5)
-    views = (test_clean, sl.make_fully_skewed(test_clean, watermark_task().watermark))
+    views = eval_views(n)
     starts = []  # (net, start block) per call
     logits = {}  # net -> the bytes of each chunk's logits, in call order
 
@@ -532,8 +537,7 @@ def test_family_evaluation_leaves_prefix_activations_unchanged(small_paired, spe
     spec = spec_fn()
     fam = train_family(spec, small_paired, quick_plan(steps=4),
                        FAMILIES["suffix"](spec.m))
-    test_clean = sl.gen_clean_synthetic(watermark_task(), 600, seed=5)
-    views = (test_clean, sl.make_fully_skewed(test_clean, watermark_task().watermark))
+    views = eval_views(600)
     pixels = [view.pixels.tobytes() for view in views]
     made = []  # (activation, its bytes when its pass returned), kept alive
     entering = cf._Prefix.entering
@@ -563,7 +567,7 @@ def test_family_evaluation_needs_both_anchors(small_paired):
 
 def test_family_evaluation_rejects_an_empty_view(small_paired):
     fam = train_family(mlp4_spec(), small_paired, quick_plan(steps=2), [])
-    view = sl.gen_clean_synthetic(watermark_task(), 16, seed=5)
+    view = sl.gen_clean_synthetic(watermark_task(), 16, seed=5).plain()
     empty = sl.ImageDataset(view.pixels[:0], view.labels[:0], view.class_count)
     with pytest.raises(UsageError, match="empty"):
         cf.evaluate_family(fam, (view, empty))

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import shutil
@@ -938,6 +939,61 @@ def test_cli_gen_data(tmp_path, capsys):
     assert rc == 0
     ds = load_ssd1(tmp_path / "data" / "dataset_clean.ssd1")
     assert len(ds) == 64
+
+
+# SHA-256 of each file gen-data writes: a 1100-image training set (more
+# than one export chunk of 16 x 16 images) and 200 test images, seed 0
+GEN_DATA_FILES = {
+    "bars16-watermark": ({"task": "bars16"}, {
+        "clean": "c5b58797449e784e2720060819e5904a08d844a009ad476794d8ac98fa5acbb6",
+        "fully_skewed": "9864d8bdf0f4187495823c2c09bce8f05edf614a4213ca648d1faa11033c9a4b",
+        "test_clean": "8f83add24bf303d1f49e13734c06ce24f10908f2c0ecc4bc69cca997d78b119b",
+        "test_fully_skewed":
+            "8e2e5c681fe2ea2c3a740208edaa8019c724b52a96e0920aaf9fdf38d33548a2",
+    }),
+    "tint2-sampling": ({"task": "tint2", "skew": {"kind": "sampling"}}, {
+        "clean": "b5722ae4ce10d675d7abef4ecf2cc6bf41fe85d09ff6a267e8b4be9f072d3e15",
+        "fully_skewed": "09fc063f1cbfa93bbf5f80377cc538d634abc68d87448f6792a7e66be99440bd",
+        "test_clean": "233371aef2d33edde18dd773f2194a3bb8c1a7a7cc44bcbfdabd7f89ed72df38",
+        "test_fully_skewed":
+            "7eb8fdb5052eec6553e80d129854668d35ac73641d34859eb441db0836d4b2c0",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GEN_DATA_FILES))
+def test_gen_data_files_are_golden(tmp_path, capsys, name):
+    fields, digests = GEN_DATA_FILES[name]
+    cfg_path = tmp_path / "cfg.json"
+    config = dict(fields, net="mlp4", family="suffix", seeds=[0], steps=30,
+                  batch_size=16, train_n=1100, test_n=200, out=str(tmp_path / "data"))
+    cfg_path.write_text(json.dumps(config))
+    assert main(["gen-data", "--config", str(cfg_path)]) == 0
+    got = {view: hashlib.sha256((tmp_path / "data" / f"dataset_{view}.ssd1")
+                                .read_bytes()).hexdigest()
+           for view in digests}
+    assert got == digests
+
+
+def test_trial_data_is_read_only(tmp_path):
+    """No batch or evaluation can write into the data every trainee reads:
+    the base, the integers per image, the mask and the test views."""
+    config = tiny_config(tmp_path, task="tint2", skew={"kind": "sampling"},
+                         seeds=[0], steps=5)
+    for c in (config, tiny_config(tmp_path, seeds=[0], steps=5)):
+        pd, test_clean, test_full = runner.build_trial_data(c, seed=0)
+        views = (pd.clean, pd.fully_skewed, pd.skewed, test_clean, test_full)
+        arrays = [pd.skew_mask] + [
+            a for v in views
+            for a in (v.base, v.labels, v.attributes, v.rows, v.glyphs)
+            if a is not None]
+        assert len(arrays) >= 12
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[1]
+    store = ResultsStore(config.out)
+    assert run_grid(config, store, kind="family", log=lambda *_: None) > 0
+    assert len(store.load()) > 0
 
 
 @pytest.mark.parametrize("make", [Path.mkdir, lambda p: p.write_bytes(b"\xff\xfe{}")],

@@ -52,6 +52,39 @@ def test_sampling_trial_data_holds_two_training_arrays():
     assert traced_peak(lambda: build_and_one_epoch(config)) < bound
 
 
+def check_trial_data_holds_one_training_array(task, skew):
+    config = ExperimentConfig.from_dict(dict(
+        task=task, skew=skew, net="mlp4", family="single",
+        train_n=4096, test_n=1024, batch_size=32, seeds=[0]))
+    build_and_one_epoch(dataclasses.replace(config, train_n=64, test_n=64))
+    spec = config.task_spec()
+    image = spec.channels * spec.size * spec.size * F32
+    images = config.train_n * image + 2 * config.test_n * image
+    # int64 vectors of train_n: labels, the clean view's attributes or
+    # glyphs, the fully skewed and the mixed view's rows and attributes or
+    # glyphs, the mask's draw and the epoch's order
+    integers = 8 * 8 * config.train_n
+    # the bar renderer's band offsets (an int64 per image row) and bar mask
+    # (a bool per image pixel), while it draws the training base
+    renderer = config.train_n * (8 * spec.size + spec.size * spec.size)
+    small = 64 * 1024  # a batch's images and the like
+    bound = images + integers + renderer + small
+    assert traced_peak(lambda: build_and_one_epoch(config)) < bound
+
+
+def test_sampling_trial_data_holds_one_training_array():
+    """A trial's training set is one base image array: the sampling views
+    are a donor row per image, and each batch is composed from them."""
+    check_trial_data_holds_one_training_array(
+        "tint2", {"kind": "sampling", "frequency": "rare"})
+
+
+def test_watermark_trial_data_holds_one_training_array():
+    """As above under a watermark skew, whose views are a glyph class per
+    image; the test views' shared base is dropped once they are composed."""
+    check_trial_data_holds_one_training_array("bars16", {"kind": "watermark"})
+
+
 def block1_conv(net, task, n):
     """Bytes of MiniCNN-6's block-1 conv on n images: its input, one piece's
     padded input and column matrix, and its output. n splits into whole
@@ -100,7 +133,7 @@ def minicnn6_family(task, images):
     fam = cf.FamilyOutcome(nets=nets, plan=cf.trial_plan(net.m, sets))
     clean = sl.gen_clean_synthetic(task, images, seed=3)
     mark = sl.WatermarkSkewSpec(patch_size=10, blend_strength=sl.STRONG)
-    return net, fam, (clean, sl.make_fully_skewed(clean, mark))
+    return net, fam, (clean.plain(), sl.make_fully_skewed(clean, mark).plain())
 
 
 def check_family_evaluation_holds_one_chunk(task_name, images):

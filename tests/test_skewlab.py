@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tempfile
 from hashlib import sha256
@@ -27,11 +28,16 @@ def watermark_task(**kw):
     return sl.SyntheticTaskSpec(**defaults)
 
 
+def images(ds):
+    """Every image of a view, composed."""
+    return ds.plain().pixels
+
+
 def patch_classifier_accuracy(ds, skew):
     """Nearest-glyph classifier restricted to the watermark window."""
     p = skew.patch_size
     glyphs = skew.glyphs(ds.class_count)
-    window = ds.pixels[:, :, :p, :p].mean(axis=1)  # collapse channels
+    window = images(ds)[:, :, :p, :p].mean(axis=1)  # collapse channels
     dists = ((window[:, None] - glyphs[None]) ** 2).sum(axis=(2, 3))
     return float((dists.argmin(axis=1) == ds.labels).mean())
 
@@ -40,7 +46,7 @@ def same_images(a, b):
     """Whether two datasets hold the same pixel, label and attribute bytes."""
     if (a.attributes is None) != (b.attributes is None):
         return False
-    return (a.pixels.tobytes() == b.pixels.tobytes()
+    return (images(a).tobytes() == images(b).tobytes()
             and a.labels.tobytes() == b.labels.tobytes()
             and (a.attributes is None
                  or a.attributes.tobytes() == b.attributes.tobytes()))
@@ -70,10 +76,9 @@ def glyph_ids(task, n, seed):
 def test_clean_glyph_label_uncorrelated():
     task = watermark_task(class_count=4)
     ds = sl.gen_clean_synthetic(task, 10_000, seed=2)
-    glyphs = task.watermark.glyphs(task.class_count)
-    want = sl._blend_batch(ds.base_pixels, glyphs[glyph_ids(task, 10_000, 2)],
-                           task.watermark.blend_strength)
-    assert ds.pixels.tobytes() == want.tobytes()
+    want = blend_batch(ds.base, task.watermark.glyphs(task.class_count)[
+        glyph_ids(task, 10_000, 2)], task.watermark.blend_strength)
+    assert images(ds).tobytes() == want.tobytes()
     corr = np.corrcoef(glyph_ids(task, 10_000, 2), ds.labels)[0, 1]
     assert abs(corr) < 0.05
 
@@ -113,7 +118,7 @@ def test_preset_views_are_golden(name):
     def digest(a):
         return None if a is None else sha256(a.tobytes()).hexdigest()[:16]
 
-    got = tuple((digest(v.pixels), digest(v.labels), digest(v.attributes))
+    got = tuple((digest(images(v)), digest(v.labels), digest(v.attributes))
                 for v in (clean, fully))
     assert got == GOLDEN_VIEWS[name]
 
@@ -190,35 +195,45 @@ def test_attribute_tint_matches_out_of_place_formula(groups, watermark, seed):
     attributes = stream(seed, "attrs").integers(0, groups, size=300)
     tint = (attributes / max(groups - 1, 1)) * 0.3
     want = np.clip(base + tint[:, None, None, None].astype(np.float32), 0, 1)
-    assert got.base_pixels.dtype == want.dtype
-    assert got.base_pixels.tobytes() == want.tobytes()
+    assert got.base.dtype == want.dtype
+    assert got.base.tobytes() == want.tobytes()
     if watermark is None:
-        assert got.pixels is got.base_pixels
+        assert got.pixels is got.base
+
+
+def flat_view(value, glyphs=None, blend_strength=1.0):
+    """Two 16 x 16 images of one value; with glyphs, under a watermark."""
+    mark = None if glyphs is None else sl.WatermarkSkewSpec(10, blend_strength)
+    return sl.ImageDataset(np.full((2, 1, 16, 16), value, dtype=np.float32),
+                           np.array([0, 1]), 2, glyphs=glyphs, mark=mark)
 
 
 def test_blend_identity_and_full_replacement():
-    pixels = np.full((2, 1, 16, 16), 0.2, dtype=np.float32)
-    glyphs = np.ones((2, 10, 10), dtype=np.float32)
-    out0 = sl._blend_batch(pixels, glyphs, 0.0)
-    assert out0.tobytes() == pixels.tobytes()
-    out1 = sl._blend_batch(pixels, glyphs, 1.0)
-    assert (out1[:, :, :10, :10] == 1.0).all()
+    plain = flat_view(0.2)
+    out0 = sl.compose(plain, np.arange(2))
+    assert out0.tobytes() == plain.base.tobytes()
+    assert not np.shares_memory(out0, plain.base)
+    ids = np.array([1, 0])
+    out1 = sl.compose(flat_view(0.2, ids), np.arange(2))
+    glyphs = sl.WatermarkSkewSpec().glyphs(2)
+    assert (out1[:, 0, :10, :10] == glyphs[ids]).all()
     assert (out1[:, :, 10:, :] == np.float32(0.2)).all()
     assert (out1[:, :, :10, 10:] == np.float32(0.2)).all()
 
 
 def test_blend_formula_value():
-    pixels = np.full((1, 1, 16, 16), 0.2, dtype=np.float32)
-    out = sl._blend_batch(pixels, np.ones((1, 10, 10), dtype=np.float32), 0.75)
+    ds = flat_view(0.2, np.array([0, 1]), 0.75)
+    out = sl.compose(ds, np.arange(2))
     assert out.dtype == np.float32
-    assert out[0, 0, 0, 0] == pytest.approx(0.8, abs=1e-7)
+    glyphs = ds.mark.glyphs(2)[:, None]
+    np.testing.assert_allclose(out[:, :, :10, :10], 0.05 + 0.75 * glyphs, atol=1e-7)
     # the fully skewed view blends each label's glyph over the pre-blend base
     task = watermark_task()
     clean = sl.gen_clean_synthetic(task, 64, seed=3)
     skewed = sl.make_fully_skewed(clean, task.watermark)
     glyphs = task.watermark.glyphs(task.class_count)[clean.labels][:, None]
-    want = 0.25 * clean.base_pixels[:, :, :10, :10] + 0.75 * glyphs
-    np.testing.assert_allclose(skewed.pixels[:, :, :10, :10], want, atol=1e-6)
+    want = 0.25 * clean.base[:, :, :10, :10] + 0.75 * glyphs
+    np.testing.assert_allclose(images(skewed)[:, :, :10, :10], want, atol=1e-6)
 
 
 def test_blend_oversized_patch_rejected():
@@ -258,7 +273,7 @@ def test_matching_glyph_means_unchanged_image():
     match = glyph_ids(task, 256, 3) == clean.labels
     assert match.any()
     np.testing.assert_array_equal(
-        skewed.pixels[match], clean.pixels[match]
+        images(skewed)[match], images(clean)[match]
     )
     assert (skewed.labels == clean.labels).all()
 
@@ -268,11 +283,12 @@ def test_watermark_locality():
     clean = sl.gen_clean_synthetic(task, 128, seed=4)
     skewed = sl.make_fully_skewed(clean, task.watermark)
     p = task.watermark.patch_size
+    skewed, clean = images(skewed), images(clean)
     np.testing.assert_array_equal(
-        skewed.pixels[:, :, p:, :], clean.pixels[:, :, p:, :]
+        skewed[:, :, p:, :], clean[:, :, p:, :]
     )
     np.testing.assert_array_equal(
-        skewed.pixels[:, :, :p, p:], clean.pixels[:, :, :p, p:]
+        skewed[:, :, :p, p:], clean[:, :, :p, p:]
     )
 
 
@@ -285,19 +301,18 @@ def test_sampling_skew_aligns_groups():
     assert (skewed.labels == clean.labels).all()
 
 
-def fully_skewed_sampling_loop(clean, skew):
-    """`_fully_skewed_sampling` replacing one cross-group item at a time:
-    the byte reference for its per-label fancy-index copy."""
-    labels, attrs = clean.labels, clean.attributes
-    pixels, new_attrs = clean.pixels.copy(), attrs.copy()
+def fully_skewed_sampling_loop(pixels, labels, attrs, skew):
+    """The sampling skew replacing one cross-group item at a time: the byte
+    reference for its per-label donor rows."""
+    out, new_attrs = pixels.copy(), attrs.copy()
     for y in np.unique(labels):
         donors = np.nonzero((labels == y) & (attrs == skew.aligned_group(y)))[0]
         cross = np.nonzero((labels == y) & (attrs != skew.aligned_group(y)))[0]
         for j, i in enumerate(cross):
             d = donors[j % len(donors)]
-            pixels[i] = clean.pixels[d]
+            out[i] = pixels[d]
             new_attrs[i] = attrs[d]
-    return pixels, new_attrs
+    return out, new_attrs
 
 
 @pytest.mark.parametrize("seed", [0, 5, 13])
@@ -307,14 +322,16 @@ def fully_skewed_sampling_loop(clean, skew):
 def test_sampling_skew_matches_per_item_loop(seed, n, label_0_aligned):
     task = sl.SyntheticTaskSpec(**TASK_PRESETS["tint2"])
     clean = sl.gen_clean_synthetic(task, n, seed=seed)
-    clean.labels[:2] = [0, 1]  # every label has an aligned donor
-    clean.attributes[:2] = [0, 1]
+    labels, attrs = clean.labels.copy(), clean.attributes.copy()
+    labels[:2] = [0, 1]  # every label has an aligned donor
+    attrs[:2] = [0, 1]
     if label_0_aligned:
-        clean.attributes[clean.labels == 0] = 0
+        attrs[labels == 0] = 0
+    clean = dataclasses.replace(clean, labels=labels, attributes=attrs)
     skew = sl.SamplingSkewSpec(num_groups=2)
     got = sl.make_fully_skewed(clean, skew)
-    pixels, attrs = fully_skewed_sampling_loop(clean, skew)
-    assert got.pixels.tobytes() == pixels.tobytes()
+    pixels, attrs = fully_skewed_sampling_loop(images(clean), labels, attrs, skew)
+    assert images(got).tobytes() == pixels.tobytes()
     assert got.attributes.tobytes() == attrs.tobytes()
     assert got.labels.tobytes() == clean.labels.tobytes()
 
@@ -323,10 +340,111 @@ def test_sampling_skew_empty_pool_is_data_error():
     task = sl.SyntheticTaskSpec(class_count=2, kind="bars", attribute_groups=2)
     clean = sl.gen_clean_synthetic(task, 64, seed=8)
     # force label 0 to have no aligned (group 0) members
-    mask = clean.labels == 0
-    clean.attributes[mask] = 1
+    attrs = np.where(clean.labels == 0, 1, clean.attributes)
+    clean = dataclasses.replace(clean, attributes=attrs)
     with pytest.raises(DataError):
         sl.make_fully_skewed(clean, sl.SamplingSkewSpec(num_groups=2))
+
+
+# --------------------------------------------------------------------------
+# byte reference: every view materialised whole, and each batch's skewed
+# images gathered from the fully skewed view, then overwritten with the
+# batch's clean images where the mask is unset
+
+def blend_batch(pixels, glyph_per_image, alpha):
+    """A copy of pixels with each image's p x p glyph convex-blended into its
+    upper-left corner; glyph_per_image has shape (n, p, p)."""
+    out = pixels.copy()
+    p = glyph_per_image.shape[-1]
+    out[:, :, :p, :p] = (
+        (1.0 - alpha) * out[:, :, :p, :p]
+        + alpha * glyph_per_image[:, None, :, :]
+    ).astype(pixels.dtype)
+    return out
+
+
+def reference_clean(task, n, seed):
+    """(clean images, their pre-watermark base, labels, attributes)."""
+    labels = stream(seed, "labels").integers(0, task.class_count, size=n)
+    base = sl._render_base(task, labels, stream(seed, "render"))
+    attributes = None
+    if task.attribute_groups:
+        attributes = stream(seed, "attrs").integers(0, task.attribute_groups, size=n)
+        tint = (attributes / max(task.attribute_groups - 1, 1)) * 0.3
+        base += tint[:, None, None, None].astype(np.float32)
+        np.clip(base, 0, 1, out=base)
+    pixels = base
+    if task.watermark is not None:
+        glyphs = task.watermark.glyphs(task.class_count)[glyph_ids(task, n, seed)]
+        pixels = blend_batch(base, glyphs, task.watermark.blend_strength)
+    return pixels, base, labels, attributes
+
+
+def reference_fully_skewed(task, clean, skew):
+    """The fully skewed (images, attributes) of a reference_clean tuple."""
+    pixels, base, labels, attributes = clean
+    if isinstance(skew, sl.WatermarkSkewSpec):
+        glyphs = skew.glyphs(task.class_count)[labels]
+        return blend_batch(base, glyphs, skew.blend_strength), attributes
+    return fully_skewed_sampling_loop(pixels, labels, attributes, skew)
+
+
+def reference_paired_batches(clean, fully, mask, labels, batch_size, epoch_seed):
+    """(indices, clean_x, skew_x, labels) of each batch of one epoch."""
+    n = len(labels)
+    order = stream(epoch_seed, "epoch-shuffle").permutation(n)
+    unmasked = ~mask
+    for lo in range(0, n, batch_size):
+        idx = order[lo : lo + batch_size]
+        clean_x = clean[idx]
+        skew_x = fully[idx]
+        keep = np.flatnonzero(unmasked[idx])
+        skew_x[keep] = clean_x[keep]
+        yield idx, clean_x, skew_x, labels[idx]
+
+
+def same_array(got, want):
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+@pytest.mark.parametrize("epoch_seed", [4, 9])
+@pytest.mark.parametrize("freq", [sl.COMMON, sl.RARE], ids=["common", "rare"])
+@pytest.mark.parametrize("name", ["bars16", "bars32", "blobs16", "tint2"])
+def test_composed_batches_match_materialised_views(name, freq, epoch_seed):
+    """Every batch composed from the base and the integers per image, and
+    both test views composed whole, are byte for byte the images of the
+    views materialised whole; the task's preset skew as in GOLDEN_VIEWS."""
+    if TASK_PRESETS[name].get("attribute_groups"):
+        task, skew = task_spec(name, None), sl.SamplingSkewSpec(num_groups=2)
+    else:
+        skew = sl.WatermarkSkewSpec()
+        task = task_spec(name, skew)
+    n, batch_size = 200, 32  # a ragged last batch
+    clean = sl.gen_clean_synthetic(task, n, seed=3)
+    pd = sl.apply_frequency(clean, sl.make_fully_skewed(clean, skew), freq, seed=5)
+    ref = reference_clean(task, n, 3)
+    mask = stream(5, "skew-mask").random(n) < freq.value
+    if freq is sl.RARE:
+        assert 0 < mask.sum() < n  # batches mix masked and unmasked rows
+    fully = reference_fully_skewed(task, ref, skew)[0]
+    want = list(reference_paired_batches(ref[0], fully, mask, ref[2], batch_size,
+                                         epoch_seed))
+    got = list(sl.paired_batches(pd, batch_size, epoch_seed))
+    assert len(got) == len(want)
+    for batch, arrays in zip(got, want):
+        assert all(same_array(g, w) for g, w in zip(
+            (batch.indices, batch.clean_x, batch.skew_x, batch.labels), arrays))
+
+    test = sl.gen_clean_synthetic(task, 100, seed=4)
+    views = (test.plain(), sl.make_fully_skewed(test, skew).plain())
+    ref = reference_clean(task, 100, 4)
+    for view, (pixels, attributes) in zip(
+            views, ((ref[0], ref[3]), reference_fully_skewed(task, ref, skew))):
+        assert same_array(view.pixels, pixels)
+        assert same_array(view.labels, ref[2])
+        assert (attributes is None if view.attributes is None
+                else same_array(view.attributes, attributes))
 
 
 SKEW_KINDS = ["watermark", "sampling"]
@@ -353,7 +471,7 @@ def mixed_pixels(pd):
     """The frequency-mixed view, materialised: fully skewed where masked,
     clean elsewhere. The reference for every batch's skew_x."""
     m = pd.skew_mask[:, None, None, None]
-    return np.where(m, pd.fully_skewed.pixels, pd.clean.pixels)
+    return np.where(m, images(pd.fully_skewed), images(pd.clean))
 
 
 @pytest.mark.parametrize("num,den,same_as", [(0, 1, "clean"), (1, 1, "fully")])
@@ -362,11 +480,11 @@ def test_frequency_extremes(num, den, same_as):
         pd = paired(kind, 64, data_seed=3, freq=sl.SkewFrequency(num, den), mask_seed=1)
         target = pd.clean if same_as == "clean" else pd.fully_skewed
         mixed = mixed_pixels(pd)
-        assert mixed.tobytes() == target.pixels.tobytes(), kind
+        assert mixed.tobytes() == images(target).tobytes(), kind
         for batch in sl.paired_batches(pd, 16, epoch_seed=4):
             got = batch.skew_x.tobytes()
             assert got == mixed[batch.indices].tobytes(), kind
-            assert got == target.pixels[batch.indices].tobytes(), kind
+            assert got == images(target)[batch.indices].tobytes(), kind
 
 
 def test_frequency_mask_popcount():
@@ -385,7 +503,7 @@ def test_label_preservation_invariant():
         mixed = mixed_pixels(pd)
         # unmasked indices are pixel-identical between views
         un = ~pd.skew_mask
-        np.testing.assert_array_equal(mixed[un], pd.clean.pixels[un])
+        np.testing.assert_array_equal(mixed[un], images(pd.clean)[un])
         for batch in sl.paired_batches(pd, 32, epoch_seed=9):
             np.testing.assert_array_equal(batch.labels, pd.clean.labels[batch.indices])
             np.testing.assert_array_equal(batch.skew_x, mixed[batch.indices])
@@ -400,7 +518,8 @@ def test_paired_batches_alignment_and_partition():
         seen = []
         for batch in sl.paired_batches(pd, 32, epoch_seed=77):
             seen.extend(batch.indices.tolist())
-            np.testing.assert_array_equal(batch.clean_x, pd.clean.pixels[batch.indices])
+            np.testing.assert_array_equal(batch.clean_x,
+                                          images(pd.clean)[batch.indices])
             np.testing.assert_array_equal(batch.skew_x, mixed[batch.indices])
         assert sorted(seen) == list(range(100))
 
@@ -415,6 +534,31 @@ def test_paired_batches_deterministic_in_epoch_seed():
     c = [b.indices.tolist() for b in sl.paired_batches(pd, 16, epoch_seed=6)]
     assert a == b
     assert a != c
+
+
+def test_pairing_needs_the_fully_skewed_view_of_the_clean_one():
+    """The mixed view is the clean view's integers or the fully skewed
+    view's over one base, so views of two bases, a clean view that reads
+    other rows, or two different watermarks are refused."""
+    task = watermark_task()
+    clean = sl.gen_clean_synthetic(task, 16, seed=6)
+    other = sl.gen_clean_synthetic(task, 16, seed=6)
+    sampling_task = sl.SyntheticTaskSpec(**TASK_PRESETS["tint2"])
+    tinted = sl.gen_clean_synthetic(sampling_task, 16, seed=6)
+    unmarked = sl.gen_clean_synthetic(dataclasses.replace(task, watermark=None), 16,
+                                      seed=6)
+    sampled = sl.make_fully_skewed(tinted, sl.SamplingSkewSpec(num_groups=2))
+    pairs = {
+        "two bases": (clean, sl.make_fully_skewed(other, task.watermark)),
+        "clean reads donor rows": (sampled, sampled),
+        "other patch": (clean, sl.make_fully_skewed(clean, sl.WatermarkSkewSpec(8))),
+        "no clean watermark": (unmarked, sl.make_fully_skewed(unmarked, task.watermark)),
+    }
+    for a, b in pairs.values():
+        with pytest.raises(UsageError, match="made from the clean|differ in watermark"):
+            sl.apply_frequency(a, b, sl.COMMON, seed=2)
+    with pytest.raises(UsageError, match="compose"):
+        clean.pixels
 
 
 def test_batch_size_larger_than_dataset_rejected():
